@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON pipeline config")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for parallelizable stages")
+                       help="accepted for compatibility; every stage runs in one "
+                            "process, so outputs do not depend on it")
         p.add_argument("--seed", type=int, default=None,
                        help="override both pack.seed and split.seed")
         p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -87,8 +88,7 @@ def run(argv: list[str] | None = None) -> int:
             elif args.subcommand == "retrieve":
                 pipeline.stage_retrieve(cfg, report)
             elif args.subcommand == "pack":
-                pipeline.stage_pack(cfg, report, workers=args.workers,
-                                    emit_text=args.emit_text)
+                pipeline.stage_pack(cfg, report, emit_text=args.emit_text)
             elif args.subcommand == "slide":
                 pipeline.stage_slide(cfg, report, discard_tails=args.discard_tails)
             elif args.subcommand == "export":
@@ -99,7 +99,6 @@ def run(argv: list[str] | None = None) -> int:
                 pipeline.run_all(
                     cfg,
                     report,
-                    workers=args.workers,
                     emit_text=args.emit_text,
                     discard_tails=args.discard_tails,
                     dump_tsv=args.dump_tsv,

@@ -8,6 +8,9 @@ SOURCE_DATE_EPOCH so reproducible runs can pin it.
 
 The validation split selects floor(count * fraction) contexts through one
 seeded shuffle, and both halves keep their original relative order.
+
+Statistics are sums over the pack stage's context index, which carries each
+context's per-language token counts; no text is read or tokenized for them.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .packing import SEGMENT_DELIM, PackedContext
+from .alignment import PairId
 from .sliding import WindowShard
-from .tokenization import Tokenizer
 
 T = TypeVar("T")
 
@@ -190,18 +192,19 @@ def write_shards(
 
 
 def iter_shard_records(path: str | Path) -> Iterator[list[int]]:
-    """Parse one shard file, raising on a truncated record with its offset."""
-    data = Path(path).read_bytes()
-    pos = 0
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise ShardError(f"{path}: truncated record header at offset {pos}")
-        (count,) = struct.unpack_from("<I", data, pos)
-        end = pos + 4 + 4 * count
-        if end > len(data):
-            raise ShardError(f"{path}: truncated record at offset {pos}")
-        yield np.frombuffer(data[pos + 4 : end], dtype="<u4").astype(int).tolist()
-        pos = end
+    """Stream the records of one shard file, raising on a truncated record
+    with its offset. Holds one record in memory at a time."""
+    with open(path, "rb") as f:
+        pos = 0
+        while header := f.read(4):
+            if len(header) < 4:
+                raise ShardError(f"{path}: truncated record header at offset {pos}")
+            (count,) = struct.unpack("<I", header)
+            body = f.read(4 * count)
+            if len(body) < 4 * count:
+                raise ShardError(f"{path}: truncated record at offset {pos}")
+            yield np.frombuffer(body, dtype="<u4").tolist()
+            pos += 4 + len(body)
 
 
 def read_manifest(shard_dir: str | Path) -> ShardManifest:
@@ -232,6 +235,20 @@ def read_shards(shard_dir: str | Path) -> Iterator[WindowShard]:
         )
 
 
+@dataclass(slots=True)
+class ContextEntry:
+    """One context of the pack stage's index: where it came from and how many
+    tokens it holds. token_len counts the terminal split token; per_language
+    counts the segment tokens of each language and excludes it."""
+
+    pair: PairId
+    seq_index: int
+    direction: str
+    origin: str
+    token_len: int
+    per_language: dict[str, int]
+
+
 @dataclass
 class CorpusStats:
     """Per-language token totals, two rows (en, L) per data source."""
@@ -253,12 +270,12 @@ class CorpusStats:
         }
 
 
-def compute_stats(contexts: Iterable[PackedContext], tokenizer: Tokenizer) -> CorpusStats:
-    """Sum segment tokens per (source, language); the terminal split token is
-    an artifact of the construction and lands in control_tokens instead."""
+def compute_stats(entries: Iterable[ContextEntry]) -> CorpusStats:
+    """Sum the index's per-language token counts per (source, language); the
+    terminal split token of each context lands in control_tokens instead."""
     stats = CorpusStats()
-    for ctx in contexts:
-        for seg in ctx.segments:
-            stats.add(ctx.origin, seg.lang, tokenizer.count(seg.text + SEGMENT_DELIM))
+    for entry in entries:
+        for lang, tokens in entry.per_language.items():
+            stats.add(entry.origin, lang, tokens)
         stats.control_tokens += 1
     return stats

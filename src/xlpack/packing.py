@@ -11,7 +11,9 @@ by default), until both sides are exhausted.
 Cost accounting is per segment: every segment is priced as its text plus a
 trailing blank-line delimiter, plus one token for the terminal delimiter token.
 For non-merging tokenizers this equals the token count of the rendered context
-exactly; for subword tokenizers it may differ by a few tokens at segment seams.
+exactly; for subword tokenizers the packer's estimate may differ by a few
+tokens at segment seams. The pack stage then encodes each context once, and
+the context index records the exact encoded length, not the estimate.
 
 A paragraph too large to fit even a fresh context is emitted alone, truncated
 at token level (or skipped when truncation is disabled); that is the only case
@@ -58,12 +60,24 @@ class PackedContext:
     def rendered_text(self, split_token_text: str) -> str:
         return "".join(s.text + SEGMENT_DELIM for s in self.segments) + split_token_text
 
-    def token_ids(self, tokenizer: Tokenizer) -> list[int]:
+    def encode(self, tokenizer: Tokenizer) -> tuple[list[int], dict[str, int]]:
+        """Token ids of the rendered context, plus per-language token counts.
+
+        Segments are encoded in order, so a tokenizer that assigns ids on
+        first encounter assigns them in corpus order. The terminal split token
+        is in the ids but in no language's count.
+        """
         ids: list[int] = []
+        per_language: dict[str, int] = {}
         for seg in self.segments:
-            ids.extend(tokenizer.encode(seg.text + SEGMENT_DELIM).ids)
+            seg_ids = tokenizer.encode(seg.text + SEGMENT_DELIM).ids
+            ids.extend(seg_ids)
+            per_language[seg.lang] = per_language.get(seg.lang, 0) + len(seg_ids)
         ids.append(tokenizer.split_token_id)
-        return ids
+        return ids, per_language
+
+    def token_ids(self, tokenizer: Tokenizer) -> list[int]:
+        return self.encode(tokenizer)[0]
 
 
 @dataclass
@@ -90,14 +104,6 @@ class PackTally:
     truncated_paragraphs: int = 0
     oversize_skipped: int = 0
     split_markers_scrubbed: int = 0
-
-    def merge(self, other: PackTally) -> None:
-        self.pairs_packed += other.pairs_packed
-        self.contexts_emitted += other.contexts_emitted
-        self.degenerate_pairs += other.degenerate_pairs
-        self.truncated_paragraphs += other.truncated_paragraphs
-        self.oversize_skipped += other.oversize_skipped
-        self.split_markers_scrubbed += other.split_markers_scrubbed
 
     def as_dict(self) -> dict[str, int]:
         return {

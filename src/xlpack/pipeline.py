@@ -2,13 +2,19 @@
 
 Every stage reads its inputs from disk and writes its outputs to disk, so each
 is runnable in isolation. Artifact bytes are a pure function of config and
-inputs: streams are processed in deterministic order and the worker pool used
-by the pack stage merges results back in submission order.
+inputs: every stage runs in one process and handles its streams in
+deterministic order.
+
+Text is tokenized only by the pack stage: it encodes each context once, in
+corpus order, and later stages work from the ids and counts it wrote.
 
 Output layout under paths.output_dir:
     pairs.tsv                 aligned pair map (align)
     pseudo_pairs.jsonl        retrieval-built pairs (retrieve, optional)
-    contexts.jsonl            packed contexts (pack)
+    contexts.jsonl            context index: pair, seq_index, direction, origin,
+                              token_len, per-language token counts (pack)
+    contexts.bin              context token ids, one u32 record per index
+                              line, in the shard record format (pack)
     contexts_text.jsonl       rendered context debug dump (pack --emit-text)
     windows-train.bin         staged windows (slide)
     windows-validation.bin
@@ -22,11 +28,8 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .alignment import (
     AlignTally,
@@ -41,6 +44,7 @@ from .alignment import (
 from .config import PipelineConfig
 from .dump_ingest import ParseTally, parse_langlinks_dump, parse_pages_dump
 from .export import (
+    ContextEntry,
     CorpusStats,
     compute_stats,
     config_digest,
@@ -49,7 +53,7 @@ from .export import (
     split_validation,
     write_shards,
 )
-from .packing import PackedContext, PackTally, Segment, direction_for, pack_pair
+from .packing import PackTally, direction_for, pack_pair
 from .report import RunReport
 from .retrieval import (
     CandidateDoc,
@@ -64,11 +68,12 @@ from .retrieval import (
     two_step_retrieve,
 )
 from .sliding import WindowShard, slide_optimized, slide_optimized_lossy, slide_standard
-from .tokenization import Tokenizer, make_tokenizer
+from .tokenization import make_tokenizer
 
 PAIRS_NAME = "pairs.tsv"
 PSEUDO_PAIRS_NAME = "pseudo_pairs.jsonl"
 CONTEXTS_NAME = "contexts.jsonl"
+CONTEXT_IDS_NAME = "contexts.bin"
 CONTEXTS_TEXT_NAME = "contexts_text.jsonl"
 WINDOWS_META_NAME = "windows_meta.json"
 STATS_NAME = "stats.json"
@@ -108,35 +113,39 @@ class StageGuard:
 # JSONL round-trips for intermediate artifacts
 
 
-def context_to_dict(ctx: PackedContext) -> dict:
+def context_to_dict(entry: ContextEntry) -> dict:
     return {
-        "pair": [ctx.pair.id_l, ctx.pair.id_en],
-        "seq_index": ctx.seq_index,
-        "direction": ctx.direction,
-        "origin": ctx.origin,
-        "token_len": ctx.token_len,
-        "segments": [[s.lang, s.kind, s.text] for s in ctx.segments],
+        "pair": [entry.pair.id_l, entry.pair.id_en],
+        "seq_index": entry.seq_index,
+        "direction": entry.direction,
+        "origin": entry.origin,
+        "token_len": entry.token_len,
+        "per_language_tokens": entry.per_language,
     }
 
 
-def context_from_dict(data: dict) -> PackedContext:
-    return PackedContext(
-        segments=[Segment(*s) for s in data["segments"]],
-        token_len=data["token_len"],
-        direction=data["direction"],
-        pair=PairId(data["pair"][0], data["pair"][1]),
-        seq_index=data["seq_index"],
-        origin=data.get("origin", "wiki"),
-    )
-
-
-def read_contexts_jsonl(path: str | Path) -> list[PackedContext]:
-    contexts = []
+def read_contexts_jsonl(path: str | Path) -> list[ContextEntry]:
+    """Read the context index, refusing lines that are not index entries
+    (such as a contexts.jsonl written before the index format)."""
+    entries = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                contexts.append(context_from_dict(json.loads(line)))
-    return contexts
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            data = json.loads(line)
+            try:
+                entries.append(ContextEntry(
+                    pair=PairId(data["pair"][0], data["pair"][1]),
+                    seq_index=data["seq_index"],
+                    direction=data["direction"],
+                    origin=data["origin"],
+                    token_len=data["token_len"],
+                    per_language=data["per_language_tokens"],
+                ))
+            except KeyError as e:
+                raise ValueError(f"{path}:{lineno}: not a context index line, "
+                                 f"missing {e}; rerun pack") from None
+    return entries
 
 
 def pair_to_dict(pair: ArticlePair) -> dict:
@@ -321,22 +330,6 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport, batch_size: int = 256
     return pseudo_path
 
 
-# Worker-pool state for the pack stage; set once per worker by the initializer.
-_POOL_STATE: dict = {}
-
-
-def _pack_pool_init(tokenizer: Tokenizer, cfg_pack) -> None:
-    _POOL_STATE["tokenizer"] = tokenizer
-    _POOL_STATE["cfg"] = cfg_pack
-
-
-def _pack_pool_run(job: tuple[ArticlePair, str]) -> tuple[list[PackedContext], PackTally]:
-    pair, direction = job
-    tally = PackTally()
-    contexts = pack_pair(pair, _POOL_STATE["tokenizer"], _POOL_STATE["cfg"], direction, tally)
-    return contexts, tally
-
-
 def _iter_source_pairs(cfg: PipelineConfig, align_tally: AlignTally) -> Iterator[ArticlePair]:
     out = cfg.output_dir
     pair_ids = load_pair_map(out / PAIRS_NAME)
@@ -348,45 +341,31 @@ def _iter_source_pairs(cfg: PipelineConfig, align_tally: AlignTally) -> Iterator
         yield from read_pairs_jsonl(pseudo_path)
 
 
-def stage_pack(
-    cfg: PipelineConfig,
-    report: RunReport,
-    workers: int = 1,
-    emit_text: bool = False,
-) -> Path:
+def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) -> Path:
     start = time.perf_counter()
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     tokenizer = make_tokenizer(cfg.tokenizer)
     align_tally = AlignTally()
     tally = PackTally()
-    pairs = _iter_source_pairs(cfg, align_tally)
-    jobs = ((pair, direction_for(pair.pair, cfg.pack)) for pair in pairs)
-
-    def packed_streams() -> Iterator[tuple[list[PackedContext], PackTally]]:
-        if workers <= 1:
-            for pair, direction in jobs:
-                local = PackTally()
-                yield pack_pair(pair, tokenizer, cfg.pack, direction, local), local
-        else:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pack_pool_init,
-                initargs=(tokenizer, cfg.pack),
-            ) as pool:
-                yield from pool.map(_pack_pool_run, jobs, chunksize=16)
-
     context_count = 0
     with StageGuard() as guard:
         contexts_path = guard.track(out / CONTEXTS_NAME)
+        ids_path = guard.track(out / CONTEXT_IDS_NAME)
         text_path = out / CONTEXTS_TEXT_NAME
         text_file = open(guard.track(text_path), "w", encoding="utf-8") if emit_text else None
         try:
-            with open(contexts_path, "w", encoding="utf-8") as f:
-                for contexts, local_tally in packed_streams():
-                    tally.merge(local_tally)
-                    for ctx in contexts:
-                        f.write(json.dumps(context_to_dict(ctx), ensure_ascii=False,
+            with open(contexts_path, "w", encoding="utf-8") as f, open(ids_path, "wb") as fb:
+                for pair in _iter_source_pairs(cfg, align_tally):
+                    direction = direction_for(pair.pair, cfg.pack)
+                    for ctx in pack_pair(pair, tokenizer, cfg.pack, direction, tally):
+                        # The one encode of this context; whitespace ids are
+                        # assigned here, in corpus order.
+                        ids, per_language = ctx.encode(tokenizer)
+                        fb.write(encode_window_record(ids))
+                        entry = ContextEntry(ctx.pair, ctx.seq_index, ctx.direction,
+                                             ctx.origin, len(ids), per_language)
+                        f.write(json.dumps(context_to_dict(entry), ensure_ascii=False,
                                            sort_keys=True))
                         f.write("\n")
                         context_count += 1
@@ -395,7 +374,7 @@ def stage_pack(
                                 "pair": [ctx.pair.id_l, ctx.pair.id_en],
                                 "seq_index": ctx.seq_index,
                                 "direction": ctx.direction,
-                                "token_len": ctx.token_len,
+                                "token_len": entry.token_len,
                                 "text": ctx.rendered_text(tokenizer.split_token_text),
                             }, ensure_ascii=False, sort_keys=True))
                             text_file.write("\n")
@@ -409,31 +388,43 @@ def stage_pack(
         context_count=context_count,
         packing=tally.as_dict(),
         join=align_tally.as_dict(),
-        workers=workers,
     )
     return contexts_path
 
 
-def _per_language_tokens(
-    contexts: Iterable[PackedContext], tokenizer: Tokenizer
-) -> dict[str, int]:
-    stats = compute_stats(contexts, tokenizer)
-    merged: dict[str, int] = {}
-    for langs in stats.per_source.values():
-        for lang, tokens in langs.items():
-            merged[lang] = merged.get(lang, 0) + tokens
-    return merged
+def _context_ids(
+    path: Path, entries: list[ContextEntry], validation: set[int], held: list[list[int]]
+) -> Iterator[list[int]]:
+    """Stream the train contexts' ids from contexts.bin in corpus order.
+
+    Validation contexts are appended to `held` instead. Every record must
+    match its index line: a missing, extra or resized record raises.
+    """
+    count = 0
+    for i, ids in enumerate(iter_shard_records(path)):
+        count = i + 1
+        if i >= len(entries):
+            continue  # counted, then reported below
+        if len(ids) != entries[i].token_len:
+            raise ValueError(f"{path}: record {i} holds {len(ids)} tokens, "
+                             f"the index's token_len is {entries[i].token_len}")
+        if i in validation:
+            held.append(ids)
+        else:
+            yield ids
+    if count != len(entries):
+        raise ValueError(f"{path}: {count} records, the context index has "
+                         f"{len(entries)} lines")
 
 
 def stage_slide(cfg: PipelineConfig, report: RunReport, discard_tails: bool = False) -> Path:
     start = time.perf_counter()
     out = cfg.output_dir
-    contexts = read_contexts_jsonl(out / CONTEXTS_NAME)
-    tokenizer = make_tokenizer(cfg.tokenizer)
-    # Encode in corpus order so id assignment is independent of the split.
-    encoded = [np.asarray(ctx.token_ids(tokenizer), dtype=np.uint32) for ctx in contexts]
-    order = list(range(len(contexts)))
-    train_idx, val_idx = split_validation(order, cfg.split)
+    entries = read_contexts_jsonl(out / CONTEXTS_NAME)
+    train_idx, val_idx = split_validation(range(len(entries)), cfg.split)
+    held: list[list[int]] = []
+    train_ids = _context_ids(out / CONTEXT_IDS_NAME, entries, set(val_idx), held)
+    split_token_id = cfg.tokenizer.split_token_id
 
     meta: dict = {
         "policy": cfg.slide.kind,
@@ -443,14 +434,15 @@ def stage_slide(cfg: PipelineConfig, report: RunReport, discard_tails: bool = Fa
     }
     n = cfg.slide.n_budget
     with StageGuard() as guard:
-        for split_name, indices in (("train", train_idx), ("validation", val_idx)):
-            ids_stream = (encoded[i].tolist() for i in indices)
+        # Train first: streaming it fills `held` before validation is read.
+        for split_name, indices, ids_stream in (("train", train_idx, train_ids),
+                                                ("validation", val_idx, held)):
             if cfg.slide.kind == "standard":
                 windows = slide_standard(ids_stream, n, cfg.slide.keep_final_partial)
             elif discard_tails:
-                windows = slide_optimized_lossy(ids_stream, n, tokenizer.split_token_id)
+                windows = slide_optimized_lossy(ids_stream, n, split_token_id)
             else:
-                windows = slide_optimized(ids_stream, n, tokenizer.split_token_id)
+                windows = slide_optimized(ids_stream, n, split_token_id)
             path = guard.track(out / f"windows-{split_name}.bin")
             window_count = 0
             token_total = 0
@@ -459,14 +451,15 @@ def stage_slide(cfg: PipelineConfig, report: RunReport, discard_tails: bool = Fa
                     f.write(encode_window_record(window.ids))
                     window_count += 1
                     token_total += len(window.ids)
-            split_contexts = [contexts[i] for i in indices]
+            per_language: dict[str, int] = {}
+            for i in indices:
+                for lang, tokens in entries[i].per_language.items():
+                    per_language[lang] = per_language.get(lang, 0) + tokens
             meta["splits"][split_name] = {
                 "window_count": window_count,
                 "token_total": token_total,
                 "context_count": len(indices),
-                "per_language_tokens": dict(
-                    sorted(_per_language_tokens(split_contexts, tokenizer).items())
-                ),
+                "per_language_tokens": dict(sorted(per_language.items())),
             }
         meta_path = guard.track(out / WINDOWS_META_NAME)
         meta_path.write_text(
@@ -527,9 +520,7 @@ def stage_export(cfg: PipelineConfig, report: RunReport) -> Path:
 def stage_stats(cfg: PipelineConfig, report: RunReport) -> Path:
     start = time.perf_counter()
     out = cfg.output_dir
-    contexts = read_contexts_jsonl(out / CONTEXTS_NAME)
-    tokenizer = make_tokenizer(cfg.tokenizer)
-    stats: CorpusStats = compute_stats(contexts, tokenizer)
+    stats: CorpusStats = compute_stats(read_contexts_jsonl(out / CONTEXTS_NAME))
     with StageGuard() as guard:
         stats_path = guard.track(out / STATS_NAME)
         stats_path.write_text(
@@ -548,7 +539,6 @@ def stage_stats(cfg: PipelineConfig, report: RunReport) -> Path:
 def run_all(
     cfg: PipelineConfig,
     report: RunReport,
-    workers: int = 1,
     emit_text: bool = False,
     discard_tails: bool = False,
     dump_tsv: bool = False,
@@ -557,7 +547,7 @@ def run_all(
     stage_align(cfg, report, dump_tsv=dump_tsv)
     if cfg.retrieval is not None and cfg.paths.web_corpus:
         stage_retrieve(cfg, report)
-    stage_pack(cfg, report, workers=workers, emit_text=emit_text)
+    stage_pack(cfg, report, emit_text=emit_text)
     stage_slide(cfg, report, discard_tails=discard_tails)
     stage_export(cfg, report)
     stage_stats(cfg, report)

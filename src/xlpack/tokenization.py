@@ -47,9 +47,10 @@ class TokenSeq:
 class Tokenizer:
     """Base class handling the reserved delimiter; subclasses encode plain text.
 
-    encode/count are pure functions of the input text once the tokenizer has
-    seen its corpus (the whitespace kind assigns word ids on first encounter,
-    so warm it up in a single thread before sharing across workers).
+    count is a pure function of the input text. encode is too, except that
+    the whitespace kind assigns word ids on first encounter, so ids depend on
+    the order texts are encoded in; the pipeline encodes each context once,
+    in corpus order, in one process.
     """
 
     kind = "base"
@@ -78,11 +79,6 @@ class Tokenizer:
         scrubs it before any truncation can happen).
         """
         raise NotImplementedError
-
-    def warm_up(self, texts) -> None:
-        """Assign any first-encounter state in a deterministic sequential pass."""
-        for t in texts:
-            self.count(t)
 
     def _encode_plain(self, text: str) -> list[int]:
         raise NotImplementedError
@@ -115,10 +111,6 @@ class WhitespaceTokenizer(Tokenizer):
 
     def _count_plain(self, text: str) -> int:
         return len(text.split())
-
-    def warm_up(self, texts) -> None:
-        for t in texts:
-            self.encode(t)
 
     def truncate_to_tokens(self, text: str, max_tokens: int) -> str:
         end = 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from xlpack.alignment import PairId
 from xlpack.export import (
+    ContextEntry,
     CorpusStats,
     ShardError,
     SplitConfig,
@@ -177,8 +178,9 @@ class TestConfigDigest:
         assert config_digest({"x": 2}) != a
 
 
-def _ctx(segments, origin="wiki"):
-    return PackedContext(
+def _entry(segments, origin="wiki", tok=None):
+    """Index entry of one context, with counts from PackedContext.encode."""
+    ctx = PackedContext(
         segments=[Segment(*s) for s in segments],
         token_len=0,
         direction="en_first",
@@ -186,32 +188,35 @@ def _ctx(segments, origin="wiki"):
         seq_index=0,
         origin=origin,
     )
+    ids, per_language = ctx.encode(tok or WhitespaceTokenizer())
+    return ContextEntry(ctx.pair, ctx.seq_index, ctx.direction, origin, len(ids),
+                        per_language)
 
 
 class TestComputeStats:
     def test_single_context_attribution(self):
-        tok = WhitespaceTokenizer()
-        ctx = _ctx([
+        entry = _entry([
             ("en", "title", "T"),
             ("en", "paragraph", "a b c d e"),
             ("xx", "title", "U"),
             ("xx", "paragraph", "p q r"),
         ])
-        stats = compute_stats([ctx], tok)
+        assert entry.token_len == 11
+        stats = compute_stats([entry])
         assert stats.per_source == {"wiki": {"en": 6, "xx": 4}}
         assert stats.control_tokens == 1
 
     def test_empty_corpus(self):
-        stats = compute_stats([], WhitespaceTokenizer())
+        stats = compute_stats([])
         assert stats.per_source == {} and stats.control_tokens == 0
 
     def test_two_row_per_source_shape(self):
         tok = WhitespaceTokenizer()
-        contexts = [
-            _ctx([("en", "title", "T"), ("xx", "paragraph", "a")], origin="wiki"),
-            _ctx([("en", "title", "T"), ("xx", "paragraph", "b c")], origin="web"),
+        entries = [
+            _entry([("en", "title", "T"), ("xx", "paragraph", "a")], origin="wiki", tok=tok),
+            _entry([("en", "title", "T"), ("xx", "paragraph", "b c")], origin="web", tok=tok),
         ]
-        data = compute_stats(contexts, tok).to_dict()
+        data = compute_stats(entries).to_dict()
         assert set(data["sources"]) == {"wiki", "web"}
         assert set(data["sources"]["wiki"]) == {"en", "xx"}
         assert data["control_tokens"] == 2
