@@ -7,9 +7,9 @@ are unioned. A link is dropped when its target title is blank, or does not
 resolve to a kept page. Pages outside the article namespace and redirects are
 excluded from resolution by default; each of those sub-filters can be relaxed.
 
-Joining pair ids against article texts is supported either from plain record
-streams or from an ArticleStore, an on-disk byte-offset index over the
-extracted-article files that keeps memory independent of corpus size.
+Pair ids are joined against article texts through ArticleStores, on-disk
+byte-offset indexes over the extracted-article files that keep memory
+independent of corpus size.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .dump_ingest import LangLink, PageRecord, RawArticle
+from .dump_ingest import LangLink, PageRecord, RawArticle, article_files
 
 
 @dataclass(frozen=True, order=True)
@@ -151,8 +151,7 @@ class ArticleStore:
         self.lang = lang
         self._tally = tally if tally is not None else AlignTally()
         self._index: dict[int, tuple[int, int]] = {}
-        p = Path(path)
-        self._files = sorted(f for f in p.rglob("*") if f.is_file()) if p.is_dir() else [p]
+        self._files = article_files(path)
         for fidx, file in enumerate(self._files):
             with open(file, "rb") as f:
                 offset = 0
@@ -188,49 +187,22 @@ class ArticleStore:
         return RawArticle(page_id, rec.get("title", ""), rec.get("text", ""), self.lang)
 
 
-def _collect_needed(
-    articles: Iterable[RawArticle], needed: set[int], tally: AlignTally
-) -> dict[int, RawArticle]:
-    kept: dict[int, RawArticle] = {}
-    seen: set[int] = set()
-    for art in articles:
-        if art.page_id in seen:
-            tally.duplicate_articles += 1
-            continue
-        seen.add(art.page_id)
-        if art.page_id in needed:
-            kept[art.page_id] = art
-    return kept
-
-
 def join_articles(
     pair_ids: set[PairId],
-    articles_en: Iterable[RawArticle] | ArticleStore,
-    articles_l: Iterable[RawArticle] | ArticleStore,
+    articles_en: ArticleStore,
+    articles_l: ArticleStore,
     tally: AlignTally | None = None,
 ) -> Iterator[ArticlePair]:
     """Emit one ArticlePair per pair id whose two texts exist and are non-empty.
 
-    Output is ascending by (id_l, id_en) regardless of input arrival order.
+    Output is ascending by (id_l, id_en) regardless of article file order.
     Pairs missing either side, or with blank text or title, are tallied under
     pairs_missing_text and skipped.
     """
     tally = tally if tally is not None else AlignTally()
-
-    if isinstance(articles_en, ArticleStore):
-        get_en = articles_en.get
-    else:
-        kept_en = _collect_needed(articles_en, {p.id_en for p in pair_ids}, tally)
-        get_en = kept_en.get
-    if isinstance(articles_l, ArticleStore):
-        get_l = articles_l.get
-    else:
-        kept_l = _collect_needed(articles_l, {p.id_l for p in pair_ids}, tally)
-        get_l = kept_l.get
-
     for pid in sorted(pair_ids):
-        art_en = get_en(pid.id_en)
-        art_l = get_l(pid.id_l)
+        art_en = articles_en.get(pid.id_en)
+        art_l = articles_l.get(pid.id_l)
         if (
             art_en is None
             or art_l is None

@@ -33,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("align", "build and persist the bilingual pair map"),
         ("retrieve", "build pseudo pairs from a web corpus via semantic retrieval"),
         ("pack", "pack aligned pairs into delimiter-terminated contexts"),
-        ("slide", "split and batch contexts into training windows"),
-        ("export", "write window shards and manifests"),
+        ("slide", "split and batch contexts into window shards and manifests"),
+        ("export", "verify window shards against their manifests"),
         ("stats", "write per-language token statistics"),
         ("all", "run every stage in order"),
     ):

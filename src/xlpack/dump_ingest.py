@@ -17,6 +17,7 @@ import gzip
 import io
 import json
 import re
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
@@ -278,12 +279,9 @@ class _InsertTupleScanner:
         return fields
 
 
-def _open_text(source: str | Path | IO[bytes]) -> IO[str]:
-    """Open a path or binary stream as text, transparently gunzipping."""
-    if isinstance(source, (str, Path)):
-        raw: IO[bytes] = open(source, "rb")
-    else:
-        raw = source
+def _open_text(raw: IO[bytes]) -> IO[str]:
+    """Wrap a binary stream as text, transparently gunzipping. Closing the
+    text closes a plain stream but not the file under a gzip one."""
     if not raw.seekable():
         raise ValueError("dump source must be seekable")
     head = raw.read(2)
@@ -298,17 +296,18 @@ def iter_insert_tuples(
 ) -> Iterator[tuple]:
     """Yield every value tuple from every INSERT statement in a SQL dump."""
     tally = tally if tally is not None else ParseTally()
-    text = _open_text(source)
-    scanner = _InsertTupleScanner(tally)
-    try:
+    with ExitStack() as stack:
+        raw = source
+        if isinstance(source, (str, Path)):
+            raw = stack.enter_context(open(source, "rb"))
+        text = stack.enter_context(_open_text(raw))
+        scanner = _InsertTupleScanner(tally)
         while True:
             chunk = text.read(_CHUNK_CHARS)
             if not chunk:
                 break
             yield from scanner.feed(chunk)
         scanner.finish()
-    finally:
-        text.close()
 
 
 def parse_langlinks_dump(
@@ -393,7 +392,9 @@ class ArticleTally:
         }
 
 
-def _article_files(path: str | Path) -> list[Path]:
+def article_files(path: str | Path) -> list[Path]:
+    """The extracted-article files under `path` (a file or a directory), in
+    lexicographic order."""
     p = Path(path)
     if p.is_dir():
         return sorted(f for f in p.rglob("*") if f.is_file())
@@ -411,7 +412,7 @@ def read_extracted_articles(
     `text` are skipped and tallied. Records with empty text are yielded.
     """
     tally = tally if tally is not None else ArticleTally()
-    for file in _article_files(path):
+    for file in article_files(path):
         with open(file, "r", encoding="utf-8") as f:
             for line in f:
                 tally.lines_read += 1

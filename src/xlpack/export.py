@@ -137,12 +137,16 @@ def write_shards(
 ) -> ShardManifest:
     """Write windows as rolled binary shards plus a manifest; byte-deterministic.
 
-    A failure mid-write removes the partial shard file before propagating, and
+    Shard files and a manifest already in `out_dir` are removed first, so a
+    rerun that writes fewer shards leaves none of the old ones behind. A
+    failure mid-write removes the partial shard file before propagating, and
     the manifest is only written after every record landed, so a directory
     without a manifest is detectably incomplete.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in [*out.glob("windows-*.bin"), out / MANIFEST_NAME]:
+        stale.unlink(missing_ok=True)
     window_count = 0
     token_total = 0
     shard_idx = 0

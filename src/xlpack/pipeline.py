@@ -16,12 +16,13 @@ Output layout under paths.output_dir:
     contexts.bin              context token ids, one u32 record per index
                               line, in the shard record format (pack)
     contexts_text.jsonl       rendered context debug dump (pack --emit-text)
-    windows-train.bin         staged windows (slide)
-    windows-validation.bin
-    windows_meta.json
-    shards/<split>/           rolled shard files + manifest.json (export)
+    shards/<split>/           rolled window shard files + manifest.json (slide)
+    windows_meta.json         per-split window, token and context counts (slide)
     stats.json                per-language token totals (stats)
     run_report.jsonl          event log (every stage)
+
+export writes nothing: it reads both shard sets back and checks them against
+their manifests and windows_meta.json.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .export import (
     config_digest,
     encode_window_record,
     iter_shard_records,
+    read_shards,
     split_validation,
     write_shards,
 )
@@ -67,7 +69,7 @@ from .retrieval import (
     read_candidate_corpus,
     two_step_retrieve,
 )
-from .sliding import WindowShard, slide_optimized, slide_optimized_lossy, slide_standard
+from .sliding import slide_optimized, slide_optimized_lossy, slide_standard
 from .tokenization import make_tokenizer
 
 PAIRS_NAME = "pairs.tsv"
@@ -76,6 +78,7 @@ CONTEXTS_NAME = "contexts.jsonl"
 CONTEXT_IDS_NAME = "contexts.bin"
 CONTEXTS_TEXT_NAME = "contexts_text.jsonl"
 WINDOWS_META_NAME = "windows_meta.json"
+SHARDS_NAME = "shards"
 STATS_NAME = "stats.json"
 REPORT_NAME = "run_report.jsonl"
 SPLITS = ("train", "validation")
@@ -425,6 +428,7 @@ def stage_slide(cfg: PipelineConfig, report: RunReport, discard_tails: bool = Fa
     held: list[list[int]] = []
     train_ids = _context_ids(out / CONTEXT_IDS_NAME, entries, set(val_idx), held)
     split_token_id = cfg.tokenizer.split_token_id
+    digest = config_digest(cfg.effective_dict())
 
     meta: dict = {
         "policy": cfg.slide.kind,
@@ -434,6 +438,7 @@ def stage_slide(cfg: PipelineConfig, report: RunReport, discard_tails: bool = Fa
     }
     n = cfg.slide.n_budget
     with StageGuard() as guard:
+        shards_root = guard.track(out / SHARDS_NAME)
         # Train first: streaming it fills `held` before validation is read.
         for split_name, indices, ids_stream in (("train", train_idx, train_ids),
                                                 ("validation", val_idx, held)):
@@ -443,23 +448,26 @@ def stage_slide(cfg: PipelineConfig, report: RunReport, discard_tails: bool = Fa
                 windows = slide_optimized_lossy(ids_stream, n, split_token_id)
             else:
                 windows = slide_optimized(ids_stream, n, split_token_id)
-            path = guard.track(out / f"windows-{split_name}.bin")
-            window_count = 0
-            token_total = 0
-            with open(path, "wb") as f:
-                for window in windows:
-                    f.write(encode_window_record(window.ids))
-                    window_count += 1
-                    token_total += len(window.ids)
             per_language: dict[str, int] = {}
             for i in indices:
                 for lang, tokens in entries[i].per_language.items():
                     per_language[lang] = per_language.get(lang, 0) + tokens
+            manifest = write_shards(
+                windows,
+                shards_root / split_name,
+                config_digest=digest,
+                tokenizer_kind=cfg.tokenizer.kind,
+                n_budget=n,
+                per_language_tokens=per_language,
+                seed=cfg.split.seed,
+                split=split_name,
+                shard_max_bytes=cfg.shard_max_bytes,
+            )
             meta["splits"][split_name] = {
-                "window_count": window_count,
-                "token_total": token_total,
+                "window_count": manifest.window_count,
+                "token_total": manifest.token_total,
                 "context_count": len(indices),
-                "per_language_tokens": dict(sorted(per_language.items())),
+                "per_language_tokens": per_language,
             }
         meta_path = guard.track(out / WINDOWS_META_NAME)
         meta_path.write_text(
@@ -476,43 +484,25 @@ def stage_slide(cfg: PipelineConfig, report: RunReport, discard_tails: bool = Fa
 
 
 def stage_export(cfg: PipelineConfig, report: RunReport) -> Path:
+    """Verify the shards slide wrote: read every record back and check each
+    split's window count against its manifest and windows_meta.json."""
     start = time.perf_counter()
     out = cfg.output_dir
     meta = json.loads((out / WINDOWS_META_NAME).read_text(encoding="utf-8"))
-    digest = config_digest(cfg.effective_dict())
-    shards_root = out / "shards"
-    manifests = {}
-    with StageGuard() as guard:
-        for split_name in SPLITS:
-            split_meta = meta["splits"][split_name]
-            windows_path = out / f"windows-{split_name}.bin"
-            windows = (
-                WindowShard(ids, i)
-                for i, ids in enumerate(iter_shard_records(windows_path))
-            )
-            split_dir = guard.track(shards_root / split_name)
-            manifest = write_shards(
-                windows,
-                split_dir,
-                config_digest=digest,
-                tokenizer_kind=cfg.tokenizer.kind,
-                n_budget=cfg.slide.n_budget,
-                per_language_tokens=split_meta["per_language_tokens"],
-                seed=cfg.split.seed,
-                split=split_name,
-                shard_max_bytes=cfg.shard_max_bytes,
-            )
-            if manifest.window_count != split_meta["window_count"]:
-                raise ValueError(
-                    f"{split_name}: staged {split_meta['window_count']} windows, "
-                    f"exported {manifest.window_count}"
-                )
-            manifests[split_name] = manifest
+    shards_root = out / SHARDS_NAME
+    counts = {}
+    for split_name in SPLITS:
+        count = sum(1 for _ in read_shards(shards_root / split_name))
+        expected = meta["splits"][split_name]["window_count"]
+        if count != expected:
+            raise ValueError(f"{split_name}: {WINDOWS_META_NAME} lists {expected} windows, "
+                             f"the shards hold {count}")
+        counts[split_name] = count
     report.event(
         "stage_complete",
         stage="export",
         elapsed_s=round(time.perf_counter() - start, 3),
-        **{name: m.window_count for name, m in manifests.items()},
+        **counts,
     )
     return shards_root
 
@@ -554,7 +544,8 @@ def run_all(
     elapsed = time.perf_counter() - start
     meta = json.loads((cfg.output_dir / WINDOWS_META_NAME).read_text(encoding="utf-8"))
     token_total = sum(info["token_total"] for info in meta["splits"].values())
-    pair_count = sum(1 for line in open(cfg.output_dir / PAIRS_NAME, encoding="utf-8") if line.strip())
+    with open(cfg.output_dir / PAIRS_NAME, encoding="utf-8") as f:
+        pair_count = sum(1 for line in f if line.strip())
     report.event(
         "run_complete",
         elapsed_s=round(elapsed, 3),

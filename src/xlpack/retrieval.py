@@ -233,11 +233,6 @@ class WireEmbeddingProvider:
         )
 
 
-def embed(texts: Sequence[str], provider) -> list[np.ndarray]:
-    """Embed texts through the given provider; vectors come back unit-norm."""
-    return provider.embed_batch(texts)
-
-
 def write_embedding_cache(path: str | Path, table: Mapping[str, np.ndarray]) -> None:
     """Binary cache records: u32 id length, id bytes, u32 dim, f32-LE components."""
     with open(path, "wb") as f:
@@ -323,14 +318,6 @@ class VectorIndex:
         return [(self.doc_ids[i], float(scores[i])) for i in order]
 
 
-def build_index(docs: Iterable[CandidateDoc]) -> VectorIndex:
-    return VectorIndex.build(docs)
-
-
-def search_topk(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-    return index.search(query, k)
-
-
 def two_step_retrieve(
     ks: KeywordSet,
     index: VectorIndex,
@@ -346,7 +333,7 @@ def two_step_retrieve(
     if not title_query and not ks.content_keywords:
         tally.empty_keyword_sets += 1
         return []
-    q_title, q_full = embed([title_query, ks.full_query()], provider)
+    q_title, q_full = provider.embed_batch([title_query, ks.full_query()])
 
     pool: set[str] = set()
     for doc_id, _ in index.search(q_title, cfg.candidate_pool_k):

@@ -7,9 +7,10 @@ ordinary text ever produces it. Three kinds are provided:
 - whitespace: ids assigned per distinct word on first encounter, starting at 1.
   Hand-checkable; used throughout the test suite.
 - byte: UTF-8 byte b maps to id b + 1.
-- external: word-to-id vocabulary loaded from a file (``token<TAB>id`` lines,
-  optional ``#merges`` section carried for subword implementations). Ids are
-  shifted by +1 at load time if the vocabulary already uses the reserved id.
+- external: word-to-id vocabulary loaded from a file (``token<TAB>id`` lines;
+  an optional ``#merges`` section of two-field rules is accepted and skipped).
+  Ids are shifted by +1 at load time if the vocabulary already uses the
+  reserved id.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ class TokenSeq:
 class Tokenizer:
     """Base class handling the reserved delimiter; subclasses encode plain text.
 
+    Counting and truncation are word-level here: a word is a maximal
+    non-whitespace run. ByteTokenizer overrides both.
+
     count is a pure function of the input text. encode is too, except that
     the whitespace kind assigns word ids on first encounter, so ids depend on
     the order texts are encoded in; the pipeline encodes each context once,
@@ -78,13 +82,18 @@ class Tokenizer:
         Assumes the text does not contain the delimiter substring (packing
         scrubs it before any truncation can happen).
         """
-        raise NotImplementedError
+        end = 0
+        for i, m in enumerate(_WORD.finditer(text)):
+            if i >= max_tokens:
+                return text[:end]
+            end = m.end()
+        return text
 
     def _encode_plain(self, text: str) -> list[int]:
         raise NotImplementedError
 
     def _count_plain(self, text: str) -> int:
-        return len(self._encode_plain(text))
+        return len(text.split())
 
 
 class WhitespaceTokenizer(Tokenizer):
@@ -108,17 +117,6 @@ class WhitespaceTokenizer(Tokenizer):
                 self._next_id += 1
             out.append(wid)
         return out
-
-    def _count_plain(self, text: str) -> int:
-        return len(text.split())
-
-    def truncate_to_tokens(self, text: str, max_tokens: int) -> str:
-        end = 0
-        for i, m in enumerate(_WORD.finditer(text)):
-            if i >= max_tokens:
-                return text[:end]
-            end = m.end()
-        return text
 
     @property
     def vocab_size(self) -> int:
@@ -156,7 +154,6 @@ class ExternalVocabTokenizer(Tokenizer):
     def __init__(
         self,
         vocab: dict[str, int],
-        merges: list[tuple[str, str]] | None = None,
         split_token_text: str = DEFAULT_SPLIT_TOKEN,
         split_token_id: int = 0,
     ):
@@ -165,12 +162,10 @@ class ExternalVocabTokenizer(Tokenizer):
             vocab = {tok: tid + 1 for tok, tid in vocab.items()}
         self._vocab = vocab
         self._unk = vocab.get("<unk>")
-        self.merges = merges or []
 
     @classmethod
     def from_file(cls, path: str | Path, split_token_text: str, split_token_id: int):
         vocab: dict[str, int] = {}
-        merges: list[tuple[str, str]] = []
         in_merges = False
         try:
             lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -183,10 +178,8 @@ class ExternalVocabTokenizer(Tokenizer):
                 in_merges = True
                 continue
             if in_merges:
-                halves = line.split()
-                if len(halves) != 2:
+                if len(line.split()) != 2:
                     raise TokenizerError(f"{path}:{lineno}: malformed merge rule {line!r}")
-                merges.append((halves[0], halves[1]))
                 continue
             tok, sep, tid = line.partition("\t")
             if not sep or not tok:
@@ -200,7 +193,7 @@ class ExternalVocabTokenizer(Tokenizer):
             vocab[tok] = token_id
         if not vocab:
             raise TokenizerError(f"{path}: empty vocabulary")
-        return cls(vocab, merges, split_token_text, split_token_id)
+        return cls(vocab, split_token_text, split_token_id)
 
     def _encode_plain(self, text: str) -> list[int]:
         out = []
@@ -210,17 +203,6 @@ class ExternalVocabTokenizer(Tokenizer):
                 raise TokenizerError(f"word not in vocabulary and no <unk> entry: {word!r}")
             out.append(wid)
         return out
-
-    def _count_plain(self, text: str) -> int:
-        return len(text.split())
-
-    def truncate_to_tokens(self, text: str, max_tokens: int) -> str:
-        end = 0
-        for i, m in enumerate(_WORD.finditer(text)):
-            if i >= max_tokens:
-                return text[:end]
-            end = m.end()
-        return text
 
 
 def make_tokenizer(spec: TokenizerSpec) -> Tokenizer:
@@ -242,11 +224,3 @@ def make_tokenizer(spec: TokenizerSpec) -> Tokenizer:
             spec.vocab_source, spec.split_token_text, spec.split_token_id
         )
     raise TokenizerError(f"unknown tokenizer kind {spec.kind!r}")
-
-
-def encode(tokenizer: Tokenizer, text: str) -> TokenSeq:
-    return tokenizer.encode(text)
-
-
-def count_tokens(tokenizer: Tokenizer, text: str) -> int:
-    return tokenizer.count(text)

@@ -20,9 +20,8 @@ from xlpack.retrieval import (
     CandidateDoc,
     KeywordSet,
     RetrievalConfig,
-    build_index,
+    VectorIndex,
     extract_keywords,
-    search_topk,
     two_step_retrieve,
 )
 from xlpack.sliding import slide_optimized
@@ -150,7 +149,7 @@ def test_criterion_4_retrieval_constants_and_math():
     article = RawArticle(1, "L0", " ".join(f"[[L{k}]]" for k in range(15)), "xx")
     assert len(extract_keywords(article, title_map).content_keywords) == 10
 
-    index = build_index(
+    index = VectorIndex.build(
         [_doc("d1", 1.0, 0.0), _doc("d2", 0.0, 1.0), _doc("d3", 0.8, 0.6)]
     )
     provider = _TableProvider({"T": [1.0, 0.0], "T c": [0.6, 0.8]})
@@ -169,7 +168,7 @@ def test_criterion_4_retrieval_constants_and_math():
     vectors = rng.standard_normal((10_000, 16))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     docs = [CandidateDoc(f"doc{i:05d}", "t", vectors[i]) for i in range(10_000)]
-    big_index = build_index(docs)
+    big_index = VectorIndex.build(docs)
     query = rng.standard_normal(16)
     query /= np.linalg.norm(query)
     # Independent scan oracle, vectorization-free on purpose.
@@ -179,7 +178,7 @@ def test_criterion_4_retrieval_constants_and_math():
         key=lambda t: (-t[1], t[0]),
     )
     for k in (1, 10, 100):
-        got = search_topk(big_index, query, k)
+        got = big_index.search(query, k)
         assert [g[0] for g in got] == [s[0] for s in scored[:k]]
         for (_, gs), (_, es) in zip(got, scored[:k]):
             assert gs == pytest.approx(es, abs=1e-9)

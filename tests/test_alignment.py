@@ -1,5 +1,8 @@
 """Pair-map construction and article joining."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from xlpack.alignment import (
     load_pair_map,
     save_pair_map,
 )
-from xlpack.dump_ingest import LangLink, PageRecord, RawArticle
+from xlpack.dump_ingest import LangLink, PageRecord
 from xlpack.synth import write_articles_jsonl
 
 
@@ -112,42 +115,46 @@ class TestBuildPairMap:
         assert {PairId(p.id_en, p.id_l) for p in swapped} == normal
 
 
-class TestJoinArticles:
-    def _arts(self):
-        en = [RawArticle(100, "A", "english text", "en")]
-        l = [RawArticle(10, "A-l", "target text", "xx")]
-        return en, l
+def _stores(root, en, l, tally=None):
+    """ArticleStores over article files holding (page_id, title, text) rows."""
+    write_articles_jsonl(root / "en" / "wiki_00.jsonl", en)
+    write_articles_jsonl(root / "l" / "wiki_00.jsonl", l)
+    return ArticleStore(root / "en", "en", tally), ArticleStore(root / "l", "xx", tally)
 
-    def test_joins_present_pair(self):
-        en, l = self._arts()
+
+class TestJoinArticles:
+    def _one_pair(self, tmp_path):
+        return _stores(tmp_path, [(100, "A", "english text")], [(10, "A-l", "target text")])
+
+    def test_joins_present_pair(self, tmp_path):
+        en, l = self._one_pair(tmp_path)
         (pair,) = join_articles({PairId(10, 100)}, en, l)
         assert pair.title_en == "A" and pair.text_l == "target text"
         assert pair.lang_l == "xx" and pair.origin == "wiki"
 
-    def test_empty_text_skipped_and_tallied(self):
-        en = [RawArticle(100, "A", "", "en")]
-        l = [RawArticle(10, "B", "text", "xx")]
+    def test_empty_text_skipped_and_tallied(self, tmp_path):
+        en, l = _stores(tmp_path, [(100, "A", "")], [(10, "B", "text")])
         tally = AlignTally()
         assert list(join_articles({PairId(10, 100)}, en, l, tally)) == []
         assert tally.pairs_missing_text == 1
 
-    def test_missing_article_skipped(self):
-        en, l = self._arts()
+    def test_missing_article_skipped(self, tmp_path):
+        en, l = self._one_pair(tmp_path)
         tally = AlignTally()
         out = list(join_articles({PairId(10, 100), PairId(11, 101)}, en, l, tally))
         assert len(out) == 1
         assert tally.pairs_missing_text == 1
 
-    def test_output_order_ascending(self):
-        en = [RawArticle(5, "E5", "e", "en"), RawArticle(9, "E9", "e", "en")]
-        l = [RawArticle(2, "L2", "t", "xx"), RawArticle(1, "L1", "t", "xx")]
+    def test_output_order_ascending(self, tmp_path):
+        en, l = _stores(tmp_path, [(5, "E5", "e"), (9, "E9", "e")],
+                        [(2, "L2", "t"), (1, "L1", "t")])
         out = list(join_articles({PairId(2, 9), PairId(1, 5)}, en, l))
         assert [(p.pair.id_l, p.pair.id_en) for p in out] == [(1, 5), (2, 9)]
 
-    def test_duplicate_article_ignored_and_tallied(self):
-        en = [RawArticle(100, "A", "first", "en"), RawArticle(100, "A", "second", "en")]
-        l = [RawArticle(10, "B", "t", "xx")]
+    def test_duplicate_article_ignored_and_tallied(self, tmp_path):
         tally = AlignTally()
+        en, l = _stores(tmp_path, [(100, "A", "first"), (100, "A", "second")],
+                        [(10, "B", "t")], tally)
         (pair,) = join_articles({PairId(10, 100)}, en, l, tally)
         assert pair.text_en == "first"
         assert tally.duplicate_articles == 1
@@ -155,9 +162,10 @@ class TestJoinArticles:
     @given(st.permutations(list(range(6))))
     def test_order_insensitive_to_input_permutation(self, perm):
         pair_ids = {PairId(i, 100 + i) for i in range(6)}
-        en = [RawArticle(100 + i, f"E{i}", "e", "en") for i in perm]
-        l = [RawArticle(i, f"L{i}", "t", "xx") for i in perm]
-        out = [p.pair for p in join_articles(pair_ids, en, l)]
+        with tempfile.TemporaryDirectory() as root:
+            en, l = _stores(Path(root), [(100 + i, f"E{i}", "e") for i in perm],
+                            [(i, f"L{i}", "t") for i in perm])
+            out = [p.pair for p in join_articles(pair_ids, en, l)]
         assert out == sorted(pair_ids)
 
 

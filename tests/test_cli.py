@@ -9,6 +9,7 @@ import pytest
 
 from xlpack.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_STAGE, run
 from xlpack.config import ConfigError, validate_config
+from xlpack.export import read_shards
 from xlpack.report import read_events
 from xlpack.synth import (
     build_corpus,
@@ -197,6 +198,52 @@ class TestStages:
             assert run([sub, "--config", str(cfg_path)]) == EXIT_OK, sub
         assert (tmp_path / "out" / "shards" / "train" / "manifest.json").exists()
 
+    def test_export_verifies_and_writes_nothing(self, small_run, monkeypatch):
+        tmp_path, _, cfg_path = small_run
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        out = tmp_path / "out"
+        assert list(out.glob("windows-*.bin")) == []
+        before = _tree_bytes(out)
+        assert run(["export", "--config", str(cfg_path)]) == EXIT_OK
+        assert _tree_bytes(out) == before
+        last = read_events(out / "run_report.jsonl")[-1]
+        assert last["stage"] == "export"
+        meta = json.loads((out / "windows_meta.json").read_text())
+        assert last["train"] == meta["splits"]["train"]["window_count"]
+
+    @pytest.mark.parametrize("damage", ["truncated_shard", "meta_count"])
+    def test_export_refuses_damaged_shards(self, small_run, monkeypatch, capsys, damage):
+        tmp_path, _, cfg_path = small_run
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        out = tmp_path / "out"
+        if damage == "truncated_shard":
+            shard = out / "shards" / "train" / "windows-00000.bin"
+            shard.write_bytes(shard.read_bytes()[:-3])
+            expected = "truncated record"
+        else:
+            meta_path = out / "windows_meta.json"
+            meta = json.loads(meta_path.read_text())
+            meta["splits"]["validation"]["window_count"] += 1
+            meta_path.write_text(json.dumps(meta))
+            expected = "the shards hold"
+        assert run(["export", "--config", str(cfg_path)]) == EXIT_STAGE
+        assert expected in capsys.readouterr().err
+
+    def test_rerun_clears_stale_shards(self, small_run, monkeypatch):
+        tmp_path, _, cfg_path = small_run
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        train = tmp_path / "out" / "shards" / "train"
+        assert run(["all", "--config", str(cfg_path),
+                    "--set", "shard_max_bytes=2000"]) == EXIT_OK
+        assert len(list(train.glob("windows-*.bin"))) > 1
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        assert [p.name for p in train.glob("windows-*.bin")] == ["windows-00000.bin"]
+        windows = list(read_shards(train))
+        meta = json.loads((tmp_path / "out" / "windows_meta.json").read_text())
+        assert len(windows) == meta["splits"]["train"]["window_count"]
+
     def test_idempotent_reruns_byte_identical(self, small_run, monkeypatch):
         tmp_path, _, cfg_path = small_run
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
@@ -284,10 +331,8 @@ class TestVariants:
         meta = json.loads((tmp_path / "out" / "windows_meta.json").read_text())
         assert meta["policy"] == "standard"
         # Exact partition: all full windows except possibly the last.
-        from xlpack.export import iter_shard_records
-
-        lengths = [len(ids) for ids in
-                   iter_shard_records(tmp_path / "out" / "windows-train.bin")]
+        lengths = [len(w.ids) for w in read_shards(tmp_path / "out" / "shards" / "train")]
+        assert len(lengths) == meta["splits"]["train"]["window_count"] > 1
         assert all(l == 64 for l in lengths[:-1])
 
     def test_discard_tails_flag(self, small_run, monkeypatch):

@@ -22,11 +22,8 @@ from xlpack.retrieval import (
     VectorIndex,
     WireEmbeddingProvider,
     build_augmented_pairs,
-    build_index,
-    embed,
     extract_keywords,
     read_embedding_cache,
-    search_topk,
     two_step_retrieve,
     write_embedding_cache,
 )
@@ -111,9 +108,11 @@ class TestProviders:
         with pytest.raises(RetrievalError):
             read_embedding_cache(path)
 
-    def test_embed_wrapper_normalizes(self):
-        (v,) = embed(["anything"], MockEmbeddingProvider(dim=4))
+    def test_embed_batch_normalizes(self):
+        (v,) = MockEmbeddingProvider(dim=4).embed_batch(["anything"])
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-6
+        (w,) = CachedEmbeddingProvider({"a": np.array([3.0, 4.0])}).embed_batch(["a"])
+        assert np.allclose(w, [0.6, 0.8], atol=1e-12)
 
 
 class _EmbeddingHandler(http.server.BaseHTTPRequestHandler):
@@ -148,6 +147,7 @@ def embedding_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
@@ -179,48 +179,48 @@ def _doc(doc_id, x, y, text="text"):
 
 class TestVectorIndex:
     def test_empty_index_returns_nothing(self):
-        index = build_index([])
-        assert search_topk(index, np.array([1.0, 0.0]), 5) == []
+        index = VectorIndex.build([])
+        assert index.search(np.array([1.0, 0.0]), 5) == []
 
     def test_identical_vector_scores_one(self):
-        index = build_index([_doc("d1", 1.0, 0.0)])
-        ((doc_id, score),) = search_topk(index, np.array([1.0, 0.0]), 1)
+        index = VectorIndex.build([_doc("d1", 1.0, 0.0)])
+        ((doc_id, score),) = index.search(np.array([1.0, 0.0]), 1)
         assert doc_id == "d1"
         assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_duplicate_doc_id_errors(self):
         with pytest.raises(RetrievalError) as err:
-            build_index([_doc("d1", 1.0, 0.0), _doc("d1", 0.0, 1.0)])
+            VectorIndex.build([_doc("d1", 1.0, 0.0), _doc("d1", 0.0, 1.0)])
         assert "d1" in str(err.value)
 
     def test_dimension_mismatch_names_doc(self):
         bad = CandidateDoc("d2", "t", np.array([1.0, 0.0, 0.0]))
         with pytest.raises(RetrievalError) as err:
-            build_index([_doc("d1", 1.0, 0.0), bad])
+            VectorIndex.build([_doc("d1", 1.0, 0.0), bad])
         assert "d2" in str(err.value)
 
     def test_orthonormal_scores(self):
-        index = build_index([_doc("d1", 1.0, 0.0), _doc("d2", 0.0, 1.0)])
-        out = search_topk(index, np.array([1.0, 0.0]), 2)
+        index = VectorIndex.build([_doc("d1", 1.0, 0.0), _doc("d2", 0.0, 1.0)])
+        out = index.search(np.array([1.0, 0.0]), 2)
         assert [d for d, _ in out] == ["d1", "d2"]
         assert out[0][1] == pytest.approx(1.0) and out[1][1] == pytest.approx(0.0)
 
     def test_hand_dot_product(self):
-        index = build_index([_doc("d", 0.8, 0.6)])
-        ((_, score),) = search_topk(index, np.array([0.6, 0.8]), 1)
+        index = VectorIndex.build([_doc("d", 0.8, 0.6)])
+        ((_, score),) = index.search(np.array([0.6, 0.8]), 1)
         assert score == pytest.approx(0.96, abs=1e-12)
 
     def test_tie_broken_by_doc_id(self):
-        index = build_index([_doc("zz", 1.0, 0.0), _doc("aa", 1.0, 0.0)])
-        ((doc_id, _),) = search_topk(index, np.array([1.0, 0.0]), 1)
+        index = VectorIndex.build([_doc("zz", 1.0, 0.0), _doc("aa", 1.0, 0.0)])
+        ((doc_id, _),) = index.search(np.array([1.0, 0.0]), 1)
         assert doc_id == "aa"
 
     def test_insertion_order_independent(self):
         docs = [_doc("a", 0.6, 0.8), _doc("b", 0.8, 0.6), _doc("c", 1.0, 0.0)]
         q = np.array([0.7, 0.714142842854285])
         q = q / np.linalg.norm(q)
-        fwd = search_topk(build_index(docs), q, 3)
-        rev = search_topk(build_index(list(reversed(docs))), q, 3)
+        fwd = VectorIndex.build(docs).search(q, 3)
+        rev = VectorIndex.build(list(reversed(docs))).search(q, 3)
         assert fwd == rev
 
     @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
@@ -233,8 +233,8 @@ class TestVectorIndex:
             docs.append(CandidateDoc(f"doc{i:03d}", "t", v / np.linalg.norm(v)))
         q = rng.standard_normal(6)
         q = q / np.linalg.norm(q)
-        index = build_index(docs)
-        got = search_topk(index, q, k)
+        index = VectorIndex.build(docs)
+        got = index.search(q, k)
         expected = reference_search([(d.doc_id, d.vector) for d in docs], q, k)
         assert [g[0] for g in got] == [e[0] for e in expected]
         for (_, got_score), (_, want_score) in zip(got, expected):
@@ -255,7 +255,7 @@ class TestTwoStepRetrieve:
     def _fixture(self):
         ks = KeywordSet("T", ["c"])
         provider = _TableProvider({"T": [1.0, 0.0], "T c": [0.6, 0.8]})
-        index = build_index([
+        index = VectorIndex.build([
             _doc("d1", 1.0, 0.0),
             _doc("d2", 0.0, 1.0),
             _doc("d3", 0.8, 0.6),
@@ -287,7 +287,7 @@ class TestTwoStepRetrieve:
     def test_empty_keywords_tallied(self):
         tally = RetrievalTally()
         provider = _TableProvider({})
-        out = two_step_retrieve(KeywordSet(""), build_index([]), provider,
+        out = two_step_retrieve(KeywordSet(""), VectorIndex.build([]), provider,
                                 RetrievalConfig(), tally)
         assert out == []
         assert tally.empty_keyword_sets == 1
@@ -298,7 +298,7 @@ class TestTwoStepRetrieve:
         for i in range(200):
             v = rng.standard_normal(4)
             docs.append(CandidateDoc(f"d{i:03d}", "t", v / np.linalg.norm(v)))
-        index = build_index(docs)
+        index = VectorIndex.build(docs)
         provider = MockEmbeddingProvider(dim=4, seed=2)
         ks = KeywordSet("query title", ["kw one", "kw two"])
         # Non-binding cap: enlarging the pool may only add results.

@@ -9,8 +9,6 @@ from xlpack.tokenization import (
     TokenizerError,
     TokenizerSpec,
     WhitespaceTokenizer,
-    count_tokens,
-    encode,
     make_tokenizer,
 )
 
@@ -139,14 +137,22 @@ class TestExternal:
             make_tokenizer(spec)
         assert "v.vocab:2" in str(err.value)
 
-    def test_merges_section_is_carried(self, tmp_path):
-        tok = make_tokenizer(self._vocab(tmp_path, ["a\t1", "#merges", "x y"]))
-        assert tok.merges == [("x", "y")]
+    def test_merges_section_is_skipped(self, tmp_path):
+        tok = make_tokenizer(self._vocab(tmp_path, ["a\t1", "#merges", "x y", "b\t2"]))
         assert tok.encode("a").ids == [1]
+        # Lines after #merges are rules, not vocabulary entries.
+        with pytest.raises(TokenizerError):
+            tok.encode("b")
+
+    def test_malformed_merge_rule_names_file_and_line(self, tmp_path):
+        spec = self._vocab(tmp_path, ["a\t1", "#merges", "x y", "x y z"])
+        with pytest.raises(TokenizerError) as err:
+            make_tokenizer(spec)
+        assert "v.vocab:4" in str(err.value) and "merge rule" in str(err.value)
 
 
-def test_module_level_wrappers(whitespace_tokenizer):
-    seq = encode(whitespace_tokenizer, "a b")
+def test_encode_and_count(whitespace_tokenizer):
+    seq = whitespace_tokenizer.encode("a b")
     assert seq.ids == [1, 2]
     assert seq.source_len_chars == 3
-    assert count_tokens(whitespace_tokenizer, "a b") == 2
+    assert whitespace_tokenizer.count("a b") == 2

@@ -96,7 +96,7 @@ def test_slide_refuses_dropped_record(packed, capsys):
     assert run(["slide", "--config", str(cfg_path)]) == EXIT_STAGE
     err = capsys.readouterr().err
     assert f"{len(records) - 1} records" in err and f"{len(records)} lines" in err
-    assert not (out / "windows-train.bin").exists()
+    assert not (out / "shards").exists()
     assert not (out / "windows_meta.json").exists()
 
 
@@ -109,13 +109,14 @@ def test_slide_refuses_resized_record(packed, capsys):
     assert run(["slide", "--config", str(cfg_path)]) == EXIT_STAGE
     err = capsys.readouterr().err
     assert f"record 3 holds {length - 1} tokens" in err and f"token_len is {length}" in err
+    assert not (out / "shards").exists()
 
 
 def test_slide_missing_ids_file(packed):
     out, cfg_path = packed
     (out / "contexts.bin").unlink()
     assert run(["slide", "--config", str(cfg_path)]) == EXIT_INPUT
-    assert not (out / "windows-train.bin").exists()
+    assert not (out / "shards").exists()
 
 
 def test_slide_refuses_text_contexts_file(packed, capsys):
