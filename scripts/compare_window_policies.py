@@ -79,7 +79,7 @@ def main() -> int:
         tokenizer = WhitespaceTokenizer()
         cfg = PackConfig(n_budget=args.n_budget)
         contexts_ids = [
-            ctx.token_ids(tokenizer) for ctx in pack_corpus(pairs, tokenizer, cfg)
+            ctx.encode(tokenizer)[0] for ctx in pack_corpus(pairs, tokenizer, cfg)
         ]
         total = sum(len(ids) for ids in contexts_ids)
         print(f"{len(contexts_ids)} contexts, {total} tokens, budget {args.n_budget}\n")

@@ -56,9 +56,10 @@ def main() -> int:
         "split": {"validation_fraction": 0.001, "seed": 32},
     }
     if args.web_docs:
-        # Doc texts reuse pair titles so the mock provider retrieves matches.
-        docs = [(f"web{k:05d}", f"Topic {k % args.pairs}\nen{k} en{k + 1} en{k + 2}")
-                for k in range(args.web_docs)]
+        # The mock provider scores 1.0 only for identical texts, and a
+        # forward-linked article's query is its English title: doc texts are
+        # those titles, so retrieval finds them.
+        docs = [(f"web{k:05d}", f"Topic {k % args.pairs}") for k in range(args.web_docs)]
         web_path = write_web_corpus_jsonl(out / "data" / "web.jsonl", docs)
         config["paths"]["web_corpus"] = str(web_path)
         config["retrieval"] = {"provider": "mock", "dim": 32, "threshold": 0.75,

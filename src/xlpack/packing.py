@@ -76,9 +76,6 @@ class PackedContext:
         ids.append(tokenizer.split_token_id)
         return ids, per_language
 
-    def token_ids(self, tokenizer: Tokenizer) -> list[int]:
-        return self.encode(tokenizer)[0]
-
 
 @dataclass
 class PackConfig:

@@ -5,12 +5,17 @@ is runnable in isolation. Artifact bytes are a pure function of config and
 inputs: every stage runs in one process and handles its streams in
 deterministic order.
 
+Pairs travel between stages as ids. pack joins them to their texts: aligned
+pairs through both article stores, pseudo pairs through the target-language
+store and paths.web_corpus, which pack reads only when pseudo pairs exist.
+
 Text is tokenized only by the pack stage: it encodes each context once, in
 corpus order, and later stages work from the ids and counts it wrote.
 
 Output layout under paths.output_dir:
     pairs.tsv                 aligned pair map (align)
-    pseudo_pairs.jsonl        retrieval-built pairs (retrieve, optional)
+    pseudo_pairs.jsonl        retrieval-built pairs as references, one
+                              {"doc_id", "id_l"} line each (retrieve, optional)
     contexts.jsonl            context index: pair, seq_index, direction, origin,
                               token_len, per-language token counts (pack)
     contexts.bin              context token ids, one u32 record per index
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -64,8 +70,8 @@ from .retrieval import (
     RetrievalTally,
     VectorIndex,
     WireEmbeddingProvider,
-    build_augmented_pairs,
     extract_keywords,
+    pseudo_pair,
     read_candidate_corpus,
     two_step_retrieve,
 )
@@ -82,6 +88,7 @@ SHARDS_NAME = "shards"
 STATS_NAME = "stats.json"
 REPORT_NAME = "run_report.jsonl"
 SPLITS = ("train", "validation")
+EMBED_BATCH_SIZE = 256  # web documents per provider call when retrieve builds its index
 
 
 class StageGuard:
@@ -149,38 +156,6 @@ def read_contexts_jsonl(path: str | Path) -> list[ContextEntry]:
                 raise ValueError(f"{path}:{lineno}: not a context index line, "
                                  f"missing {e}; rerun pack") from None
     return entries
-
-
-def pair_to_dict(pair: ArticlePair) -> dict:
-    return {
-        "id_l": pair.pair.id_l,
-        "id_en": pair.pair.id_en,
-        "title_en": pair.title_en,
-        "title_l": pair.title_l,
-        "text_en": pair.text_en,
-        "text_l": pair.text_l,
-        "lang_l": pair.lang_l,
-        "origin": pair.origin,
-    }
-
-
-def pair_from_dict(data: dict) -> ArticlePair:
-    return ArticlePair(
-        pair=PairId(data["id_l"], data["id_en"]),
-        title_en=data["title_en"],
-        title_l=data["title_l"],
-        text_en=data["text_en"],
-        text_l=data["text_l"],
-        lang_l=data["lang_l"],
-        origin=data.get("origin", "wiki"),
-    )
-
-
-def read_pairs_jsonl(path: str | Path) -> Iterator[ArticlePair]:
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                yield pair_from_dict(json.loads(line))
 
 
 def _dump_tsv(records: Iterable, path: Path) -> Iterator:
@@ -271,7 +246,7 @@ def build_l_to_en_title_map(cfg: PipelineConfig) -> dict[str, str]:
     return title_map
 
 
-def stage_retrieve(cfg: PipelineConfig, report: RunReport, batch_size: int = 256) -> Path:
+def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
     from .dump_ingest import read_extracted_articles
 
     start = time.perf_counter()
@@ -284,42 +259,38 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport, batch_size: int = 256
     provider = make_embedding_provider(cfg)
     ret_cfg = cfg.retrieval.to_retrieval_config()
 
-    corpus_texts: dict[str, str] = {}
+    # Web texts are held one batch at a time; a blank one is kept only as an id.
+    blank_docs: set[str] = set()
     docs: list[CandidateDoc] = []
-    batch_ids: list[str] = []
-    batch_texts: list[str] = []
-
-    def flush_batch() -> None:
-        if not batch_texts:
-            return
-        vectors = provider.embed_batch(batch_texts)
-        for doc_id, text, vec in zip(batch_ids, batch_texts, vectors):
-            docs.append(CandidateDoc(doc_id, text, vec))
-        batch_ids.clear()
-        batch_texts.clear()
-
-    for doc_id, text in read_candidate_corpus(cfg.paths.web_corpus):
-        corpus_texts[doc_id] = text
-        batch_ids.append(doc_id)
-        batch_texts.append(text)
-        if len(batch_texts) >= batch_size:
-            flush_batch()
-    flush_batch()
+    corpus = read_candidate_corpus(cfg.paths.web_corpus)
+    while batch := list(islice(corpus, EMBED_BATCH_SIZE)):
+        vectors = provider.embed_batch([text for _, text in batch])
+        docs.extend(CandidateDoc(doc_id, vec) for (doc_id, _), vec in zip(batch, vectors))
+        blank_docs.update(doc_id for doc_id, text in batch if not text.strip())
     index = VectorIndex.build(docs)
 
     title_map = build_l_to_en_title_map(cfg)
     tally = RetrievalTally()
     pseudo_count = 0
+    seen: set[int] = set()
     with StageGuard() as guard:
         pseudo_path = guard.track(out / PSEUDO_PAIRS_NAME)
         with open(pseudo_path, "w", encoding="utf-8") as f:
             for article in read_extracted_articles(cfg.paths.articles_l, cfg.language_l):
+                # Pack joins id_l through an ArticleStore, which keeps the
+                # first record of a page id: query with that same record.
+                if article.page_id in seen:
+                    continue
+                seen.add(article.page_id)
                 if not article.text.strip():
                     continue
                 keywords = extract_keywords(article, title_map, tally)
-                results = two_step_retrieve(keywords, index, provider, ret_cfg, tally)
-                for pair in build_augmented_pairs(article, results, corpus_texts, tally):
-                    f.write(json.dumps(pair_to_dict(pair), ensure_ascii=False, sort_keys=True))
+                for res in two_step_retrieve(keywords, index, provider, ret_cfg, tally):
+                    if res.doc_id in blank_docs:
+                        tally.missing_corpus_texts += 1
+                        continue
+                    f.write(json.dumps({"doc_id": res.doc_id, "id_l": article.page_id},
+                                       ensure_ascii=False, sort_keys=True))
                     f.write("\n")
                     pseudo_count += 1
     report.event(
@@ -333,6 +304,46 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport, batch_size: int = 256
     return pseudo_path
 
 
+def _join_pseudo_pairs(cfg: PipelineConfig, path: Path,
+                       store_l: ArticleStore) -> Iterator[ArticlePair]:
+    """Join each pseudo pair reference to its two texts, in file order.
+
+    The target-language side comes from `store_l`, the web side from one scan
+    of paths.web_corpus that keeps only the referenced documents. A line that
+    is not a reference, or whose doc_id or id_l has no text, is refused.
+    """
+    refs: list[tuple[str, str, int]] = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                ref = json.loads(line)
+                refs.append((where, ref["doc_id"], ref["id_l"]))
+            except (ValueError, KeyError, TypeError):
+                raise ValueError(f"{where}: not a pseudo pair reference with doc_id and "
+                                 "id_l; rerun retrieve") from None
+            if not cfg.paths.web_corpus:
+                raise ValueError(f"{where}: pseudo pairs need paths.web_corpus, "
+                                 "which is not configured")
+    if not refs:
+        return
+    wanted = {doc_id for _, doc_id, _ in refs}
+    texts = {doc_id: text for doc_id, text in read_candidate_corpus(cfg.paths.web_corpus)
+             if doc_id in wanted}
+    for where, doc_id, id_l in refs:
+        text = texts.get(doc_id, "")
+        if not text.strip():
+            raise ValueError(f"{where}: doc_id {doc_id!r} has no text in "
+                             f"{cfg.paths.web_corpus}; rerun retrieve")
+        article = store_l.get(id_l)
+        if article is None or not article.text.strip():
+            raise ValueError(f"{where}: id_l {id_l} has no text in "
+                             f"{cfg.paths.articles_l}; rerun retrieve")
+        yield pseudo_pair(article, doc_id, text)
+
+
 def _iter_source_pairs(cfg: PipelineConfig, align_tally: AlignTally) -> Iterator[ArticlePair]:
     out = cfg.output_dir
     pair_ids = load_pair_map(out / PAIRS_NAME)
@@ -341,7 +352,7 @@ def _iter_source_pairs(cfg: PipelineConfig, align_tally: AlignTally) -> Iterator
     yield from join_articles(pair_ids, store_en, store_l, align_tally)
     pseudo_path = out / PSEUDO_PAIRS_NAME
     if pseudo_path.exists():
-        yield from read_pairs_jsonl(pseudo_path)
+        yield from _join_pseudo_pairs(cfg, pseudo_path, store_l)
 
 
 def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) -> Path:

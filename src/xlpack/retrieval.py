@@ -7,7 +7,7 @@ scored twice against an exact inner-product index: once with a title-only
 query and once with a title-plus-content query; the final score is the mean of
 the two. Results below the similarity threshold are dropped and at most
 max_results survive per article; each survivor becomes a pseudo article pair
-that downstream packing treats like any aligned pair.
+(`pseudo_pair`) that downstream packing treats like any aligned pair.
 
 Embedding providers are injected: a seeded deterministic mock for tests, a
 precomputed binary cache, and a single-endpoint wire provider.
@@ -58,7 +58,6 @@ class KeywordSet:
 @dataclass
 class CandidateDoc:
     doc_id: str
-    text: str
     vector: np.ndarray
 
 
@@ -361,38 +360,24 @@ def _pseudo_en_id(doc_id: str) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
-def build_augmented_pairs(
-    article_l: RawArticle,
-    results: Sequence[RetrievalResult],
-    corpus_texts: Mapping[str, str],
-    tally: RetrievalTally | None = None,
-) -> list[ArticlePair]:
-    """One pseudo pair per retained result: retrieved doc as the English side.
+def pseudo_pair(article_l: RawArticle, doc_id: str, text: str) -> ArticlePair:
+    """The pseudo pair of one retained result: the retrieved doc is the
+    English side.
 
     The English title is the document's first line (or its id when blank);
     pseudo pairs carry origin "web" so statistics can separate them from
     dump-aligned pairs, and packing treats them identically.
     """
-    tally = tally if tally is not None else RetrievalTally()
-    pairs = []
-    for res in results:
-        text = corpus_texts.get(res.doc_id)
-        if not text or not text.strip():
-            tally.missing_corpus_texts += 1
-            continue
-        first_line = text.strip().splitlines()[0].strip()
-        pairs.append(
-            ArticlePair(
-                pair=PairId(id_l=article_l.page_id, id_en=_pseudo_en_id(res.doc_id)),
-                title_en=first_line or res.doc_id,
-                title_l=article_l.title,
-                text_en=text,
-                text_l=article_l.text,
-                lang_l=article_l.lang,
-                origin="web",
-            )
-        )
-    return pairs
+    lines = text.strip().splitlines()
+    return ArticlePair(
+        pair=PairId(id_l=article_l.page_id, id_en=_pseudo_en_id(doc_id)),
+        title_en=lines[0].strip() if lines else doc_id,
+        title_l=article_l.title,
+        text_en=text,
+        text_l=article_l.text,
+        lang_l=article_l.lang,
+        origin="web",
+    )
 
 
 def read_candidate_corpus(path: str | Path) -> Iterator[tuple[str, str]]:

@@ -167,7 +167,7 @@ def test_criterion_4_retrieval_constants_and_math():
     rng = np.random.default_rng(1004)
     vectors = rng.standard_normal((10_000, 16))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    docs = [CandidateDoc(f"doc{i:05d}", "t", vectors[i]) for i in range(10_000)]
+    docs = [CandidateDoc(f"doc{i:05d}", vectors[i]) for i in range(10_000)]
     big_index = VectorIndex.build(docs)
     query = rng.standard_normal(16)
     query /= np.linalg.norm(query)

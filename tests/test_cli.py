@@ -176,6 +176,23 @@ class TestStages:
         assert rendered[0]["text"].endswith("[SPLIT]")
         assert rendered[0]["text"].startswith("Cat\n\na b c\n\nGato\n\nx y z w")
 
+    @pytest.mark.parametrize("kind", ["whitespace", "byte"])
+    def test_emit_text_matches_index(self, small_run, kind):
+        from xlpack.tokenization import TokenizerSpec, make_tokenizer
+
+        tmp_path, _, cfg_path = small_run
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["pack", "--config", str(cfg_path), "--emit-text",
+                    "--set", f"tokenizer.kind={kind}"]) == EXIT_OK
+        out = tmp_path / "out"
+        index = [json.loads(l) for l in (out / "contexts.jsonl").read_text().splitlines()]
+        rendered = [json.loads(l)
+                    for l in (out / "contexts_text.jsonl").read_text().splitlines()]
+        assert len(rendered) == len(index) > 0
+        fresh = make_tokenizer(TokenizerSpec(kind=kind))
+        for entry, line in zip(index, rendered):
+            assert fresh.count(line["text"]) == line["token_len"] == entry["token_len"]
+
     def test_all_produces_consistent_artifacts(self, small_run, monkeypatch):
         tmp_path, _, cfg_path = small_run
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
@@ -278,6 +295,36 @@ class TestStages:
         assert code == EXIT_OK
 
 
+def _retrieve_run(tmp_path, web_docs, vectors, default=(0.0, 0.0, 1.0),
+                  article_records=None, n_pairs=6):
+    """A corpus, web corpus and file-provider config for the retrieve stage.
+
+    Every query text ("Topic k" or "Thema k") and web text embeds to
+    `vectors.get(text, default)`, so the test fixes which docs each article
+    retrieves. `article_records`, when given, replaces the target-language
+    article file.
+    """
+    import numpy as np
+
+    from xlpack.retrieval import write_embedding_cache
+
+    corpus = build_corpus(tmp_path / "data", n_pairs=n_pairs, seed=5)
+    if article_records is not None:
+        write_articles_jsonl(corpus.articles_l, article_records)
+    web_path = write_web_corpus_jsonl(tmp_path / "data" / "web.jsonl", web_docs)
+    texts = [t for _, t in web_docs] + [f"{w} {k}" for w in ("Topic", "Thema")
+                                        for k in range(n_pairs)]
+    texts += [t for t in vectors if t not in texts]
+    cache = tmp_path / "emb.bin"
+    write_embedding_cache(cache, {t: np.array(vectors.get(t, default)) for t in texts})
+    return make_config(tmp_path, corpus, extra={
+        "paths.web_corpus": str(web_path),
+        "retrieval.provider": "file",
+        "retrieval.cache_path": str(cache),
+        "retrieval.threshold": 0.9,
+    })
+
+
 class TestRetrieveStage:
     def test_retrieve_emits_pseudo_pairs_and_all_packs_them(self, tmp_path, monkeypatch):
         corpus = build_corpus(tmp_path / "data", n_pairs=8, seed=5)
@@ -303,9 +350,79 @@ class TestRetrieveStage:
         # Every L article whose mapped title text equals a web doc retrieves it
         # with similarity 1.0 (same mock embedding for identical text).
         assert pseudo
-        assert all(p["origin"] == "web" for p in pseudo)
+        assert all(set(p) == {"doc_id", "id_l"} for p in pseudo)
         stats = json.loads((out / "stats.json").read_text())
         assert "web" in stats["sources"]
+        origins = {json.loads(l)["origin"] for l in
+                   (out / "contexts.jsonl").read_text().splitlines()}
+        assert origins == {"web", "wiki"}
+
+    def test_blank_web_doc_dropped_and_counted(self, tmp_path, monkeypatch):
+        # Every text embeds to the same vector, so each article retrieves all
+        # three docs; the blank one is dropped in retrieve and counted.
+        docs = [("blank", "   "), ("webA", "Web A\nalpha beta"), ("webB", "Web B\ngamma")]
+        cfg_path = _retrieve_run(tmp_path, docs, {}, default=(1.0, 0.0, 0.0), n_pairs=6)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        out = tmp_path / "out"
+        refs = [json.loads(l) for l in (out / "pseudo_pairs.jsonl").read_text().splitlines()]
+        assert [r["doc_id"] for r in refs] == ["webA", "webB"] * 6
+        events = read_events(out / "run_report.jsonl")
+        (done,) = [e for e in events if e.get("stage") == "retrieve"]
+        assert done["retrieval"]["missing_corpus_texts"] == 6
+        assert done["pseudo_pairs"] == len(refs)
+
+    def test_duplicate_page_id_query_and_join_use_first_record(self, tmp_path):
+        # Page 10000 appears twice in articles_l. The first record's title
+        # maps to "Topic 0" and retrieves webA; the second record's title
+        # "Andere" would retrieve webB. Both retrieve and pack use the first.
+        # Page 10001 retrieves nothing, so it writes no line.
+        records = [(10_000, "Thema 0", "erste worte"), (10_001, "Thema 1", "zwei"),
+                   (10_000, "Andere", "zweite worte")]
+        docs = [("webA", "Web A\nalpha"), ("webB", "Web B\nbeta")]
+        vectors = {"Topic 0": [1.0, 0.0, 0.0], "Thema 0": [1.0, 0.0, 0.0],
+                   "Web A\nalpha": [1.0, 0.0, 0.0],
+                   "Andere": [0.0, 1.0, 0.0], "Web B\nbeta": [0.0, 1.0, 0.0]}
+        cfg_path = _retrieve_run(tmp_path, docs, vectors, article_records=records,
+                                 n_pairs=2)
+        out = tmp_path / "out"
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_OK
+        refs = [json.loads(l) for l in (out / "pseudo_pairs.jsonl").read_text().splitlines()]
+        assert refs == [{"doc_id": "webA", "id_l": 10_000}]
+        assert run(["pack", "--config", str(cfg_path), "--emit-text"]) == EXIT_OK
+        rendered = [json.loads(l) for l in
+                    (out / "contexts_text.jsonl").read_text().splitlines()]
+        web = [r["text"] for r in rendered if r["pair"][0] == 10_000
+               and r["pair"][1] != 50_000]
+        assert web and all("erste" in t and "zweite" not in t for t in web)
+
+    @pytest.mark.parametrize("case", ["full_text", "doc_id", "id_l", "no_web_corpus"])
+    def test_pack_refuses_untrusted_pseudo_pairs(self, tmp_path, capsys, case):
+        docs = [("webA", "Web A\nalpha")]
+        cfg_path = _retrieve_run(tmp_path, docs, {}, n_pairs=2)
+        out = tmp_path / "out"
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        good = {"doc_id": "webA", "id_l": 10_000}
+        bad, expected = {
+            "full_text": ({"id_l": 10_000, "id_en": 1, "title_en": "Web A",
+                           "title_l": "Thema 0", "text_en": "Web A\nalpha",
+                           "text_l": "x", "lang_l": "xx", "origin": "web"},
+                          "rerun retrieve"),
+            "doc_id": ({"doc_id": "webZ", "id_l": 10_000}, "doc_id 'webZ' has no text"),
+            "id_l": ({"doc_id": "webA", "id_l": 99}, "id_l 99 has no text"),
+            "no_web_corpus": (good, "paths.web_corpus"),
+        }[case]
+        (out / "pseudo_pairs.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in (good, bad)))
+        args = ["pack", "--config", str(cfg_path)]
+        if case == "no_web_corpus":
+            args += ["--set", "paths.web_corpus="]
+        assert run(args) == EXIT_STAGE
+        err = capsys.readouterr().err
+        line = 1 if case == "no_web_corpus" else 2
+        assert f"pseudo_pairs.jsonl:{line}:" in err and expected in err
+        assert not (out / "contexts.jsonl").exists()
 
     def test_retrieve_requires_web_corpus(self, small_run):
         _, _, cfg_path = small_run

@@ -125,7 +125,7 @@ class TestPackPairFixtures:
         (ctx,) = pack_pair(pair, whitespace_tokenizer, PackConfig(n_budget=32),
                            EN_FIRST, tally)
         assert tally.split_markers_scrubbed == 1
-        ids = ctx.token_ids(whitespace_tokenizer)
+        ids, _ = ctx.encode(whitespace_tokenizer)
         assert ids[-1] == 0 and 0 not in ids[:-1]
 
 
@@ -153,7 +153,7 @@ def check_invariants(pair, ctxs, cfg, tokenizer, tally):
     for ctx in ctxs:
         # Budget, including the terminal split token.
         assert ctx.token_len <= n
-        ids = ctx.token_ids(tokenizer)
+        ids, _ = ctx.encode(tokenizer)
         assert len(ids) == ctx.token_len
         assert ids[-1] == tokenizer.split_token_id
         assert tokenizer.split_token_id not in ids[:-1]

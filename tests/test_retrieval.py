@@ -21,8 +21,8 @@ from xlpack.retrieval import (
     RetrievalTally,
     VectorIndex,
     WireEmbeddingProvider,
-    build_augmented_pairs,
     extract_keywords,
+    pseudo_pair,
     read_embedding_cache,
     two_step_retrieve,
     write_embedding_cache,
@@ -173,8 +173,8 @@ class TestWireProvider:
         assert "batch of 3" in str(err.value)
 
 
-def _doc(doc_id, x, y, text="text"):
-    return CandidateDoc(doc_id, text, np.array([x, y], dtype=float))
+def _doc(doc_id, x, y):
+    return CandidateDoc(doc_id, np.array([x, y], dtype=float))
 
 
 class TestVectorIndex:
@@ -194,7 +194,7 @@ class TestVectorIndex:
         assert "d1" in str(err.value)
 
     def test_dimension_mismatch_names_doc(self):
-        bad = CandidateDoc("d2", "t", np.array([1.0, 0.0, 0.0]))
+        bad = CandidateDoc("d2", np.array([1.0, 0.0, 0.0]))
         with pytest.raises(RetrievalError) as err:
             VectorIndex.build([_doc("d1", 1.0, 0.0), bad])
         assert "d2" in str(err.value)
@@ -230,7 +230,7 @@ class TestVectorIndex:
         docs = []
         for i in range(n_docs):
             v = rng.standard_normal(6)
-            docs.append(CandidateDoc(f"doc{i:03d}", "t", v / np.linalg.norm(v)))
+            docs.append(CandidateDoc(f"doc{i:03d}", v / np.linalg.norm(v)))
         q = rng.standard_normal(6)
         q = q / np.linalg.norm(q)
         index = VectorIndex.build(docs)
@@ -297,7 +297,7 @@ class TestTwoStepRetrieve:
         docs = []
         for i in range(200):
             v = rng.standard_normal(4)
-            docs.append(CandidateDoc(f"d{i:03d}", "t", v / np.linalg.norm(v)))
+            docs.append(CandidateDoc(f"d{i:03d}", v / np.linalg.norm(v)))
         index = VectorIndex.build(docs)
         provider = MockEmbeddingProvider(dim=4, seed=2)
         ks = KeywordSet("query title", ["kw one", "kw two"])
@@ -313,30 +313,19 @@ class TestTwoStepRetrieve:
             assert results[80][doc_id] == pytest.approx(score, abs=1e-12)
 
 
-class TestBuildAugmentedPairs:
-    def _results(self):
-        return [
-            type("R", (), {"doc_id": "docA", "s_title": 0.9, "s_full": 0.9, "s_final": 0.9})(),
-            type("R", (), {"doc_id": "docB", "s_title": 0.8, "s_full": 0.8, "s_final": 0.8})(),
-        ]
-
+class TestPseudoPair:
     def test_fan_out(self):
         art = _article("target text", title="Thema", page_id=42)
         corpus = {"docA": "First line\nbody", "docB": "Only line"}
-        pairs = build_augmented_pairs(art, self._results(), corpus)
+        pairs = [pseudo_pair(art, doc_id, corpus[doc_id]) for doc_id in ("docA", "docB")]
         assert len(pairs) == 2
         assert all(p.text_l == "target text" for p in pairs)
         assert all(p.origin == "web" for p in pairs)
         assert pairs[0].title_en == "First line"
+        assert pairs[0].text_en == "First line\nbody"
         assert pairs[0].pair.id_l == 42
         assert pairs[0].pair.id_en != pairs[1].pair.id_en
 
-    def test_empty_results(self):
-        assert build_augmented_pairs(_article("t"), [], {}) == []
-
-    def test_missing_or_empty_text_tallied(self):
-        tally = RetrievalTally()
-        corpus = {"docA": "   "}
-        pairs = build_augmented_pairs(_article("t"), self._results(), corpus, tally)
-        assert pairs == []
-        assert tally.missing_corpus_texts == 2
+    def test_title_is_first_nonblank_line_else_doc_id(self):
+        assert pseudo_pair(_article("t"), "docA", "\n  Heading \nbody").title_en == "Heading"
+        assert pseudo_pair(_article("t"), "docA", "   ").title_en == "docA"
