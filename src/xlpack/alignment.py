@@ -9,17 +9,18 @@ excluded from resolution by default; each of those sub-filters can be relaxed.
 
 Pair ids are joined against article texts through ArticleStores, on-disk
 byte-offset indexes over the extracted-article files that keep memory
-independent of corpus size.
+independent of corpus size. ArticleStore is the one reader of those files:
+retrieve iterates a store, pack joins through stores, and both see the same
+first well-formed record of each page id.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .dump_ingest import LangLink, PageRecord, RawArticle, article_files
+from .dump_ingest import LangLink, PageRecord, RawArticle, article_files, parse_article_line
 
 
 @dataclass(frozen=True, order=True)
@@ -55,6 +56,7 @@ class AlignTally:
     title_collisions: int = 0
     pairs_missing_text: int = 0
     duplicate_articles: int = 0
+    malformed_articles: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -63,6 +65,7 @@ class AlignTally:
             "title_collisions": self.title_collisions,
             "pairs_missing_text": self.pairs_missing_text,
             "duplicate_articles": self.duplicate_articles,
+            "malformed_articles": self.malformed_articles,
         }
 
 
@@ -142,32 +145,36 @@ def build_pair_map(
 class ArticleStore:
     """Random access to extracted-article JSONL files by page id.
 
-    Indexing scans every file once, recording byte offsets; texts are read
-    back on demand, so memory stays proportional to the article count, not
-    the corpus size. Later duplicates of a page id are ignored and tallied.
+    The only reader of those files. Indexing scans every file once, recording
+    the byte offset of the first well-formed record (`parse_article_line`) of
+    each page id; texts are read back on demand, so memory stays proportional
+    to the article count, not the corpus size. Later duplicates of a page id
+    are tallied under duplicate_articles, and every other non-blank line that
+    is not a record under malformed_articles. Iterating the store yields the
+    indexed records in file order, in one more sequential scan.
     """
 
     def __init__(self, path: str | Path, lang: str, tally: AlignTally | None = None):
         self.lang = lang
-        self._tally = tally if tally is not None else AlignTally()
+        tally = tally if tally is not None else AlignTally()
         self._index: dict[int, tuple[int, int]] = {}
         self._files = article_files(path)
+        for loc, article in self._scan():
+            if article is None:
+                tally.malformed_articles += 1
+            elif article.page_id in self._index:
+                tally.duplicate_articles += 1
+            else:
+                self._index[article.page_id] = loc
+
+    def _scan(self) -> Iterator[tuple[tuple[int, int], RawArticle | None]]:
+        """(file index, byte offset) and parsed record of every non-blank line."""
         for fidx, file in enumerate(self._files):
             with open(file, "rb") as f:
                 offset = 0
                 for line in f:
-                    stripped = line.strip()
-                    if stripped:
-                        try:
-                            rec = json.loads(stripped)
-                            page_id = int(rec["id"])
-                        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                            page_id = None
-                        if page_id is not None:
-                            if page_id in self._index:
-                                self._tally.duplicate_articles += 1
-                            else:
-                                self._index[page_id] = (fidx, offset)
+                    if line.strip():
+                        yield (fidx, offset), parse_article_line(line, self.lang)
                     offset += len(line)
 
     def __len__(self) -> int:
@@ -176,6 +183,11 @@ class ArticleStore:
     def __contains__(self, page_id: int) -> bool:
         return page_id in self._index
 
+    def __iter__(self) -> Iterator[RawArticle]:
+        for loc, article in self._scan():
+            if article is not None and self._index.get(article.page_id) == loc:
+                yield article
+
     def get(self, page_id: int) -> RawArticle | None:
         loc = self._index.get(page_id)
         if loc is None:
@@ -183,8 +195,7 @@ class ArticleStore:
         fidx, offset = loc
         with open(self._files[fidx], "rb") as f:
             f.seek(offset)
-            rec = json.loads(f.readline())
-        return RawArticle(page_id, rec.get("title", ""), rec.get("text", ""), self.lang)
+            return parse_article_line(f.readline(), self.lang)
 
 
 def join_articles(

@@ -7,8 +7,10 @@ fixed grammar, and the scanner runs in constant memory over arbitrarily large
 inputs. Malformed tuples are tallied and skipped; only a truncated file (ending
 mid-statement) raises, and only after every complete tuple has been yielded.
 
-The article side reads line-delimited JSON records (`id`, `title`, `text`)
-as produced by common wikitext extraction tools.
+The article side parses line-delimited JSON records (`id`, `title`, `text`)
+as produced by common wikitext extraction tools, one line at a time:
+`parse_article_line` is the one record rule, and `alignment.ArticleStore` is
+the one reader of those files.
 """
 
 from __future__ import annotations
@@ -60,10 +62,6 @@ class ParseTally:
     records_yielded: int = 0
     malformed: int = 0
     resyncs: int = 0
-
-    @property
-    def errors(self) -> int:
-        return self.malformed + self.resyncs
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -378,20 +376,6 @@ def parse_pages_dump(
         yield PageRecord(page_id, namespace, raw_title.replace("_", " "), is_redirect)
 
 
-@dataclass
-class ArticleTally:
-    lines_read: int = 0
-    records_yielded: int = 0
-    skipped: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "lines_read": self.lines_read,
-            "records_yielded": self.records_yielded,
-            "skipped": self.skipped,
-        }
-
-
 def article_files(path: str | Path) -> list[Path]:
     """The extracted-article files under `path` (a file or a directory), in
     lexicographic order."""
@@ -401,42 +385,16 @@ def article_files(path: str | Path) -> list[Path]:
     return [p]
 
 
-def read_extracted_articles(
-    path: str | Path, lang: str, tally: ArticleTally | None = None
-) -> Iterator[RawArticle]:
-    """Stream RawArticle records from extracted-article JSONL files.
-
-    `path` may be a single file or a directory; files are visited in
-    lexicographic order and lines in file order, so iteration is
-    deterministic. Unparseable lines and records missing `id`, `title`, or
-    `text` are skipped and tallied. Records with empty text are yielded.
-    """
-    tally = tally if tally is not None else ArticleTally()
-    for file in article_files(path):
-        with open(file, "r", encoding="utf-8") as f:
-            for line in f:
-                tally.lines_read += 1
-                line = line.strip()
-                if not line:
-                    tally.skipped += 1
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    tally.skipped += 1
-                    continue
-                if not isinstance(rec, dict) or not {"id", "title", "text"} <= rec.keys():
-                    tally.skipped += 1
-                    continue
-                try:
-                    page_id = int(rec["id"])
-                except (TypeError, ValueError):
-                    tally.skipped += 1
-                    continue
-                title = rec["title"]
-                text = rec["text"]
-                if not isinstance(title, str) or not isinstance(text, str):
-                    tally.skipped += 1
-                    continue
-                tally.records_yielded += 1
-                yield RawArticle(page_id, title, text, lang)
+def parse_article_line(line: bytes, lang: str) -> RawArticle | None:
+    """The record on one extracted-article line, or None when the line is not
+    a JSON object with an integer-coercible `id` and string `title` and
+    `text`. Empty text still makes a record."""
+    try:
+        rec = json.loads(line)
+        page_id = int(rec["id"])
+        title, text = rec["title"], rec["text"]
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+        return None
+    if not isinstance(title, str) or not isinstance(text, str):
+        return None
+    return RawArticle(page_id, title, text, lang)

@@ -70,7 +70,7 @@ class PackedContext:
         ids: list[int] = []
         per_language: dict[str, int] = {}
         for seg in self.segments:
-            seg_ids = tokenizer.encode(seg.text + SEGMENT_DELIM).ids
+            seg_ids = tokenizer.encode(seg.text + SEGMENT_DELIM)
             ids.extend(seg_ids)
             per_language[seg.lang] = per_language.get(seg.lang, 0) + len(seg_ids)
         ids.append(tokenizer.split_token_id)

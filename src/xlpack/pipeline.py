@@ -247,8 +247,6 @@ def build_l_to_en_title_map(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
-    from .dump_ingest import read_extracted_articles
-
     start = time.perf_counter()
     if cfg.retrieval is None:
         raise ValueError("retrieval section is not configured")
@@ -272,16 +270,14 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
     title_map = build_l_to_en_title_map(cfg)
     tally = RetrievalTally()
     pseudo_count = 0
-    seen: set[int] = set()
+    # Pack joins id_l through an ArticleStore too, so it joins the record
+    # retrieve queried.
+    article_tally = AlignTally()
+    store_l = ArticleStore(cfg.paths.articles_l, cfg.language_l, article_tally)
     with StageGuard() as guard:
         pseudo_path = guard.track(out / PSEUDO_PAIRS_NAME)
         with open(pseudo_path, "w", encoding="utf-8") as f:
-            for article in read_extracted_articles(cfg.paths.articles_l, cfg.language_l):
-                # Pack joins id_l through an ArticleStore, which keeps the
-                # first record of a page id: query with that same record.
-                if article.page_id in seen:
-                    continue
-                seen.add(article.page_id)
+            for article in store_l:
                 if not article.text.strip():
                     continue
                 keywords = extract_keywords(article, title_map, tally)
@@ -300,6 +296,8 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
         corpus_docs=len(index),
         pseudo_pairs=pseudo_count,
         retrieval=tally.as_dict(),
+        duplicate_articles=article_tally.duplicate_articles,
+        malformed_articles=article_tally.malformed_articles,
     )
     return pseudo_path
 

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import requests
 
 from .alignment import ArticlePair, PairId
 from .dump_ingest import RawArticle
@@ -200,6 +199,8 @@ class WireEmbeddingProvider:
         self.backoff_s = backoff_s
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+        import requests  # imported here so that runs without this provider never load it
+
         headers = {}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"

@@ -36,15 +36,6 @@ class TokenizerSpec:
     split_token_id: int = 0
 
 
-@dataclass
-class TokenSeq:
-    ids: list[int]
-    source_len_chars: int
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 class Tokenizer:
     """Base class handling the reserved delimiter; subclasses encode plain text.
 
@@ -63,14 +54,14 @@ class Tokenizer:
         self.split_token_text = split_token_text
         self.split_token_id = split_token_id
 
-    def encode(self, text: str) -> TokenSeq:
+    def encode(self, text: str) -> list[int]:
         ids: list[int] = []
         parts = text.split(self.split_token_text)
         for k, part in enumerate(parts):
             if k:
                 ids.append(self.split_token_id)
             ids.extend(self._encode_plain(part))
-        return TokenSeq(ids, len(text))
+        return ids
 
     def count(self, text: str) -> int:
         parts = text.split(self.split_token_text)
@@ -117,10 +108,6 @@ class WhitespaceTokenizer(Tokenizer):
                 self._next_id += 1
             out.append(wid)
         return out
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self._ids)
 
 
 class ByteTokenizer(Tokenizer):

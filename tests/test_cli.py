@@ -72,6 +72,17 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "align" in proc.stdout and "export" in proc.stdout
 
+    def test_import_does_not_load_requests(self):
+        # Only the wire embedding provider needs requests; it imports it itself.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, xlpack.cli; print('requests' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_missing_config_file(self, tmp_path):
         assert run(["align", "--config", str(tmp_path / "nope.json")]) == EXIT_INPUT
 
@@ -279,6 +290,20 @@ class TestStages:
         multi = _tree_bytes(tmp_path / "out")
         assert single == multi
 
+    def test_non_string_title_counted_as_malformed(self, small_run):
+        tmp_path, corpus, cfg_path = small_run
+        lines = corpus.articles_l.read_text(encoding="utf-8").splitlines(keepends=True)
+        rec = json.loads(lines[0])
+        rec["title"] = 5
+        lines[0] = json.dumps(rec) + "\n"
+        corpus.articles_l.write_text("".join(lines), encoding="utf-8")
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["pack", "--config", str(cfg_path)]) == EXIT_OK
+        events = read_events(tmp_path / "out" / "run_report.jsonl")
+        (packed,) = [e for e in events if e.get("stage") == "pack"]
+        assert packed["join"]["pairs_missing_text"] == 1
+        assert packed["join"]["malformed_articles"] == 1
+
     def test_dump_tsv_debug_output(self, small_run):
         tmp_path, _, cfg_path = small_run
         assert run(["align", "--config", str(cfg_path), "--dump-tsv"]) == EXIT_OK
@@ -323,6 +348,12 @@ def _retrieve_run(tmp_path, web_docs, vectors, default=(0.0, 0.0, 1.0),
         "retrieval.cache_path": str(cache),
         "retrieval.threshold": 0.9,
     })
+
+
+def _articles_l_file(cfg_path: Path) -> Path:
+    """The one file in the config's target-language article directory."""
+    (path,) = Path(json.loads(cfg_path.read_text())["paths"]["articles_l"]).iterdir()
+    return path
 
 
 class TestRetrieveStage:
@@ -396,6 +427,41 @@ class TestRetrieveStage:
         web = [r["text"] for r in rendered if r["pair"][0] == 10_000
                and r["pair"][1] != 50_000]
         assert web and all("erste" in t and "zweite" not in t for t in web)
+
+    def test_malformed_first_record_yields_to_well_formed_one(self, tmp_path):
+        # Page 7's first line has no text; retrieve queries its second line,
+        # and pack joins that same record.
+        docs = [("webA", "Web A\nalpha")]
+        vectors = {"Sieben": [1.0, 0.0, 0.0], "Web A\nalpha": [1.0, 0.0, 0.0]}
+        cfg_path = _retrieve_run(tmp_path, docs, vectors, n_pairs=2)
+        _articles_l_file(cfg_path).write_text('{"id": "7", "title": "Sieben"}\n'
+                                              '{"id": "7", "title": "Sieben", "text": "body"}\n')
+        out = tmp_path / "out"
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_OK
+        refs = [json.loads(l) for l in (out / "pseudo_pairs.jsonl").read_text().splitlines()]
+        assert refs == [{"doc_id": "webA", "id_l": 7}]
+        assert run(["pack", "--config", str(cfg_path), "--emit-text"]) == EXIT_OK
+        (rendered,) = [json.loads(l) for l in
+                       (out / "contexts_text.jsonl").read_text().splitlines()]
+        assert rendered["pair"][0] == 7 and "body" in rendered["text"]
+        events = read_events(out / "run_report.jsonl")
+        (done,) = [e for e in events if e.get("stage") == "retrieve"]
+        assert done["malformed_articles"] == 1 and done["duplicate_articles"] == 0
+
+    def test_invalid_utf8_article_line_counted(self, tmp_path):
+        cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=2)
+        with open(_articles_l_file(cfg_path), "ab") as f:
+            f.write(b'{"id": "8", "title": "\xff", "text": "x"}\n')
+        out = tmp_path / "out"
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["pack", "--config", str(cfg_path)]) == EXIT_OK
+        events = read_events(out / "run_report.jsonl")
+        (retrieved,) = [e for e in events if e.get("stage") == "retrieve"]
+        (packed,) = [e for e in events if e.get("stage") == "pack"]
+        assert retrieved["malformed_articles"] == 1
+        assert packed["join"]["malformed_articles"] == 1
 
     @pytest.mark.parametrize("case", ["full_text", "doc_id", "id_l", "no_web_corpus"])
     def test_pack_refuses_untrusted_pseudo_pairs(self, tmp_path, capsys, case):

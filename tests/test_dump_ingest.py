@@ -10,16 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlpack.alignment import AlignTally, ArticleStore
 from xlpack.dump_ingest import (
-    ArticleTally,
     LangLink,
     PageColumns,
     ParseTally,
     TruncatedDumpError,
     iter_insert_tuples,
     parse_langlinks_dump,
+    parse_article_line,
     parse_pages_dump,
-    read_extracted_articles,
 )
 from xlpack.synth import sql_quote, write_langlinks_dump, write_pages_dump, write_sql_dump
 
@@ -246,13 +246,17 @@ class TestExtractedArticles:
     def test_basic_record(self, tmp_path):
         f = tmp_path / "a.jsonl"
         f.write_text('{"id":"5","title":"Cat","text":"a b\\n\\nc"}\n', encoding="utf-8")
-        (art,) = read_extracted_articles(f, "en")
+        store = ArticleStore(f, "en")
+        (art,) = store
         assert (art.page_id, art.title, art.text, art.lang) == (5, "Cat", "a b\n\nc", "en")
+        assert store.get(5) == art
+        assert 5 in store and 6 not in store
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "a.jsonl"
         f.write_text("", encoding="utf-8")
-        assert list(read_extracted_articles(f, "en")) == []
+        store = ArticleStore(f, "en")
+        assert len(store) == 0 and list(store) == []
 
     def test_directory_order_is_lexicographic(self, tmp_path):
         (tmp_path / "b.jsonl").write_text(
@@ -261,7 +265,7 @@ class TestExtractedArticles:
         (tmp_path / "a.jsonl").write_text(
             '{"id":"1","title":"A","text":"a"}\n', encoding="utf-8"
         )
-        arts = list(read_extracted_articles(tmp_path, "en"))
+        arts = list(ArticleStore(tmp_path, "en"))
         assert [a.page_id for a in arts] == [1, 2]
 
     def test_bad_lines_tallied(self, tmp_path):
@@ -269,19 +273,34 @@ class TestExtractedArticles:
         f.write_text(
             "not json\n"
             '{"id":"1","title":"A"}\n'  # missing text
+            "\n"  # blank: neither a record nor counted
             '{"id":"x","title":"A","text":"t"}\n'  # non-integer id
-            '{"id":"2","title":"B","text":""}\n',  # empty text still yielded
+            '{"id":"2","title":"B","text":""}\n',  # empty text still indexed
             encoding="utf-8",
         )
-        tally = ArticleTally()
-        arts = list(read_extracted_articles(f, "en", tally))
-        assert [a.page_id for a in arts] == [2]
-        assert tally.skipped == 3
+        tally = AlignTally()
+        store = ArticleStore(f, "en", tally)
+        assert [a.page_id for a in store] == [2]
+        assert store.get(2).text == ""
+        assert tally.malformed_articles == 3
+        assert tally.duplicate_articles == 0
+
+    @pytest.mark.parametrize("line", [
+        b'["5", "T", "x"]',
+        b'{"id": "5", "title": 5, "text": "x"}',
+        b'{"id": "5", "title": "T", "text": null}',
+        b'{"id": 1e999, "title": "T", "text": "x"}',
+        b'{"id": "5", "title": "\xff", "text": "x"}',
+        b'{"id": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ], ids=["not_object", "title_not_str", "text_not_str", "id_overflows", "invalid_utf8",
+            "nested_past_parser"])
+    def test_line_outside_record_rule(self, line):
+        assert parse_article_line(line, "en") is None
 
     def test_empty_text_yielded(self, tmp_path):
         f = tmp_path / "a.jsonl"
         f.write_text('{"id":"9","title":"T","text":""}\n', encoding="utf-8")
-        (art,) = read_extracted_articles(f, "xx")
+        (art,) = ArticleStore(f, "xx")
         assert art.text == ""
 
 

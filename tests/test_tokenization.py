@@ -23,11 +23,11 @@ class TestMakeTokenizer:
     def test_whitespace_reserves_split_id(self):
         tok = make_tokenizer(TokenizerSpec(kind="whitespace"))
         assert tok.split_token_id == 0
-        assert tok.encode("[SPLIT]").ids == [0]
+        assert tok.encode("[SPLIT]") == [0]
 
     def test_byte_offset_mapping(self):
         tok = make_tokenizer(TokenizerSpec(kind="byte"))
-        assert tok.encode("A").ids == [0x41 + 1]
+        assert tok.encode("A") == [0x41 + 1]
 
     def test_external_missing_file_errors(self, tmp_path):
         spec = TokenizerSpec(kind="external", vocab_source=str(tmp_path / "nope.vocab"))
@@ -46,35 +46,35 @@ class TestMakeTokenizer:
 
 class TestWhitespace:
     def test_first_occurrence_ids(self, whitespace_tokenizer):
-        assert whitespace_tokenizer.encode("a b a").ids == [1, 2, 1]
+        assert whitespace_tokenizer.encode("a b a") == [1, 2, 1]
 
     def test_empty(self, whitespace_tokenizer):
-        assert whitespace_tokenizer.encode("").ids == []
+        assert whitespace_tokenizer.encode("") == []
 
     def test_split_token_is_reserved(self, whitespace_tokenizer):
-        assert whitespace_tokenizer.encode("[SPLIT] a").ids == [0, 1]
+        assert whitespace_tokenizer.encode("[SPLIT] a") == [0, 1]
 
     def test_count_collapses_whitespace_runs(self, whitespace_tokenizer):
         assert whitespace_tokenizer.count("x y  z") == 3
 
     def test_ids_stable_across_repeat_encodes(self, whitespace_tokenizer):
-        first = whitespace_tokenizer.encode("alpha beta").ids
+        first = whitespace_tokenizer.encode("alpha beta")
         whitespace_tokenizer.encode("gamma")
-        assert whitespace_tokenizer.encode("alpha beta").ids == first
+        assert whitespace_tokenizer.encode("alpha beta") == first
 
     def test_distinct_words_distinct_ids(self, whitespace_tokenizer):
-        ids = whitespace_tokenizer.encode("q w e r t y").ids
+        ids = whitespace_tokenizer.encode("q w e r t y")
         assert len(set(ids)) == len(ids)
 
     @given(_plain_text)
     def test_count_equals_encode_len(self, text):
         tok = WhitespaceTokenizer()
-        assert tok.count(text) == len(tok.encode(text).ids)
+        assert tok.count(text) == len(tok.encode(text))
 
     @given(_plain_text)
     def test_no_split_id_without_marker(self, text):
         tok = WhitespaceTokenizer()
-        assert 0 not in tok.encode(text).ids
+        assert 0 not in tok.encode(text)
 
     def test_truncate_is_text_prefix(self, whitespace_tokenizer):
         text = "one  two\tthree four"
@@ -88,7 +88,7 @@ class TestByte:
     @given(_plain_text)
     def test_count_equals_encode_len(self, text):
         tok = ByteTokenizer()
-        assert tok.count(text) == len(tok.encode(text).ids)
+        assert tok.count(text) == len(tok.encode(text))
 
     def test_count_utf8(self):
         assert ByteTokenizer().count("ab") == 2
@@ -96,8 +96,8 @@ class TestByte:
 
     def test_split_token_round_trip(self):
         tok = ByteTokenizer()
-        assert tok.encode("[SPLIT]").ids == [0]
-        assert tok.encode("a[SPLIT]b").ids == [ord("a") + 1, 0, ord("b") + 1]
+        assert tok.encode("[SPLIT]") == [0]
+        assert tok.encode("a[SPLIT]b") == [ord("a") + 1, 0, ord("b") + 1]
 
     def test_truncate_respects_char_boundaries(self):
         tok = ByteTokenizer()
@@ -114,12 +114,12 @@ class TestExternal:
 
     def test_lookup(self, tmp_path):
         tok = make_tokenizer(self._vocab(tmp_path, ["hello\t5", "world\t9"]))
-        assert tok.encode("hello world hello").ids == [5, 9, 5]
+        assert tok.encode("hello world hello") == [5, 9, 5]
 
     def test_reserved_id_shifts_vocab(self, tmp_path):
         tok = make_tokenizer(self._vocab(tmp_path, ["a\t0", "b\t1"]))
-        assert tok.encode("a b").ids == [1, 2]
-        assert tok.encode("[SPLIT]").ids == [0]
+        assert tok.encode("a b") == [1, 2]
+        assert tok.encode("[SPLIT]") == [0]
 
     def test_unknown_word_without_unk_errors(self, tmp_path):
         tok = make_tokenizer(self._vocab(tmp_path, ["a\t1"]))
@@ -129,7 +129,7 @@ class TestExternal:
 
     def test_unknown_word_with_unk(self, tmp_path):
         tok = make_tokenizer(self._vocab(tmp_path, ["a\t1", "<unk>\t7"]))
-        assert tok.encode("a zzz").ids == [1, 7]
+        assert tok.encode("a zzz") == [1, 7]
 
     def test_malformed_line_names_file_and_line(self, tmp_path):
         spec = self._vocab(tmp_path, ["a\t1", "broken line"])
@@ -139,7 +139,7 @@ class TestExternal:
 
     def test_merges_section_is_skipped(self, tmp_path):
         tok = make_tokenizer(self._vocab(tmp_path, ["a\t1", "#merges", "x y", "b\t2"]))
-        assert tok.encode("a").ids == [1]
+        assert tok.encode("a") == [1]
         # Lines after #merges are rules, not vocabulary entries.
         with pytest.raises(TokenizerError):
             tok.encode("b")
@@ -152,7 +152,5 @@ class TestExternal:
 
 
 def test_encode_and_count(whitespace_tokenizer):
-    seq = whitespace_tokenizer.encode("a b")
-    assert seq.ids == [1, 2]
-    assert seq.source_len_chars == 3
+    assert whitespace_tokenizer.encode("a b") == [1, 2]
     assert whitespace_tokenizer.count("a b") == 2
