@@ -222,6 +222,8 @@ def _parse_config_dict(data: dict) -> tuple[PipelineConfig | None, list[str]]:
         ret_sec.check_range("max_results", max_results, 1, 2**31)
         pool_k = ret_sec.get("candidate_pool_k", int, 100)
         ret_sec.check_range("candidate_pool_k", pool_k, 1, 2**31)
+        dim = ret_sec.get("dim", int, 16)
+        ret_sec.check_range("dim", dim, 1, 2**31)
         provider = ret_sec.get("provider", str, "mock")
         if provider not in ("mock", "file", "wire"):
             diags.append(f"retrieval.provider: unknown provider {provider!r}")
@@ -235,7 +237,7 @@ def _parse_config_dict(data: dict) -> tuple[PipelineConfig | None, list[str]]:
             max_results=3 if max_results is None else max_results,
             candidate_pool_k=100 if pool_k is None else pool_k,
             provider=provider,
-            dim=ret_sec.get("dim", int, 16),
+            dim=dim,
             seed=ret_sec.get("seed", int, 0),
             cache_path=ret_sec.get("cache_path", str),
             endpoint=ret_sec.get("endpoint", str),

@@ -89,6 +89,7 @@ STATS_NAME = "stats.json"
 REPORT_NAME = "run_report.jsonl"
 SPLITS = ("train", "validation")
 EMBED_BATCH_SIZE = 256  # web documents per provider call when retrieve builds its index
+SCORE_BLOCK_BYTES = 1 << 20  # retrieve scores articles in groups whose score block fits this
 
 
 class StageGuard:
@@ -259,13 +260,17 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
 
     # Web texts are held one batch at a time; a blank one is kept only as an id.
     blank_docs: set[str] = set()
-    docs: list[CandidateDoc] = []
-    corpus = read_candidate_corpus(cfg.paths.web_corpus)
-    while batch := list(islice(corpus, EMBED_BATCH_SIZE)):
-        vectors = provider.embed_batch([text for _, text in batch])
-        docs.extend(CandidateDoc(doc_id, vec) for (doc_id, _), vec in zip(batch, vectors))
-        blank_docs.update(doc_id for doc_id, text in batch if not text.strip())
-    index = VectorIndex.build(docs)
+
+    def embedded_docs() -> Iterator[CandidateDoc]:
+        corpus = read_candidate_corpus(cfg.paths.web_corpus)
+        while batch := list(islice(corpus, EMBED_BATCH_SIZE)):
+            vectors = provider.embed_batch([text for _, text in batch])
+            blank_docs.update(doc_id for doc_id, text in batch if not text.strip())
+            yield from (CandidateDoc(doc_id, vec) for (doc_id, _), vec in zip(batch, vectors))
+
+    index = VectorIndex.build(embedded_docs())
+    # Two float64 scores per corpus doc per article in the group's score block.
+    group_size = max(1, SCORE_BLOCK_BYTES // (16 * max(1, len(index))))
 
     title_map = build_l_to_en_title_map(cfg)
     tally = RetrievalTally()
@@ -277,18 +282,19 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
     with StageGuard() as guard:
         pseudo_path = guard.track(out / PSEUDO_PAIRS_NAME)
         with open(pseudo_path, "w", encoding="utf-8") as f:
-            for article in store_l:
-                if not article.text.strip():
-                    continue
-                keywords = extract_keywords(article, title_map, tally)
-                for res in two_step_retrieve(keywords, index, provider, ret_cfg, tally):
-                    if res.doc_id in blank_docs:
-                        tally.missing_corpus_texts += 1
-                        continue
-                    f.write(json.dumps({"doc_id": res.doc_id, "id_l": article.page_id},
-                                       ensure_ascii=False, sort_keys=True))
-                    f.write("\n")
-                    pseudo_count += 1
+            articles = (article for article in store_l if article.text.strip())
+            while group := list(islice(articles, group_size)):
+                keyword_sets = [extract_keywords(a, title_map, tally) for a in group]
+                found = two_step_retrieve(keyword_sets, index, provider, ret_cfg, tally)
+                for article, results in zip(group, found):
+                    for res in results:
+                        if res.doc_id in blank_docs:
+                            tally.missing_corpus_texts += 1
+                            continue
+                        f.write(json.dumps({"doc_id": res.doc_id, "id_l": article.page_id},
+                                           ensure_ascii=False, sort_keys=True))
+                        f.write("\n")
+                        pseudo_count += 1
     report.event(
         "stage_complete",
         stage="retrieve",

@@ -9,6 +9,11 @@ the two. Results below the similarity threshold are dropped and at most
 max_results survive per article; each survivor becomes a pseudo article pair
 (`pseudo_pair`) that downstream packing treats like any aligned pair.
 
+Articles are scored in groups: one provider call embeds both queries of every
+article in the group, and one matrix product scores them all against the
+corpus. Each query's candidate pool is its top k rows, selected by partition
+rather than a full sort; pool scores are read from the same score block.
+
 Embedding providers are injected: a seeded deterministic mock for tests, a
 precomputed binary cache, and a single-endpoint wire provider.
 """
@@ -79,6 +84,8 @@ class RetrievalConfig:
             raise ValueError("threshold must be within [0, 1]")
         if self.max_results < 1:
             raise ValueError("max_results must be at least 1")
+        if self.candidate_pool_k < 1:
+            raise ValueError("candidate_pool_k must be at least 1")
 
 
 @dataclass
@@ -164,7 +171,7 @@ class CachedEmbeddingProvider:
     """Embeddings looked up from a precomputed text -> vector table."""
 
     def __init__(self, table: Mapping[str, np.ndarray]):
-        self._table = dict(table)
+        self._table = table
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CachedEmbeddingProvider":
@@ -245,8 +252,33 @@ def write_embedding_cache(path: str | Path, table: Mapping[str, np.ndarray]) -> 
             f.write(arr.tobytes())
 
 
-def read_embedding_cache(path: str | Path) -> dict[str, np.ndarray]:
-    table: dict[str, np.ndarray] = {}
+class EmbeddingCache(Mapping[str, np.ndarray]):
+    """The text -> vector table of a cache file, held as the file's bytes.
+
+    Each value is a float32 view into those bytes; `_normalize` widens it to
+    float64, which is exact.
+    """
+
+    def __init__(self, data: bytes, spans: dict[str, tuple[int, int]]):
+        self._data = data
+        self._spans = spans  # key -> (byte offset, dim) of its components
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        offset, dim = self._spans[key]
+        return np.frombuffer(self._data, dtype="<f4", count=dim, offset=offset)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._spans
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._spans)
+
+    def __len__(self) -> int:
+        return len(self._spans)
+
+
+def read_embedding_cache(path: str | Path) -> EmbeddingCache:
+    spans: dict[str, tuple[int, int]] = {}
     data = Path(path).read_bytes()
     pos = 0
     while pos < len(data):
@@ -263,30 +295,33 @@ def read_embedding_cache(path: str | Path) -> dict[str, np.ndarray]:
         end = pos + 4 * dim
         if end > len(data):
             raise RetrievalError(f"{path}: truncated vector for {key!r}")
-        table[key] = np.frombuffer(data[pos:end], dtype="<f4").astype(np.float64)
+        spans[key] = (pos, dim)
         pos = end
-    return table
+    return EmbeddingCache(data, spans)
 
 
 class VectorIndex:
     """Exact top-k inner-product search over unit vectors.
 
     Rows are held sorted by doc id, which both makes results independent of
-    insertion order and lets a stable argsort break score ties by ascending
-    doc id.
+    insertion order and lets ascending row order break score ties by
+    ascending doc id.
     """
 
     def __init__(self, doc_ids: list[str], matrix: np.ndarray):
         self.doc_ids = doc_ids
         self.matrix = matrix
-        self._row: dict[str, int] = {d: i for i, d in enumerate(doc_ids)}
 
     @classmethod
     def build(cls, docs: Iterable[CandidateDoc]) -> "VectorIndex":
-        by_id: dict[str, np.ndarray] = {}
+        # Rows are appended to one buffer as they arrive, so no vector is held
+        # twice; they are reordered only if the docs did not arrive by id.
+        doc_ids: list[str] = []
+        seen: set[str] = set()
+        rows = bytearray()
         dim: int | None = None
         for doc in docs:
-            if doc.doc_id in by_id:
+            if doc.doc_id in seen:
                 raise RetrievalError(f"duplicate doc_id {doc.doc_id!r}")
             vec = _normalize(doc.vector, doc.doc_id)
             if dim is None:
@@ -295,64 +330,93 @@ class VectorIndex:
                 raise RetrievalError(
                     f"doc {doc.doc_id!r} has dimension {vec.shape[0]}, index has {dim}"
                 )
-            by_id[doc.doc_id] = vec
-        doc_ids = sorted(by_id)
-        if doc_ids:
-            matrix = np.stack([by_id[d] for d in doc_ids])
-        else:
-            matrix = np.zeros((0, 0), dtype=np.float64)
+            seen.add(doc.doc_id)
+            doc_ids.append(doc.doc_id)
+            rows += vec.tobytes()
+        if not doc_ids:
+            return cls([], np.zeros((0, 0), dtype=np.float64))
+        matrix = np.frombuffer(rows, dtype=np.float64).reshape(len(doc_ids), dim)
+        order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+        if order != list(range(len(doc_ids))):
+            matrix = matrix[order]
+            doc_ids = [doc_ids[i] for i in order]
         return cls(doc_ids, matrix)
 
     def __len__(self) -> int:
         return len(self.doc_ids)
 
-    def vector_of(self, doc_id: str) -> np.ndarray:
-        return self.matrix[self._row[doc_id]]
+    def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Score an (m, d) query block against every row; per query, its top k rows.
 
-    def search(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """Top-k (doc_id, score) by descending inner product, ties by doc id."""
-        if k <= 0 or not self.doc_ids:
-            return []
-        scores = self.matrix @ np.asarray(query, dtype=np.float64)
-        order = np.argsort(-scores, kind="stable")[:k]
-        return [(self.doc_ids[i], float(scores[i])) for i in order]
+        Returns the (m, len(self)) score block and, for each query, the rows
+        of its k highest scores by descending score, ties by ascending row
+        (that is, by doc id). A partition finds the k-th score; only the rows
+        scoring at least that much are sorted, so a tie that straddles rank k
+        still goes to the lower doc id.
+        """
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        queries = np.asarray(queries, dtype=np.float64)
+        if not self.doc_ids:
+            return np.zeros((len(queries), 0)), [np.zeros(0, dtype=np.intp)] * len(queries)
+        if queries.ndim != 2 or queries.shape[1] != self.matrix.shape[1]:
+            raise RetrievalError(
+                f"query block has shape {queries.shape}, index has dimension "
+                f"{self.matrix.shape[1]}"
+            )
+        scores = queries @ self.matrix.T
+        kth = max(len(self.doc_ids) - k, 0)  # where the k-th highest score sorts ascending
+        top = []
+        for row in scores:
+            floor = row[np.argpartition(row, kth)[kth]]
+            rows = np.flatnonzero(row >= floor)
+            top.append(rows[np.argsort(-row[rows], kind="stable")[:k]])
+        return scores, top
 
 
 def two_step_retrieve(
-    ks: KeywordSet,
+    keyword_sets: Sequence[KeywordSet],
     index: VectorIndex,
     provider,
     cfg: RetrievalConfig | None = None,
     tally: RetrievalTally | None = None,
-) -> list[RetrievalResult]:
-    """Score the union of both query steps' candidate pools, average, filter, cap."""
+) -> list[list[RetrievalResult]]:
+    """Results per keyword set: the union of both query steps' candidate
+    pools, averaged, filtered and capped.
+
+    The whole group makes one provider call, with the title and the full
+    query of each non-empty set, and one index search. An empty set gets no
+    results.
+    """
     cfg = cfg if cfg is not None else RetrievalConfig()
     tally = tally if tally is not None else RetrievalTally()
-    tally.articles_queried += 1
-    title_query = ks.title_keyword.strip()
-    if not title_query and not ks.content_keywords:
-        tally.empty_keyword_sets += 1
-        return []
-    q_title, q_full = provider.embed_batch([title_query, ks.full_query()])
-
-    pool: set[str] = set()
-    for doc_id, _ in index.search(q_title, cfg.candidate_pool_k):
-        pool.add(doc_id)
-    for doc_id, _ in index.search(q_full, cfg.candidate_pool_k):
-        pool.add(doc_id)
-
-    results = []
-    for doc_id in pool:
-        vec = index.vector_of(doc_id)
-        s_title = float(vec @ q_title)
-        s_full = float(vec @ q_full)
-        s_final = (s_title + s_full) / 2.0
-        if s_final >= cfg.threshold:
-            results.append(RetrievalResult(doc_id, s_title, s_full, s_final))
-    results.sort(key=lambda r: (-r.s_final, r.doc_id))
-    results = results[: cfg.max_results]
-    tally.results_kept += len(results)
-    return results
+    tally.articles_queried += len(keyword_sets)
+    queried: list[int] = []
+    texts: list[str] = []
+    for i, ks in enumerate(keyword_sets):
+        title_query = ks.title_keyword.strip()
+        if not title_query and not ks.content_keywords:
+            tally.empty_keyword_sets += 1
+            continue
+        queried.append(i)
+        texts += [title_query, ks.full_query()]
+    out: list[list[RetrievalResult]] = [[] for _ in keyword_sets]
+    if not queried:
+        return out
+    scores, top = index.search(np.stack(provider.embed_batch(texts)), cfg.candidate_pool_k)
+    for j, i in enumerate(queried):
+        s_title, s_full = scores[2 * j], scores[2 * j + 1]
+        pool = np.union1d(top[2 * j], top[2 * j + 1])  # ascending rows, so ascending doc ids
+        s_final = (s_title[pool] + s_full[pool]) / 2.0
+        kept = s_final >= cfg.threshold
+        pool, s_final = pool[kept], s_final[kept]
+        best = np.argsort(-s_final, kind="stable")[: cfg.max_results]
+        out[i] = [
+            RetrievalResult(index.doc_ids[r], float(s_title[r]), float(s_full[r]), float(s))
+            for r, s in zip(pool[best], s_final[best])
+        ]
+        tally.results_kept += len(out[i])
+    return out
 
 
 def _pseudo_en_id(doc_id: str) -> int:

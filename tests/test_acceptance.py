@@ -153,14 +153,14 @@ def test_criterion_4_retrieval_constants_and_math():
         [_doc("d1", 1.0, 0.0), _doc("d2", 0.0, 1.0), _doc("d3", 0.8, 0.6)]
     )
     provider = _TableProvider({"T": [1.0, 0.0], "T c": [0.6, 0.8]})
-    results = two_step_retrieve(KeywordSet("T", ["c"]), index, provider, cfg)
+    (results,) = two_step_retrieve([KeywordSet("T", ["c"])], index, provider, cfg)
     assert [r.doc_id for r in results] == ["d3", "d1"]
     scores = {r.doc_id: r.s_final for r in results}
     assert scores["d3"] == pytest.approx(0.88, abs=1e-9)
     assert scores["d1"] == pytest.approx(0.80, abs=1e-9)
     # d2 scores (0.0 + 0.8) / 2 = 0.40 and is filtered by the 0.75 threshold.
-    vec_d2 = index.vector_of("d2")
-    s_d2 = (float(vec_d2 @ [1.0, 0.0]) + float(vec_d2 @ [0.6, 0.8])) / 2
+    block, _ = index.search(np.array([[1.0, 0.0], [0.6, 0.8]]), 3)
+    s_d2 = (block[0, index.doc_ids.index("d2")] + block[1, index.doc_ids.index("d2")]) / 2
     assert s_d2 == pytest.approx(0.40, abs=1e-9)
     assert all(r.s_final >= 0.75 for r in results)
 
@@ -178,7 +178,8 @@ def test_criterion_4_retrieval_constants_and_math():
         key=lambda t: (-t[1], t[0]),
     )
     for k in (1, 10, 100):
-        got = big_index.search(query, k)
+        block, (rows,) = big_index.search(query[None, :], k)
+        got = [(big_index.doc_ids[r], block[0, r]) for r in rows]
         assert [g[0] for g in got] == [s[0] for s in scored[:k]]
         for (_, gs), (_, es) in zip(got, scored[:k]):
             assert gs == pytest.approx(es, abs=1e-9)

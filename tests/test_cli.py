@@ -105,6 +105,21 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "retrieval.threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("how, dim", [("config", 0), ("set", -3)])
+    def test_retrieval_dim_out_of_range(self, tmp_path, capsys, how, dim):
+        corpus = build_corpus(tmp_path / "data", n_pairs=4, seed=5)
+        web_path = write_web_corpus_jsonl(tmp_path / "data" / "web.jsonl",
+                                          [("web0", "Web page 0")])
+        extra = {"paths.web_corpus": str(web_path), "retrieval.provider": "mock"}
+        overrides = []
+        if how == "config":
+            extra["retrieval.dim"] = dim
+        else:
+            overrides = ["--set", f"retrieval.dim={dim}"]
+        cfg_path = make_config(tmp_path, corpus, extra=extra)
+        assert run(["retrieve", "--config", str(cfg_path), *overrides]) == EXIT_CONFIG
+        assert f"retrieval.dim: {dim} outside" in capsys.readouterr().err
+
     def test_missing_input_path(self, small_run, capsys):
         tmp_path, _, cfg_path = small_run
         code = run(["align", "--config", str(cfg_path),
@@ -387,6 +402,43 @@ class TestRetrieveStage:
         origins = {json.loads(l)["origin"] for l in
                    (out / "contexts.jsonl").read_text().splitlines()}
         assert origins == {"web", "wiki"}
+
+    def test_query_embed_calls_one_per_group(self, tmp_path, monkeypatch):
+        import xlpack.pipeline as pipeline
+        from xlpack.retrieval import MockEmbeddingProvider
+
+        calls = []
+
+        class CountingProvider(MockEmbeddingProvider):
+            def embed_batch(self, texts):
+                calls.append(len(texts))
+                return super().embed_batch(texts)
+
+        corpus = build_corpus(tmp_path / "data", n_pairs=8, seed=5)
+        docs = [(f"web{k}", f"Topic {k}") for k in range(8)]
+        web_path = write_web_corpus_jsonl(tmp_path / "data" / "web.jsonl", docs)
+        cfg_path = make_config(tmp_path, corpus, extra={
+            "paths.web_corpus": str(web_path), "retrieval.threshold": 0.99})
+        monkeypatch.setattr(pipeline, "make_embedding_provider",
+                            lambda cfg: CountingProvider(dim=12))
+        out = tmp_path / "out"
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_OK
+        one_group = (out / "pseudo_pairs.jsonl").read_bytes()
+        assert calls[0] == len(docs) and len(calls) == 2  # corpus, then one group
+
+        calls.clear()
+        monkeypatch.setattr(pipeline, "SCORE_BLOCK_BYTES", 16 * len(docs) * 3)  # groups of 3
+        assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_OK
+        (done, *_) = [e for e in reversed(read_events(out / "run_report.jsonl"))
+                      if e.get("stage") == "retrieve"]
+        n_articles = done["retrieval"]["articles_queried"]
+        assert n_articles > 3
+        assert calls[0] == len(docs)
+        assert len(calls) - 1 == -(-n_articles // 3)
+        assert sum(calls[1:]) == 2 * n_articles
+        assert (out / "pseudo_pairs.jsonl").read_bytes() == one_group
+        assert one_group
 
     def test_blank_web_doc_dropped_and_counted(self, tmp_path, monkeypatch):
         # Every text embeds to the same vector, so each article retrieves all

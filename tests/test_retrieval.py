@@ -1,13 +1,15 @@
 """Retrieval tests: keywords, providers, exact search, two-step scoring."""
 
+import hashlib
 import http.server
 import json
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from xlpack.dump_ingest import RawArticle
 from xlpack.retrieval import (
@@ -108,6 +110,37 @@ class TestProviders:
         with pytest.raises(RetrievalError):
             read_embedding_cache(path)
 
+    def test_cache_values_widen_to_the_written_float32_bits(self, tmp_path):
+        rng = np.random.default_rng(5)
+        table = {f"text {i}": rng.standard_normal(i + 1) * 3 for i in range(6)}
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, table)
+        loaded = read_embedding_cache(path)
+        assert list(loaded) == list(table) and len(loaded) == len(table)
+        for key, vec in table.items():
+            value = loaded[key]
+            assert value.dtype == np.dtype("<f4")
+            widened = np.asarray(value, dtype=np.float64)
+            assert widened.tobytes() == vec.astype("<f4").astype(np.float64).tobytes()
+            (got,) = CachedEmbeddingProvider(loaded).embed_batch([key])
+            (want,) = CachedEmbeddingProvider({key: widened}).embed_batch([key])
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cut, message", [
+        (19, "truncated record header at offset 17"),
+        (23, "truncated record at offset 17"),
+        (32, "truncated vector for 'bc'"),
+    ])
+    def test_truncation_errors_name_offset(self, tmp_path, cut, message):
+        # Records: "a" at bytes 0-16 and "bc" at bytes 17-34, two components each.
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, {"a": np.array([1.0, 0.0]), "bc": np.array([0.0, 1.0])})
+        assert path.stat().st_size == 35
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(RetrievalError) as err:
+            read_embedding_cache(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_embed_batch_normalizes(self):
         (v,) = MockEmbeddingProvider(dim=4).embed_batch(["anything"])
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-6
@@ -177,14 +210,28 @@ def _doc(doc_id, x, y):
     return CandidateDoc(doc_id, np.array([x, y], dtype=float))
 
 
+def _search_one(index, query, k):
+    """(doc_id, score) pairs of one query, searched as a one-row block."""
+    scores, (rows,) = index.search(np.array([query], dtype=float), k)
+    return [(index.doc_ids[r], float(scores[0, r])) for r in rows]
+
+
+def _int_index(matrix):
+    """An index over small-integer rows, so that every score is exact."""
+    doc_ids = [f"doc{i:03d}" for i in range(len(matrix))]
+    return VectorIndex(doc_ids, np.asarray(matrix, dtype=float))
+
+
 class TestVectorIndex:
     def test_empty_index_returns_nothing(self):
         index = VectorIndex.build([])
-        assert index.search(np.array([1.0, 0.0]), 5) == []
+        scores, top = index.search(np.array([[1.0, 0.0], [0.0, 1.0]]), 5)
+        assert scores.shape == (2, 0)
+        assert [list(rows) for rows in top] == [[], []]
 
     def test_identical_vector_scores_one(self):
         index = VectorIndex.build([_doc("d1", 1.0, 0.0)])
-        ((doc_id, score),) = index.search(np.array([1.0, 0.0]), 1)
+        ((doc_id, score),) = _search_one(index, [1.0, 0.0], 1)
         assert doc_id == "d1"
         assert score == pytest.approx(1.0, abs=1e-12)
 
@@ -199,46 +246,81 @@ class TestVectorIndex:
             VectorIndex.build([_doc("d1", 1.0, 0.0), bad])
         assert "d2" in str(err.value)
 
+    def test_query_dimension_mismatch_raises(self):
+        index = VectorIndex.build([_doc("d1", 1.0, 0.0)])
+        with pytest.raises(RetrievalError) as err:
+            index.search(np.array([[1.0, 0.0, 0.0]]), 1)
+        assert "dimension 2" in str(err.value)
+
     def test_orthonormal_scores(self):
         index = VectorIndex.build([_doc("d1", 1.0, 0.0), _doc("d2", 0.0, 1.0)])
-        out = index.search(np.array([1.0, 0.0]), 2)
+        out = _search_one(index, [1.0, 0.0], 2)
         assert [d for d, _ in out] == ["d1", "d2"]
         assert out[0][1] == pytest.approx(1.0) and out[1][1] == pytest.approx(0.0)
 
     def test_hand_dot_product(self):
         index = VectorIndex.build([_doc("d", 0.8, 0.6)])
-        ((_, score),) = index.search(np.array([0.6, 0.8]), 1)
+        ((_, score),) = _search_one(index, [0.6, 0.8], 1)
         assert score == pytest.approx(0.96, abs=1e-12)
 
     def test_tie_broken_by_doc_id(self):
         index = VectorIndex.build([_doc("zz", 1.0, 0.0), _doc("aa", 1.0, 0.0)])
-        ((doc_id, _),) = index.search(np.array([1.0, 0.0]), 1)
+        ((doc_id, _),) = _search_one(index, [1.0, 0.0], 1)
         assert doc_id == "aa"
 
     def test_insertion_order_independent(self):
         docs = [_doc("a", 0.6, 0.8), _doc("b", 0.8, 0.6), _doc("c", 1.0, 0.0)]
         q = np.array([0.7, 0.714142842854285])
         q = q / np.linalg.norm(q)
-        fwd = VectorIndex.build(docs).search(q, 3)
-        rev = VectorIndex.build(list(reversed(docs))).search(q, 3)
+        fwd = _search_one(VectorIndex.build(docs), q, 3)
+        rev = _search_one(VectorIndex.build(list(reversed(docs))), q, 3)
         assert fwd == rev
 
-    @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_k_below_one_rejected(self):
+        index = VectorIndex.build([_doc("d1", 1.0, 0.0)])
+        with pytest.raises(ValueError):
+            index.search(np.array([[1.0, 0.0]]), 0)
+
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 5),
+           st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
-    def test_matches_bruteforce_oracle(self, n_docs, k, seed):
+    def test_matches_bruteforce_oracle(self, n_docs, k, n_queries, seed):
         rng = np.random.default_rng(seed)
         docs = []
         for i in range(n_docs):
             v = rng.standard_normal(6)
             docs.append(CandidateDoc(f"doc{i:03d}", v / np.linalg.norm(v)))
-        q = rng.standard_normal(6)
-        q = q / np.linalg.norm(q)
+        queries = rng.standard_normal((n_queries, 6))
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         index = VectorIndex.build(docs)
-        got = index.search(q, k)
-        expected = reference_search([(d.doc_id, d.vector) for d in docs], q, k)
-        assert [g[0] for g in got] == [e[0] for e in expected]
-        for (_, got_score), (_, want_score) in zip(got, expected):
-            assert got_score == pytest.approx(want_score, abs=1e-9)
+        scores, top = index.search(queries, k)
+        assert scores.shape == (n_queries, n_docs)
+        for q, row_scores, rows in zip(queries, scores, top):
+            expected = reference_search([(d.doc_id, d.vector) for d in docs], q, k)
+            assert [index.doc_ids[r] for r in rows] == [e[0] for e in expected]
+            for r, (_, want_score) in zip(rows, expected):
+                assert row_scores[r] == pytest.approx(want_score, abs=1e-9)
+
+    @given(
+        hnp.arrays(np.int64, st.tuples(st.integers(1, 30), st.integers(1, 3)),
+                   elements=st.integers(-2, 2)),
+        st.integers(1, 4), st.integers(1, 12), st.integers(0, 2**32 - 1),
+    )
+    @example(np.array([[1], [2], [1], [1], [0]]), 1, 3, 0)  # rank 2-4 tie at score 1
+    @settings(max_examples=200, deadline=None)
+    def test_ties_straddling_rank_k_match_oracle(self, matrix, n_queries, k, seed):
+        # Integer rows and queries make every score exact, so equal scores
+        # are real ties, and the tie group at rank k must go to the lowest ids.
+        rng = np.random.default_rng(seed)
+        queries = rng.integers(-2, 3, (n_queries, matrix.shape[1]))
+        queries[0] = 1  # at least one query sees rows of equal sums tie
+        index = _int_index(matrix)
+        scores, top = index.search(queries.astype(float), k)
+        docs = list(zip(index.doc_ids, matrix))
+        for q, row_scores, rows in zip(queries, scores, top):
+            expected = reference_search(docs, q, k)
+            assert [index.doc_ids[r] for r in rows] == [e[0] for e in expected]
+            assert [row_scores[r] for r in rows] == [e[1] for e in expected]
 
 
 class _TableProvider:
@@ -249,6 +331,24 @@ class _TableProvider:
 
     def embed_batch(self, texts):
         return [self.table[t] for t in texts]
+
+
+class _IntProvider:
+    """Small-integer vectors from a hash of each text; counts its calls."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.calls = 0
+
+    def embed_batch(self, texts):
+        self.calls += 1
+        return [np.array([b % 5 - 2 for b in hashlib.blake2b(t.encode()).digest()[:self.dim]],
+                         dtype=float) for t in texts]
+
+
+_WORDS = ["", " ", "alpha", "beta", "gamma", "delta"]
+_keyword_sets = st.builds(KeywordSet, st.sampled_from(_WORDS),
+                          st.lists(st.sampled_from(_WORDS[2:]), max_size=3))
 
 
 class TestTwoStepRetrieve:
@@ -264,7 +364,7 @@ class TestTwoStepRetrieve:
 
     def test_hand_computed_scores(self):
         ks, provider, index = self._fixture()
-        results = two_step_retrieve(ks, index, provider, RetrievalConfig())
+        (results,) = two_step_retrieve([ks], index, provider, RetrievalConfig())
         assert [r.doc_id for r in results] == ["d3", "d1"]
         by_id = {r.doc_id: r for r in results}
         assert by_id["d3"].s_final == pytest.approx(0.88, abs=1e-9)
@@ -275,22 +375,27 @@ class TestTwoStepRetrieve:
 
     def test_threshold_filters(self):
         ks, provider, index = self._fixture()
-        results = two_step_retrieve(ks, index, provider, RetrievalConfig())
+        (results,) = two_step_retrieve([ks], index, provider, RetrievalConfig())
         assert "d2" not in [r.doc_id for r in results]  # s_final = 0.40
 
     def test_cap_respected(self):
         ks, provider, index = self._fixture()
         cfg = RetrievalConfig(max_results=1)
-        results = two_step_retrieve(ks, index, provider, cfg)
+        (results,) = two_step_retrieve([ks], index, provider, cfg)
         assert [r.doc_id for r in results] == ["d3"]
 
     def test_empty_keywords_tallied(self):
         tally = RetrievalTally()
         provider = _TableProvider({})
-        out = two_step_retrieve(KeywordSet(""), VectorIndex.build([]), provider,
+        out = two_step_retrieve([KeywordSet("")], VectorIndex.build([]), provider,
                                 RetrievalConfig(), tally)
-        assert out == []
+        assert out == [[]]
         assert tally.empty_keyword_sets == 1
+
+    def test_candidate_pool_k_must_be_positive(self):
+        with pytest.raises(ValueError) as err:
+            RetrievalConfig(candidate_pool_k=0)
+        assert "candidate_pool_k" in str(err.value)
 
     def test_pool_monotonicity(self):
         rng = np.random.default_rng(11)
@@ -306,11 +411,45 @@ class TestTwoStepRetrieve:
         for pool_k in (5, 20, 80):
             cfg = RetrievalConfig(threshold=0.0, max_results=10_000,
                                   candidate_pool_k=pool_k)
-            results[pool_k] = {r.doc_id: r.s_final
-                               for r in two_step_retrieve(ks, index, provider, cfg)}
+            (found,) = two_step_retrieve([ks], index, provider, cfg)
+            results[pool_k] = {r.doc_id: r.s_final for r in found}
         assert results[5].keys() <= results[20].keys() <= results[80].keys()
         for doc_id, score in results[5].items():
             assert results[80][doc_id] == pytest.approx(score, abs=1e-12)
+
+    @given(
+        hnp.arrays(np.int64, st.tuples(st.integers(1, 25), st.just(3)),
+                   elements=st.integers(-2, 2)),
+        st.lists(_keyword_sets, min_size=1, max_size=4),
+        st.lists(_keyword_sets, min_size=1, max_size=4),
+        st.sampled_from([0.0, 0.5, 1.0]), st.integers(1, 4), st.integers(1, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_group_equals_one_set_at_a_time(self, matrix, head, tail, threshold,
+                                            max_results, pool_k):
+        # Exact integer scores: grouping must change neither results nor tallies.
+        index = _int_index(matrix)
+        provider = _IntProvider(3)
+        cfg = RetrievalConfig(threshold=threshold, max_results=max_results,
+                              candidate_pool_k=pool_k)
+        kss = [*head, KeywordSet(""), *tail]
+        grouped_tally, single_tally = RetrievalTally(), RetrievalTally()
+        grouped = two_step_retrieve(kss, index, provider, cfg, grouped_tally)
+        single = [two_step_retrieve([ks], index, provider, cfg, single_tally)[0]
+                  for ks in kss]
+        assert grouped == single
+        assert grouped_tally == single_tally
+        assert grouped_tally.articles_queried == len(kss)
+
+    def test_group_makes_one_provider_call(self):
+        index = _int_index([[1, 0, 0], [0, 1, 0]])
+        provider = _IntProvider(3)
+        kss = [KeywordSet("alpha"), KeywordSet(""), KeywordSet("beta", ["gamma"])]
+        two_step_retrieve(kss, index, provider, RetrievalConfig())
+        assert provider.calls == 1
+        two_step_retrieve([KeywordSet(""), KeywordSet(" ")], index, provider,
+                          RetrievalConfig())
+        assert provider.calls == 1  # no non-empty set, no call
 
 
 class TestPseudoPair:
