@@ -72,15 +72,14 @@ def main() -> int:
             parse_langlinks_dump(corpus.langlinks_en_to_l, corpus.lang),
             parse_pages_dump(corpus.pages_l),
         )
-        store_en = ArticleStore(corpus.articles_en, "en")
-        store_l = ArticleStore(corpus.articles_l, corpus.lang)
-        pairs = join_articles(pair_ids, store_en, store_l)
-
         tokenizer = WhitespaceTokenizer()
         cfg = PackConfig(n_budget=args.n_budget)
-        contexts_ids = [
-            ctx.encode(tokenizer)[0] for ctx in pack_corpus(pairs, tokenizer, cfg)
-        ]
+        with ArticleStore(corpus.articles_en, "en") as store_en, \
+                ArticleStore(corpus.articles_l, corpus.lang) as store_l:
+            pairs = join_articles(pair_ids, store_en, store_l)
+            contexts_ids = [
+                ctx.encode(tokenizer)[0] for ctx in pack_corpus(pairs, tokenizer, cfg)
+            ]
         total = sum(len(ids) for ids in contexts_ids)
         print(f"{len(contexts_ids)} contexts, {total} tokens, budget {args.n_budget}\n")
 

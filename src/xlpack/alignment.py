@@ -16,9 +16,10 @@ first well-formed record of each page id.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .dump_ingest import LangLink, PageRecord, RawArticle, article_files, parse_article_line
 
@@ -152,13 +153,20 @@ class ArticleStore:
     are tallied under duplicate_articles, and every other non-blank line that
     is not a record under malformed_articles. Iterating the store yields the
     indexed records in file order, in one more sequential scan.
+
+    `get` keeps one read handle open per file it has read from, at most
+    MAX_OPEN_FILES at a time (the least recently read is closed first), until
+    `close()`; use the store as a context manager.
     """
+
+    MAX_OPEN_FILES = 64
 
     def __init__(self, path: str | Path, lang: str, tally: AlignTally | None = None):
         self.lang = lang
         tally = tally if tally is not None else AlignTally()
         self._index: dict[int, tuple[int, int]] = {}
         self._files = article_files(path)
+        self._handles: OrderedDict[int, BinaryIO] = OrderedDict()
         for loc, article in self._scan():
             if article is None:
                 tally.malformed_articles += 1
@@ -193,9 +201,25 @@ class ArticleStore:
         if loc is None:
             return None
         fidx, offset = loc
-        with open(self._files[fidx], "rb") as f:
-            f.seek(offset)
-            return parse_article_line(f.readline(), self.lang)
+        f = self._handles.get(fidx)
+        if f is None:
+            if len(self._handles) >= self.MAX_OPEN_FILES:
+                self._handles.popitem(last=False)[1].close()
+            f = self._handles[fidx] = open(self._files[fidx], "rb")
+        else:
+            self._handles.move_to_end(fidx)
+        f.seek(offset)
+        return parse_article_line(f.readline(), self.lang)
+
+    def close(self) -> None:
+        while self._handles:
+            self._handles.popitem()[1].close()
+
+    def __enter__(self) -> "ArticleStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def join_articles(

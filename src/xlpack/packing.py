@@ -10,10 +10,13 @@ by default), until both sides are exhausted.
 
 Cost accounting is per segment: every segment is priced as its text plus a
 trailing blank-line delimiter, plus one token for the terminal delimiter token.
-For non-merging tokenizers this equals the token count of the rendered context
-exactly; for subword tokenizers the packer's estimate may differ by a few
-tokens at segment seams. The pack stage then encodes each context once, and
-the context index records the exact encoded length, not the estimate.
+Each title and paragraph is split into tokenizer pieces once, when its article
+is paragraphized, and its cost is its number of pieces. A context carries the
+pieces of its segments, and encoding it maps them to ids in one call, so no
+text is split twice. For non-merging tokenizers the cost equals the token
+count of the rendered context exactly; for subword tokenizers the packer's
+estimate may differ by a few tokens at segment seams, and the context index
+records the encoded length, not the estimate.
 
 A paragraph too large to fit even a fresh context is emitted alone, truncated
 at token level (or skipped when truncation is disabled); that is the only case
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .alignment import ArticlePair, PairId
 from .tokenization import Tokenizer
@@ -44,7 +47,8 @@ class Segment(NamedTuple):
 @dataclass
 class ParagraphizedArticle:
     title: str
-    paragraphs: list[tuple[str, int]]  # (text, tokens incl. trailing delimiter)
+    title_pieces: Sequence  # tokenizer pieces of title + SEGMENT_DELIM
+    paragraphs: list[tuple[str, Sequence]]  # (text, pieces of text + SEGMENT_DELIM)
     lang: str
 
 
@@ -56,6 +60,9 @@ class PackedContext:
     pair: PairId
     seq_index: int
     origin: str = "wiki"
+    # Per segment, the tokenizer pieces of its text + SEGMENT_DELIM; derived
+    # from the text when absent.
+    pieces: list[Sequence] | None = None
 
     def rendered_text(self, split_token_text: str) -> str:
         return "".join(s.text + SEGMENT_DELIM for s in self.segments) + split_token_text
@@ -63,16 +70,20 @@ class PackedContext:
     def encode(self, tokenizer: Tokenizer) -> tuple[list[int], dict[str, int]]:
         """Token ids of the rendered context, plus per-language token counts.
 
-        Segments are encoded in order, so a tokenizer that assigns ids on
-        first encounter assigns them in corpus order. The terminal split token
-        is in the ids but in no language's count.
+        The segments' pieces are mapped in one `ids` call, in segment order,
+        so a tokenizer that assigns ids on first encounter assigns them in
+        corpus order. The terminal split token is in the ids but in no
+        language's count.
         """
-        ids: list[int] = []
+        seg_pieces = self.pieces
+        if seg_pieces is None:
+            seg_pieces = [tokenizer.pieces(s.text + SEGMENT_DELIM) for s in self.segments]
+        flat: list = []
         per_language: dict[str, int] = {}
-        for seg in self.segments:
-            seg_ids = tokenizer.encode(seg.text + SEGMENT_DELIM)
-            ids.extend(seg_ids)
-            per_language[seg.lang] = per_language.get(seg.lang, 0) + len(seg_ids)
+        for seg, pieces in zip(self.segments, seg_pieces):
+            flat += pieces
+            per_language[seg.lang] = per_language.get(seg.lang, 0) + len(pieces)
+        ids = tokenizer.ids(flat)
         ids.append(tokenizer.split_token_id)
         return ids, per_language
 
@@ -133,8 +144,9 @@ def paragraphize(
 ) -> ParagraphizedArticle:
     title = _scrub(title, tokenizer.split_token_text, tally).strip()
     text = _scrub(text, tokenizer.split_token_text, tally)
-    paragraphs = [(p, tokenizer.count(p + SEGMENT_DELIM)) for p in split_paragraphs(text)]
-    return ParagraphizedArticle(title, paragraphs, lang)
+    pieces = tokenizer.pieces
+    paragraphs = [(p, pieces(p + SEGMENT_DELIM)) for p in split_paragraphs(text)]
+    return ParagraphizedArticle(title, pieces(title + SEGMENT_DELIM), paragraphs, lang)
 
 
 class _ContextBuilder:
@@ -142,30 +154,31 @@ class _ContextBuilder:
 
     def __init__(self, first: ParagraphizedArticle, second: ParagraphizedArticle,
                  title_cost: int, with_titles: bool):
-        self.first_paras: list[Segment] = []
-        self.second_paras: list[Segment] = []
+        # (segment, its pieces) per placed paragraph
+        self.first_paras: list[tuple[Segment, Sequence]] = []
+        self.second_paras: list[tuple[Segment, Sequence]] = []
         self.with_titles = with_titles
         self.first = first
         self.second = second
         self.cost = (title_cost if with_titles else 0) + 1  # + terminal split token
         self.placed = 0
 
-    def add(self, to_first: bool, text: str, tokens: int) -> None:
+    def add(self, to_first: bool, text: str, pieces: Sequence) -> None:
         art = self.first if to_first else self.second
         seg = Segment(art.lang, "paragraph", text)
-        (self.first_paras if to_first else self.second_paras).append(seg)
-        self.cost += tokens
+        (self.first_paras if to_first else self.second_paras).append((seg, pieces))
+        self.cost += len(pieces)
         self.placed += 1
 
-    def segments(self) -> list[Segment]:
-        segs: list[Segment] = []
-        if self.with_titles:
-            segs.append(Segment(self.first.lang, "title", self.first.title))
-        segs.extend(self.first_paras)
-        if self.with_titles:
-            segs.append(Segment(self.second.lang, "title", self.second.title))
-        segs.extend(self.second_paras)
-        return segs
+    def parts(self) -> tuple[list[Segment], list[Sequence]]:
+        """The context's segments in order, and the pieces of each."""
+        parts: list[tuple[Segment, Sequence]] = []
+        for art, paras in ((self.first, self.first_paras), (self.second, self.second_paras)):
+            if self.with_titles:
+                parts.append((Segment(art.lang, "title", art.title), art.title_pieces))
+            parts += paras
+        segments, pieces = zip(*parts)
+        return list(segments), list(pieces)
 
 
 def pack_pair(
@@ -194,25 +207,25 @@ def pack_pair(
         raise ValueError(f"unknown direction {direction!r}")
 
     n = cfg.n_budget
-    title_cost = tokenizer.count(first.title + SEGMENT_DELIM) + tokenizer.count(
-        second.title + SEGMENT_DELIM
-    )
+    title_cost = len(first.title_pieces) + len(second.title_pieces)
     contexts: list[PackedContext] = []
 
     def emit(builder: _ContextBuilder) -> None:
+        segments, pieces = builder.parts()
         contexts.append(
             PackedContext(
-                segments=builder.segments(),
+                segments=segments,
                 token_len=builder.cost,
                 direction=direction,
                 pair=pair.pair,
                 seq_index=len(contexts),
                 origin=pair.origin,
+                pieces=pieces,
             )
         )
         tally.contexts_emitted += 1
 
-    def emit_oversize(art: ParagraphizedArticle, text: str) -> None:
+    def emit_oversize(art: ParagraphizedArticle, text: str, pieces: Sequence) -> None:
         # Even a fresh context cannot hold this paragraph next to the titles.
         if not cfg.truncate_oversize:
             tally.oversize_skipped += 1
@@ -220,26 +233,29 @@ def pack_pair(
         short = tokenizer.truncate_to_tokens(text, n - 1)
         if short != text:
             tally.truncated_paragraphs += 1
+            pieces = tokenizer.pieces(short + SEGMENT_DELIM)
         contexts.append(
             PackedContext(
                 segments=[Segment(art.lang, "paragraph", short)],
-                token_len=tokenizer.count(short + SEGMENT_DELIM) + 1,
+                token_len=len(pieces) + 1,
                 direction=direction,
                 pair=pair.pair,
                 seq_index=len(contexts),
                 origin=pair.origin,
+                pieces=[pieces],
             )
         )
         tally.contexts_emitted += 1
 
-    def emit_single(art: ParagraphizedArticle, is_first: bool, text: str, tokens: int) -> None:
+    def emit_single(art: ParagraphizedArticle, is_first: bool, text: str,
+                    pieces: Sequence) -> None:
         with_titles = cfg.repeat_titles or not contexts
         builder = _ContextBuilder(first, second, title_cost, with_titles)
-        if builder.cost + tokens <= n:
-            builder.add(is_first, text, tokens)
+        if builder.cost + len(pieces) <= n:
+            builder.add(is_first, text, pieces)
             emit(builder)
         else:
-            emit_oversize(art, text)
+            emit_oversize(art, text, pieces)
 
     i = j = 0
     na, nb = len(first.paragraphs), len(second.paragraphs)
@@ -247,20 +263,20 @@ def pack_pair(
         with_titles = cfg.repeat_titles or not contexts
         builder = _ContextBuilder(first, second, title_cost, with_titles)
         while i < na and j < nb:
-            t1, c1 = first.paragraphs[i]
-            t2, c2 = second.paragraphs[j]
-            if builder.cost + c1 + c2 > n:
+            t1, p1 = first.paragraphs[i]
+            t2, p2 = second.paragraphs[j]
+            if builder.cost + len(p1) + len(p2) > n:
                 break
-            builder.add(True, t1, c1)
-            builder.add(False, t2, c2)
+            builder.add(True, t1, p1)
+            builder.add(False, t2, p2)
             i += 1
             j += 1
         if i >= na:
-            while j < nb and builder.cost + second.paragraphs[j][1] <= n:
+            while j < nb and builder.cost + len(second.paragraphs[j][1]) <= n:
                 builder.add(False, *second.paragraphs[j])
                 j += 1
         elif j >= nb:
-            while i < na and builder.cost + first.paragraphs[i][1] <= n:
+            while i < na and builder.cost + len(first.paragraphs[i][1]) <= n:
                 builder.add(True, *first.paragraphs[i])
                 i += 1
         if builder.placed:

@@ -9,8 +9,10 @@ Pairs travel between stages as ids. pack joins them to their texts: aligned
 pairs through both article stores, pseudo pairs through the target-language
 store and paths.web_corpus, which pack reads only when pseudo pairs exist.
 
-Text is tokenized only by the pack stage: it encodes each context once, in
-corpus order, and later stages work from the ids and counts it wrote.
+Text is tokenized only by the pack stage: it splits each title and paragraph
+into tokenizer pieces once, prices it by their number, and maps each context's
+pieces to ids in one call, in corpus order. Later stages work from the ids and
+counts it wrote.
 
 Output layout under paths.output_dir:
     pairs.tsv                 aligned pair map (align)
@@ -279,7 +281,7 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
     # retrieve queried.
     article_tally = AlignTally()
     store_l = ArticleStore(cfg.paths.articles_l, cfg.language_l, article_tally)
-    with StageGuard() as guard:
+    with store_l, StageGuard() as guard:
         pseudo_path = guard.track(out / PSEUDO_PAIRS_NAME)
         with open(pseudo_path, "w", encoding="utf-8") as f:
             articles = (article for article in store_l if article.text.strip())
@@ -353,10 +355,14 @@ def _iter_source_pairs(cfg: PipelineConfig, align_tally: AlignTally) -> Iterator
     pair_ids = load_pair_map(out / PAIRS_NAME)
     store_en = ArticleStore(cfg.paths.articles_en, "en", align_tally)
     store_l = ArticleStore(cfg.paths.articles_l, cfg.language_l, align_tally)
-    yield from join_articles(pair_ids, store_en, store_l, align_tally)
-    pseudo_path = out / PSEUDO_PAIRS_NAME
-    if pseudo_path.exists():
-        yield from _join_pseudo_pairs(cfg, pseudo_path, store_l)
+    try:
+        yield from join_articles(pair_ids, store_en, store_l, align_tally)
+        pseudo_path = out / PSEUDO_PAIRS_NAME
+        if pseudo_path.exists():
+            yield from _join_pseudo_pairs(cfg, pseudo_path, store_l)
+    finally:
+        store_en.close()
+        store_l.close()
 
 
 def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) -> Path:
@@ -377,8 +383,8 @@ def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) 
                 for pair in _iter_source_pairs(cfg, align_tally):
                     direction = direction_for(pair.pair, cfg.pack)
                     for ctx in pack_pair(pair, tokenizer, cfg.pack, direction, tally):
-                        # The one encode of this context; whitespace ids are
-                        # assigned here, in corpus order.
+                        # The one ids mapping of this context; whitespace ids
+                        # are assigned here, in corpus order.
                         ids, per_language = ctx.encode(tokenizer)
                         fb.write(encode_window_record(ids))
                         entry = ContextEntry(ctx.pair, ctx.seq_index, ctx.direction,

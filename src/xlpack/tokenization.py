@@ -11,6 +11,13 @@ ordinary text ever produces it. Three kinds are provided:
   an optional ``#merges`` section of two-field rules is accepted and skipped).
   Ids are shifted by +1 at load time if the vocabulary already uses the
   reserved id.
+
+Each kind tokenizes in two steps: `pieces(text)` splits delimiter-free text
+into the units that become tokens (words, or UTF-8 byte values for byte), and
+`ids(pieces)` maps them to ids. A text's token count is its number of pieces,
+so a caller that keeps the pieces can price text and later encode it without
+splitting it again. `encode` and `count` run the two steps on each part of a
+text between delimiters.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 _WORD = re.compile(r"\S+")
 
@@ -37,15 +45,15 @@ class TokenizerSpec:
 
 
 class Tokenizer:
-    """Base class handling the reserved delimiter; subclasses encode plain text.
+    """Base class handling the reserved delimiter; subclasses define `ids`.
 
-    Counting and truncation are word-level here: a word is a maximal
-    non-whitespace run. ByteTokenizer overrides both.
+    Pieces, and so counting and truncation, are word-level here: a word is a
+    maximal non-whitespace run. ByteTokenizer overrides all three.
 
-    count is a pure function of the input text. encode is too, except that
-    the whitespace kind assigns word ids on first encounter, so ids depend on
-    the order texts are encoded in; the pipeline encodes each context once,
-    in corpus order, in one process.
+    count is a pure function of the input text. ids, and so encode, is too,
+    except that the whitespace kind assigns word ids on first encounter, so
+    ids depend on the order pieces are mapped in; the pipeline maps each
+    context's pieces once, in corpus order, in one process.
     """
 
     kind = "base"
@@ -54,18 +62,24 @@ class Tokenizer:
         self.split_token_text = split_token_text
         self.split_token_id = split_token_id
 
+    def pieces(self, text: str) -> Sequence:
+        """The units of `text`, which must not contain the delimiter."""
+        return text.split()
+
+    def ids(self, pieces: Sequence) -> list[int]:
+        raise NotImplementedError
+
     def encode(self, text: str) -> list[int]:
-        ids: list[int] = []
-        parts = text.split(self.split_token_text)
-        for k, part in enumerate(parts):
-            if k:
-                ids.append(self.split_token_id)
-            ids.extend(self._encode_plain(part))
-        return ids
+        first, *rest = text.split(self.split_token_text)
+        out = self.ids(self.pieces(first))
+        for part in rest:
+            out.append(self.split_token_id)
+            out += self.ids(self.pieces(part))
+        return out
 
     def count(self, text: str) -> int:
         parts = text.split(self.split_token_text)
-        return sum(self._count_plain(p) for p in parts) + len(parts) - 1
+        return sum(len(self.pieces(p)) for p in parts) + len(parts) - 1
 
     def truncate_to_tokens(self, text: str, max_tokens: int) -> str:
         """Longest prefix of `text` encoding to at most max_tokens tokens.
@@ -80,12 +94,6 @@ class Tokenizer:
             end = m.end()
         return text
 
-    def _encode_plain(self, text: str) -> list[int]:
-        raise NotImplementedError
-
-    def _count_plain(self, text: str) -> int:
-        return len(text.split())
-
 
 class WhitespaceTokenizer(Tokenizer):
     """Words are maximal non-whitespace runs; ids start at 1 in encounter order."""
@@ -97,16 +105,19 @@ class WhitespaceTokenizer(Tokenizer):
         self._ids: dict[str, int] = {}
         self._next_id = split_token_id + 1
 
-    def _encode_plain(self, text: str) -> list[int]:
-        ids = self._ids
-        out = []
-        for word in text.split():
-            wid = ids.get(word)
-            if wid is None:
-                wid = self._next_id
-                ids[word] = wid
-                self._next_id += 1
-            out.append(wid)
+    def ids(self, pieces: Sequence[str]) -> list[int]:
+        table = self._ids
+        out = list(map(table.get, pieces))
+        if None in out:
+            # New words take the next ids in the order they first appear.
+            for k, wid in enumerate(out):
+                if wid is None:
+                    word = pieces[k]
+                    wid = table.get(word)
+                    if wid is None:
+                        wid = table[word] = self._next_id
+                        self._next_id += 1
+                    out[k] = wid
         return out
 
 
@@ -115,11 +126,11 @@ class ByteTokenizer(Tokenizer):
 
     kind = "byte"
 
-    def _encode_plain(self, text: str) -> list[int]:
-        return [b + 1 for b in text.encode("utf-8")]
+    def pieces(self, text: str) -> bytes:
+        return text.encode("utf-8")
 
-    def _count_plain(self, text: str) -> int:
-        return len(text.encode("utf-8"))
+    def ids(self, pieces: Sequence[int]) -> list[int]:
+        return [b + 1 for b in pieces]
 
     def truncate_to_tokens(self, text: str, max_tokens: int) -> str:
         data = text.encode("utf-8")
@@ -182,13 +193,13 @@ class ExternalVocabTokenizer(Tokenizer):
             raise TokenizerError(f"{path}: empty vocabulary")
         return cls(vocab, split_token_text, split_token_id)
 
-    def _encode_plain(self, text: str) -> list[int]:
-        out = []
-        for word in text.split():
-            wid = self._vocab.get(word, self._unk)
-            if wid is None:
+    def ids(self, pieces: Sequence[str]) -> list[int]:
+        out = list(map(self._vocab.get, pieces))
+        if None in out:
+            if self._unk is None:
+                word = pieces[out.index(None)]
                 raise TokenizerError(f"word not in vocabulary and no <unk> entry: {word!r}")
-            out.append(wid)
+            out = [self._unk if wid is None else wid for wid in out]
         return out
 
 

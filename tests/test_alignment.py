@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from xlpack import alignment
 from xlpack.alignment import (
     AlignmentFilters,
     AlignTally,
@@ -128,34 +129,39 @@ class TestJoinArticles:
 
     def test_joins_present_pair(self, tmp_path):
         en, l = self._one_pair(tmp_path)
-        (pair,) = join_articles({PairId(10, 100)}, en, l)
+        with en, l:
+            (pair,) = join_articles({PairId(10, 100)}, en, l)
         assert pair.title_en == "A" and pair.text_l == "target text"
         assert pair.lang_l == "xx" and pair.origin == "wiki"
 
     def test_empty_text_skipped_and_tallied(self, tmp_path):
         en, l = _stores(tmp_path, [(100, "A", "")], [(10, "B", "text")])
         tally = AlignTally()
-        assert list(join_articles({PairId(10, 100)}, en, l, tally)) == []
+        with en, l:
+            assert list(join_articles({PairId(10, 100)}, en, l, tally)) == []
         assert tally.pairs_missing_text == 1
 
     def test_missing_article_skipped(self, tmp_path):
         en, l = self._one_pair(tmp_path)
         tally = AlignTally()
-        out = list(join_articles({PairId(10, 100), PairId(11, 101)}, en, l, tally))
+        with en, l:
+            out = list(join_articles({PairId(10, 100), PairId(11, 101)}, en, l, tally))
         assert len(out) == 1
         assert tally.pairs_missing_text == 1
 
     def test_output_order_ascending(self, tmp_path):
         en, l = _stores(tmp_path, [(5, "E5", "e"), (9, "E9", "e")],
                         [(2, "L2", "t"), (1, "L1", "t")])
-        out = list(join_articles({PairId(2, 9), PairId(1, 5)}, en, l))
+        with en, l:
+            out = list(join_articles({PairId(2, 9), PairId(1, 5)}, en, l))
         assert [(p.pair.id_l, p.pair.id_en) for p in out] == [(1, 5), (2, 9)]
 
     def test_duplicate_article_ignored_and_tallied(self, tmp_path):
         tally = AlignTally()
         en, l = _stores(tmp_path, [(100, "A", "first"), (100, "A", "second")],
                         [(10, "B", "t")], tally)
-        (pair,) = join_articles({PairId(10, 100)}, en, l, tally)
+        with en, l:
+            (pair,) = join_articles({PairId(10, 100)}, en, l, tally)
         assert pair.text_en == "first"
         assert tally.duplicate_articles == 1
 
@@ -165,7 +171,8 @@ class TestJoinArticles:
         with tempfile.TemporaryDirectory() as root:
             en, l = _stores(Path(root), [(100 + i, f"E{i}", "e") for i in perm],
                             [(i, f"L{i}", "t") for i in perm])
-            out = [p.pair for p in join_articles(pair_ids, en, l)]
+            with en, l:
+                out = [p.pair for p in join_articles(pair_ids, en, l)]
         assert out == sorted(pair_ids)
 
 
@@ -178,12 +185,12 @@ class TestArticleStore:
         write_articles_jsonl(
             tmp_path / "l" / "wiki_00.jsonl", [(10, "A-l", "target")]
         )
-        store_en = ArticleStore(tmp_path / "en", "en")
-        store_l = ArticleStore(tmp_path / "l", "xx")
-        assert len(store_en) == 2
-        assert store_en.get(100).text == "english"
-        assert store_en.get(999) is None
-        (pair,) = join_articles({PairId(10, 100)}, store_en, store_l)
+        with ArticleStore(tmp_path / "en", "en") as store_en, \
+                ArticleStore(tmp_path / "l", "xx") as store_l:
+            assert len(store_en) == 2
+            assert store_en.get(100).text == "english"
+            assert store_en.get(999) is None
+            (pair,) = join_articles({PairId(10, 100)}, store_en, store_l)
         assert pair.text_en == "english" and pair.text_l == "target"
 
     def test_store_tallies_duplicates(self, tmp_path):
@@ -191,9 +198,51 @@ class TestArticleStore:
             tmp_path / "wiki_00.jsonl", [(1, "A", "x"), (1, "A", "y")]
         )
         tally = AlignTally()
-        store = ArticleStore(tmp_path / "wiki_00.jsonl", "en", tally)
-        assert store.get(1).text == "x"
+        with ArticleStore(tmp_path / "wiki_00.jsonl", "en", tally) as store:
+            assert store.get(1).text == "x"
         assert tally.duplicate_articles == 1
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """(file name, handle) of every open() that xlpack.alignment makes."""
+        calls = []
+
+        def counting_open(file, *args, **kwargs):
+            handle = open(file, *args, **kwargs)
+            calls.append((Path(file).name, handle))
+            return handle
+
+        monkeypatch.setattr(alignment, "open", counting_open, raising=False)
+        return calls
+
+    def test_get_reuses_one_handle_per_file(self, tmp_path, opened):
+        write_articles_jsonl(tmp_path / "a" / "wiki_00.jsonl",
+                             [(k, f"A{k}", f"text {k}") for k in range(5)])
+        write_articles_jsonl(tmp_path / "a" / "wiki_01.jsonl",
+                             [(k, f"B{k}", f"text {k}") for k in range(5, 10)])
+        store = ArticleStore(tmp_path / "a", "en")
+        opened.clear()  # indexing scans each file once
+        for _ in range(3):
+            for k in (0, 7, 4, 9, 2, 5):
+                assert store.get(k).text == f"text {k}"
+        assert sorted(name for name, _ in opened) == ["wiki_00.jsonl", "wiki_01.jsonl"]
+        assert not any(handle.closed for _, handle in opened)
+        store.close()
+        assert all(handle.closed for _, handle in opened)
+        store.close()  # closing twice is harmless
+
+    def test_least_recently_read_handle_closes_first(self, tmp_path, opened, monkeypatch):
+        for k in range(3):
+            write_articles_jsonl(tmp_path / "a" / f"wiki_0{k}.jsonl", [(k, f"T{k}", "t")])
+        monkeypatch.setattr(ArticleStore, "MAX_OPEN_FILES", 2)
+        with ArticleStore(tmp_path / "a", "en") as store:
+            opened.clear()
+            for k in (0, 1, 0, 2, 0, 1):
+                store.get(k)
+            names = [name for name, _ in opened]
+            assert names == ["wiki_00.jsonl", "wiki_01.jsonl", "wiki_02.jsonl", "wiki_01.jsonl"]
+            assert [handle.closed for _, handle in opened] == [False, True, True, False]
+        assert all(handle.closed for _, handle in opened)
 
 
 class TestPairMapPersistence:

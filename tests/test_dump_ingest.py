@@ -246,11 +246,11 @@ class TestExtractedArticles:
     def test_basic_record(self, tmp_path):
         f = tmp_path / "a.jsonl"
         f.write_text('{"id":"5","title":"Cat","text":"a b\\n\\nc"}\n', encoding="utf-8")
-        store = ArticleStore(f, "en")
-        (art,) = store
-        assert (art.page_id, art.title, art.text, art.lang) == (5, "Cat", "a b\n\nc", "en")
-        assert store.get(5) == art
-        assert 5 in store and 6 not in store
+        with ArticleStore(f, "en") as store:
+            (art,) = store
+            assert (art.page_id, art.title, art.text, art.lang) == (5, "Cat", "a b\n\nc", "en")
+            assert store.get(5) == art
+            assert 5 in store and 6 not in store
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "a.jsonl"
@@ -279,9 +279,9 @@ class TestExtractedArticles:
             encoding="utf-8",
         )
         tally = AlignTally()
-        store = ArticleStore(f, "en", tally)
-        assert [a.page_id for a in store] == [2]
-        assert store.get(2).text == ""
+        with ArticleStore(f, "en", tally) as store:
+            assert [a.page_id for a in store] == [2]
+            assert store.get(2).text == ""
         assert tally.malformed_articles == 3
         assert tally.duplicate_articles == 0
 

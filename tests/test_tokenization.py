@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from xlpack.tokenization import (
     ByteTokenizer,
+    ExternalVocabTokenizer,
     TokenizerError,
     TokenizerSpec,
     WhitespaceTokenizer,
@@ -17,6 +18,72 @@ _plain_text = st.text(
     alphabet=st.characters(exclude_categories=("Cs",), exclude_characters="["),
     max_size=120,
 )
+
+# Texts built from words, the delimiter (whole and in halves), ASCII and
+# Unicode whitespace, and arbitrary characters.
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2003\u2028\u2029\u202f\u3000"
+_WORDS = ["a", "b", "é", "ab", "日本"]
+_delimited_text = st.lists(
+    st.one_of(
+        st.sampled_from(_WORDS + ["[SPLIT]", "[SPL", "IT]"]),
+        st.sampled_from(_WHITESPACE),
+        st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=4),
+    ),
+    max_size=30,
+).map("".join)
+
+_KINDS = {
+    "whitespace": WhitespaceTokenizer,
+    "byte": ByteTokenizer,
+    "external": lambda: ExternalVocabTokenizer({"<unk>": 1, "a": 2, "b": 3, "é": 4}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+class TestEveryKind:
+    @given(text=_delimited_text)
+    def test_count_equals_encode_len(self, kind, text):
+        tok = _KINDS[kind]()
+        assert tok.count(text) == len(tok.encode(text))
+
+    @given(text=_delimited_text)
+    def test_encode_joins_ids_of_pieces_at_delimiters(self, kind, text):
+        tok, ref = _KINDS[kind](), _KINDS[kind]()
+        expected = []
+        for k, part in enumerate(text.split("[SPLIT]")):
+            if k:
+                expected.append(ref.split_token_id)
+            expected += ref.ids(ref.pieces(part))
+        assert tok.encode(text) == expected
+
+
+@given(st.lists(st.sampled_from(_WORDS), max_size=30), st.integers(0, 30))
+def test_whitespace_ids_on_first_encounter(words, cut):
+    tok = WhitespaceTokenizer()
+    first_seen: dict[str, int] = {}
+    for word in words:
+        first_seen.setdefault(word, len(first_seen) + 1)
+    # Split over two calls or made in one, ids follow first encounter.
+    assert tok.ids(words[:cut]) + tok.ids(words[cut:]) == [first_seen[w] for w in words]
+    assert WhitespaceTokenizer().ids(words) == [first_seen[w] for w in words]
+
+
+def test_word_new_twice_in_one_call_gets_one_id(whitespace_tokenizer):
+    assert whitespace_tokenizer.ids(["known"]) == [1]
+    assert whitespace_tokenizer.ids(["x", "known", "x", "y", "x"]) == [2, 1, 2, 3, 2]
+
+
+@given(st.lists(st.sampled_from(_WORDS), max_size=12))
+def test_external_without_unk_names_first_unknown_word(words):
+    tok = ExternalVocabTokenizer({"a": 1, "b": 2})
+    unknown = [w for w in words if w not in ("a", "b")]
+    if not unknown:
+        assert tok.ids(words) == [{"a": 1, "b": 2}[w] for w in words]
+        return
+    for call in (lambda: tok.ids(words), lambda: tok.encode(" ".join(words))):
+        with pytest.raises(TokenizerError) as err:
+            call()
+        assert str(err.value).endswith(repr(unknown[0]))
 
 
 class TestMakeTokenizer:

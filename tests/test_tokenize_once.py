@@ -14,6 +14,7 @@ import pytest
 
 from xlpack.cli import EXIT_INPUT, EXIT_OK, EXIT_STAGE, run
 from xlpack.export import encode_window_record, iter_shard_records
+from xlpack.report import read_events
 from xlpack.synth import build_corpus
 from xlpack.tokenization import Tokenizer
 
@@ -58,13 +59,60 @@ def test_slide_and_stats_never_tokenize(tmp_path, monkeypatch):
     for sub in ("align", "pack"):
         assert run([sub, "--config", str(cfg_path)]) == EXIT_OK, sub
 
-    def refuse(self, text):
+    def refuse(self, arg):
         raise AssertionError("tokenizer called after pack")
 
-    monkeypatch.setattr(Tokenizer, "encode", refuse)
-    monkeypatch.setattr(Tokenizer, "count", refuse)
+    # Every kind, since a kind may override any step.
+    kinds = [Tokenizer, *Tokenizer.__subclasses__()]
+    assert {k.kind for k in kinds} == {"base", "whitespace", "byte", "external"}
+    for kind in kinds:
+        for step in ("encode", "count", "pieces", "ids"):
+            monkeypatch.setattr(kind, step, refuse)
     for sub in ("slide", "export", "stats"):
         assert run([sub, "--config", str(cfg_path)]) == EXIT_OK, sub
+
+
+# Pack output under the two other tokenizer kinds, at budgets small enough
+# that oversize paragraphs are truncated. The external vocabulary covers only
+# some words, so the rest map to <unk> (id 1).
+PACK_DIGESTS = {
+    "byte": (64, {
+        "contexts.bin": "187db0372a39bb7e1a088d2998711031930687c3e468ad25b5f93f6bfe14a4f1",
+        "contexts.jsonl": "6744d0da9bac726c8dcd35a3a10aa77f08dcdd42bc5c1518b1b844603d3ae83a",
+    }),
+    "external": (10, {
+        "contexts.bin": "5eb9b3bb75a99cd49932a9917016b8d239d94a49d84fd65e5f64db07f771a121",
+        "contexts.jsonl": "7f693136161b00781778dd5936fe0448fd405002b5067dc842936bbaa1e5f6ee",
+    }),
+}
+
+
+def _partial_vocab(path):
+    lines = ["<unk>\t1", "Topic\t5000", "Thema\t5001"]
+    lines += [f"en{k}\t{k + 2}" for k in range(0, 2000, 2)]
+    lines += [f"xx{k}\t{k + 3}" for k in range(0, 2000, 3)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind", sorted(PACK_DIGESTS))
+def test_pack_digests_pinned(tmp_path, monkeypatch, kind):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    n_budget, expected = PACK_DIGESTS[kind]
+    extra = {"tokenizer.kind": kind}
+    if kind == "external":
+        extra["tokenizer.vocab_source"] = str(_partial_vocab(tmp_path / "partial.vocab"))
+    corpus = build_corpus(tmp_path / "data", n_pairs=40, seed=11)
+    cfg_path = make_config(tmp_path, corpus, n_budget=n_budget, extra=extra)
+    for sub in ("align", "pack"):
+        assert run([sub, "--config", str(cfg_path)]) == EXIT_OK, sub
+    out = tmp_path / "out"
+    (done,) = [e for e in read_events(out / "run_report.jsonl") if e.get("stage") == "pack"]
+    assert done["packing"]["truncated_paragraphs"] > 0
+    if kind == "external":
+        assert any(1 in ids for ids in iter_shard_records(out / "contexts.bin"))
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
+    assert digests == expected
 
 
 @pytest.fixture
