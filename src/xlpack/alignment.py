@@ -16,7 +16,6 @@ first well-formed record of each page id.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
@@ -154,19 +153,17 @@ class ArticleStore:
     is not a record under malformed_articles. Iterating the store yields the
     indexed records in file order, in one more sequential scan.
 
-    `get` keeps one read handle open per file it has read from, at most
-    MAX_OPEN_FILES at a time (the least recently read is closed first), until
-    `close()`; use the store as a context manager.
+    `get` keeps the read handle of the last file it read from open, and
+    reopens only when a record lies in another file, until `close()`; use the
+    store as a context manager.
     """
-
-    MAX_OPEN_FILES = 64
 
     def __init__(self, path: str | Path, lang: str, tally: AlignTally | None = None):
         self.lang = lang
         tally = tally if tally is not None else AlignTally()
         self._index: dict[int, tuple[int, int]] = {}
         self._files = article_files(path)
-        self._handles: OrderedDict[int, BinaryIO] = OrderedDict()
+        self._handle: tuple[int, BinaryIO] | None = None  # (file index, open file)
         for loc, article in self._scan():
             if article is None:
                 tally.malformed_articles += 1
@@ -201,19 +198,17 @@ class ArticleStore:
         if loc is None:
             return None
         fidx, offset = loc
-        f = self._handles.get(fidx)
-        if f is None:
-            if len(self._handles) >= self.MAX_OPEN_FILES:
-                self._handles.popitem(last=False)[1].close()
-            f = self._handles[fidx] = open(self._files[fidx], "rb")
-        else:
-            self._handles.move_to_end(fidx)
+        if self._handle is None or self._handle[0] != fidx:
+            self.close()
+            self._handle = (fidx, open(self._files[fidx], "rb"))
+        f = self._handle[1]
         f.seek(offset)
         return parse_article_line(f.readline(), self.lang)
 
     def close(self) -> None:
-        while self._handles:
-            self._handles.popitem()[1].close()
+        if self._handle is not None:
+            self._handle[1].close()
+            self._handle = None
 
     def __enter__(self) -> "ArticleStore":
         return self

@@ -55,14 +55,12 @@ class ParagraphizedArticle:
 @dataclass
 class PackedContext:
     segments: list[Segment]
+    pieces: list[Sequence]  # per segment, the tokenizer pieces of its text + SEGMENT_DELIM
     token_len: int  # includes the terminal split token
     direction: str
     pair: PairId
     seq_index: int
     origin: str = "wiki"
-    # Per segment, the tokenizer pieces of its text + SEGMENT_DELIM; derived
-    # from the text when absent.
-    pieces: list[Sequence] | None = None
 
     def rendered_text(self, split_token_text: str) -> str:
         return "".join(s.text + SEGMENT_DELIM for s in self.segments) + split_token_text
@@ -75,12 +73,9 @@ class PackedContext:
         corpus order. The terminal split token is in the ids but in no
         language's count.
         """
-        seg_pieces = self.pieces
-        if seg_pieces is None:
-            seg_pieces = [tokenizer.pieces(s.text + SEGMENT_DELIM) for s in self.segments]
         flat: list = []
         per_language: dict[str, int] = {}
-        for seg, pieces in zip(self.segments, seg_pieces):
+        for seg, pieces in zip(self.segments, self.pieces):
             flat += pieces
             per_language[seg.lang] = per_language.get(seg.lang, 0) + len(pieces)
         ids = tokenizer.ids(flat)
@@ -215,12 +210,12 @@ def pack_pair(
         contexts.append(
             PackedContext(
                 segments=segments,
+                pieces=pieces,
                 token_len=builder.cost,
                 direction=direction,
                 pair=pair.pair,
                 seq_index=len(contexts),
                 origin=pair.origin,
-                pieces=pieces,
             )
         )
         tally.contexts_emitted += 1
@@ -237,12 +232,12 @@ def pack_pair(
         contexts.append(
             PackedContext(
                 segments=[Segment(art.lang, "paragraph", short)],
+                pieces=[pieces],
                 token_len=len(pieces) + 1,
                 direction=direction,
                 pair=pair.pair,
                 seq_index=len(contexts),
                 origin=pair.origin,
-                pieces=[pieces],
             )
         )
         tally.contexts_emitted += 1

@@ -28,7 +28,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,9 +40,6 @@ MAX_CONTENT_KEYWORDS = 10
 _WIKILINK = re.compile(r"\[\[([^\[\]|]+)(?:\|[^\[\]]*)?\]\]")
 
 _NORM_TOLERANCE = 1e-6
-# A batch norm this close to the tolerance edge is rechecked per vector: the
-# batch and per-vector sums may round differently, by far less than this.
-_NORM_EDGE = 1e-9
 
 
 class RetrievalError(RuntimeError):
@@ -152,36 +149,6 @@ def _normalize(vec: np.ndarray, label: str) -> np.ndarray:
     return vec
 
 
-def _unit_rows(block: np.ndarray, label: Callable[[int], str]) -> np.ndarray:
-    """`_normalize` of every row of a float64 (m, d) block, in place.
-
-    All norms are taken in one pass. A row clearly within the tolerance stays
-    as it is, which is what `_normalize` does with it; every other row (zero,
-    NaN, to be rescaled, or near the tolerance edge) goes through `_normalize`,
-    so each row is bit-identical to the per-vector result. `label(i)` names
-    row i in the zero-norm error.
-    """
-    norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-    for i in np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOLERANCE - _NORM_EDGE)):
-        block[i] = _normalize(block[i], label(i))
-    return block
-
-
-def _normalize_batch(vectors: Sequence, texts: Sequence[str]) -> list[np.ndarray]:
-    """`_normalize` of one embed_batch's vectors, named by their texts."""
-
-    def label(i: int) -> str:
-        return repr(texts[i][:40])
-
-    try:
-        block = np.array(vectors, dtype=np.float64)
-    except (ValueError, TypeError):  # ragged or malformed: checked one by one
-        block = None
-    if block is None or block.ndim != 2:
-        return [_normalize(v, label(i)) for i, v in enumerate(vectors)]
-    return list(_unit_rows(block, label))
-
-
 class MockEmbeddingProvider:
     """Deterministic embeddings: a seeded hash of the text drives the RNG."""
 
@@ -196,8 +163,8 @@ class MockEmbeddingProvider:
                 f"{self.seed}:{text}".encode(), digest_size=8
             ).digest()
             rng = np.random.default_rng(int.from_bytes(digest, "little"))
-            out.append(rng.standard_normal(self.dim))
-        return _normalize_batch(out, texts)
+            out.append(_normalize(rng.standard_normal(self.dim), repr(text[:40])))
+        return out
 
 
 class CachedEmbeddingProvider:
@@ -214,7 +181,7 @@ class CachedEmbeddingProvider:
         missing = [t for t in texts if t not in self._table]
         if missing:
             raise EmbeddingError(f"embedding cache is missing keys: {missing!r}")
-        return _normalize_batch([self._table[t] for t in texts], texts)
+        return [_normalize(self._table[t], repr(t[:40])) for t in texts]
 
 
 class WireEmbeddingProvider:
@@ -261,7 +228,10 @@ class WireEmbeddingProvider:
                     raise EmbeddingError(
                         f"endpoint returned {len(vectors)} vectors for {len(texts)} texts"
                     )
-                return _normalize_batch(vectors, texts)
+                return [
+                    _normalize(np.asarray(v, dtype=np.float64), repr(t[:40]))
+                    for v, t in zip(vectors, texts)
+                ]
             except (requests.RequestException, KeyError, ValueError) as e:
                 last_error = e
         raise EmbeddingError(
@@ -353,7 +323,7 @@ class VectorIndex:
         for doc in docs:
             if doc.doc_id in seen:
                 raise RetrievalError(f"duplicate doc_id {doc.doc_id!r}")
-            vec = np.asarray(doc.vector, dtype=np.float64)
+            vec = _normalize(doc.vector, doc.doc_id)
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
@@ -365,8 +335,7 @@ class VectorIndex:
             rows += vec.tobytes()
         if not doc_ids:
             return cls([], np.zeros((0, 0), dtype=np.float64))
-        matrix = _unit_rows(np.frombuffer(rows, dtype=np.float64).reshape(len(doc_ids), dim),
-                            doc_ids.__getitem__)
+        matrix = np.frombuffer(rows, dtype=np.float64).reshape(len(doc_ids), dim)
         order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
         if order != list(range(len(doc_ids))):
             matrix = matrix[order]

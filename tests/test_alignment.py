@@ -218,30 +218,28 @@ class TestArticleStore:
     def test_get_reuses_one_handle_per_file(self, tmp_path, opened):
         write_articles_jsonl(tmp_path / "a" / "wiki_00.jsonl",
                              [(k, f"A{k}", f"text {k}") for k in range(5)])
-        write_articles_jsonl(tmp_path / "a" / "wiki_01.jsonl",
-                             [(k, f"B{k}", f"text {k}") for k in range(5, 10)])
         store = ArticleStore(tmp_path / "a", "en")
-        opened.clear()  # indexing scans each file once
+        opened.clear()  # indexing scans the file once
         for _ in range(3):
-            for k in (0, 7, 4, 9, 2, 5):
+            for k in (0, 3, 4, 1, 2):
                 assert store.get(k).text == f"text {k}"
-        assert sorted(name for name, _ in opened) == ["wiki_00.jsonl", "wiki_01.jsonl"]
-        assert not any(handle.closed for _, handle in opened)
+        assert [name for name, _ in opened] == ["wiki_00.jsonl"]
+        assert not opened[0][1].closed
         store.close()
-        assert all(handle.closed for _, handle in opened)
+        assert opened[0][1].closed
         store.close()  # closing twice is harmless
 
-    def test_least_recently_read_handle_closes_first(self, tmp_path, opened, monkeypatch):
-        for k in range(3):
-            write_articles_jsonl(tmp_path / "a" / f"wiki_0{k}.jsonl", [(k, f"T{k}", "t")])
-        monkeypatch.setattr(ArticleStore, "MAX_OPEN_FILES", 2)
+    def test_get_switches_handle_between_files(self, tmp_path, opened):
+        for k in range(2):
+            write_articles_jsonl(tmp_path / "a" / f"wiki_0{k}.jsonl",
+                                 [(10 * k + j, f"T{k}{j}", "t") for j in range(3)])
         with ArticleStore(tmp_path / "a", "en") as store:
             opened.clear()
-            for k in (0, 1, 0, 2, 0, 1):
+            for k in (0, 1, 2, 10, 11, 12, 0):
                 store.get(k)
             names = [name for name, _ in opened]
-            assert names == ["wiki_00.jsonl", "wiki_01.jsonl", "wiki_02.jsonl", "wiki_01.jsonl"]
-            assert [handle.closed for _, handle in opened] == [False, True, True, False]
+            assert names == ["wiki_00.jsonl", "wiki_01.jsonl", "wiki_00.jsonl"]
+            assert [handle.closed for _, handle in opened] == [True, True, False]
         assert all(handle.closed for _, handle in opened)
 
 

@@ -20,7 +20,7 @@ from xlpack.export import (
     split_validation,
     write_shards,
 )
-from xlpack.packing import PackedContext, Segment
+from xlpack.packing import SEGMENT_DELIM, PackedContext, Segment
 from xlpack.sliding import WindowShard
 from xlpack.tokenization import WhitespaceTokenizer
 
@@ -180,15 +180,17 @@ class TestConfigDigest:
 
 def _entry(segments, origin="wiki", tok=None):
     """Index entry of one context, with counts from PackedContext.encode."""
+    tok = tok or WhitespaceTokenizer()
     ctx = PackedContext(
         segments=[Segment(*s) for s in segments],
+        pieces=[tok.pieces(text + SEGMENT_DELIM) for _, _, text in segments],
         token_len=0,
         direction="en_first",
         pair=PairId(1, 2),
         seq_index=0,
         origin=origin,
     )
-    ids, per_language = ctx.encode(tok or WhitespaceTokenizer())
+    ids, per_language = ctx.encode(tok)
     return ContextEntry(ctx.pair, ctx.seq_index, ctx.direction, origin, len(ids),
                         per_language)
 

@@ -147,50 +147,6 @@ class TestProviders:
         (w,) = CachedEmbeddingProvider({"a": np.array([3.0, 4.0])}).embed_batch(["a"])
         assert np.allclose(w, [0.6, 0.8], atol=1e-12)
 
-    @given(st.lists(st.sampled_from([0.0, 1.0, 0.5, 3.0, 1 + 1e-7, 1 - 1e-7, 1 + 1e-6,
-                                     1 - 1e-6, 1 + 1e-6 + 2e-16, 1 - 1e-6 - 2e-16,
-                                     1 + 1e-6 + 1e-10, 1 - 1e-6 + 1e-10]),
-                    min_size=1, max_size=8),
-           st.integers(0, 2**32 - 1))
-    def test_batch_check_matches_per_vector_normalize(self, norms, seed):
-        # Norms at and around the tolerance edge: every vector must come out
-        # with the bits of the one-vector-at-a-time check (np.linalg.norm,
-        # rescaled only when more than 1e-6 off), and a zero vector must
-        # still be refused by name.
-        rng = np.random.default_rng(seed)
-        table = {}
-        for i, norm in enumerate(norms):
-            v = rng.standard_normal(5)
-            table[f"t{i}"] = v / np.linalg.norm(v) * norm
-        texts = list(table)
-        if 0.0 in norms:
-            with pytest.raises(EmbeddingError) as err:
-                CachedEmbeddingProvider(table).embed_batch(texts)
-            assert str(err.value) == f"zero-norm embedding for 't{norms.index(0.0)}'"
-            return
-        batch = CachedEmbeddingProvider(table).embed_batch(texts)
-        for text, got in zip(texts, batch):
-            vec = table[text]
-            norm = float(np.linalg.norm(vec))
-            want = vec / norm if abs(norm - 1.0) > 1e-6 else vec
-            assert got.tobytes() == want.tobytes()
-        index = VectorIndex.build(CandidateDoc(t, table[t]) for t in texts)
-        assert index.matrix.tobytes() == np.stack(batch).tobytes()
-
-    def test_zero_norm_errors_name_the_text_or_doc(self):
-        provider = CachedEmbeddingProvider({"fine": np.array([1.0, 0.0]),
-                                            "empty": np.zeros(2)})
-        with pytest.raises(EmbeddingError, match="zero-norm embedding for 'empty'"):
-            provider.embed_batch(["fine", "empty"])
-        docs = [CandidateDoc("d1", np.array([0.0, 1.0])), CandidateDoc("d2", np.zeros(2))]
-        with pytest.raises(EmbeddingError, match="zero-norm embedding for d2"):
-            VectorIndex.build(docs)
-
-    def test_ragged_batch_checked_per_vector(self):
-        table = {"a": np.array([3.0, 4.0]), "b": np.array([0.0, 0.0, 2.0])}
-        a, b = CachedEmbeddingProvider(table).embed_batch(["a", "b"])
-        assert np.allclose(a, [0.6, 0.8]) and np.allclose(b, [0.0, 0.0, 1.0])
-
 
 class _EmbeddingHandler(http.server.BaseHTTPRequestHandler):
     fail_times = 0

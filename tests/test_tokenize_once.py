@@ -73,14 +73,21 @@ def test_slide_and_stats_never_tokenize(tmp_path, monkeypatch):
 
 
 # Pack output under the two other tokenizer kinds, at budgets small enough
-# that oversize paragraphs are truncated. The external vocabulary covers only
-# some words, so the rest map to <unk> (id 1).
+# that oversize paragraphs are truncated: (n_budget, longest context, digests).
+# The external vocabulary covers only some words, so the rest map to <unk>
+# (id 1).
+#
+# The byte bytes pin a known defect: emit_oversize truncates a paragraph to
+# n_budget - 1 tokens of text, but the byte kind prices the trailing segment
+# delimiter as 2 more tokens, so truncated contexts hold 66 tokens against a
+# budget of 64, and slide refuses them. Mending that must change the longest
+# length and both byte digests here.
 PACK_DIGESTS = {
-    "byte": (64, {
+    "byte": (64, 66, {
         "contexts.bin": "187db0372a39bb7e1a088d2998711031930687c3e468ad25b5f93f6bfe14a4f1",
         "contexts.jsonl": "6744d0da9bac726c8dcd35a3a10aa77f08dcdd42bc5c1518b1b844603d3ae83a",
     }),
-    "external": (10, {
+    "external": (10, 10, {
         "contexts.bin": "5eb9b3bb75a99cd49932a9917016b8d239d94a49d84fd65e5f64db07f771a121",
         "contexts.jsonl": "7f693136161b00781778dd5936fe0448fd405002b5067dc842936bbaa1e5f6ee",
     }),
@@ -98,7 +105,7 @@ def _partial_vocab(path):
 @pytest.mark.parametrize("kind", sorted(PACK_DIGESTS))
 def test_pack_digests_pinned(tmp_path, monkeypatch, kind):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-    n_budget, expected = PACK_DIGESTS[kind]
+    n_budget, longest, expected = PACK_DIGESTS[kind]
     extra = {"tokenizer.kind": kind}
     if kind == "external":
         extra["tokenizer.vocab_source"] = str(_partial_vocab(tmp_path / "partial.vocab"))
@@ -111,6 +118,8 @@ def test_pack_digests_pinned(tmp_path, monkeypatch, kind):
     assert done["packing"]["truncated_paragraphs"] > 0
     if kind == "external":
         assert any(1 in ids for ids in iter_shard_records(out / "contexts.bin"))
+    with open(out / "contexts.jsonl", encoding="utf-8") as f:
+        assert max(json.loads(line)["token_len"] for line in f) == longest
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
     assert digests == expected
 
