@@ -21,6 +21,8 @@ import math
 import os
 import random
 import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,8 +37,6 @@ T = TypeVar("T")
 
 SHARD_PATTERN = "windows-{:05d}.bin"
 MANIFEST_NAME = "manifest.json"
-
-_MAX_TOKEN_ID = 2**32 - 1
 
 
 class ShardError(ValueError):
@@ -116,10 +116,13 @@ def split_validation(contexts: Sequence[T], cfg: SplitConfig) -> tuple[list[T], 
 
 
 def encode_window_record(ids: Sequence[int]) -> bytes:
-    arr = np.asarray(ids, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() > _MAX_TOKEN_ID):
-        raise ShardError("token id out of u32 range")
-    return struct.pack("<I", len(ids)) + arr.astype("<u4").tobytes()
+    try:
+        arr = array("I", ids)
+    except OverflowError as e:
+        raise ShardError("token id out of u32 range") from e
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return struct.pack("<I", len(arr)) + arr.tobytes()
 
 
 def write_shards(

@@ -3,30 +3,35 @@
 Each article is split into paragraphs on blank lines. A context holds two
 language blocks, each led by its title, with all first-language segments before
 all second-language segments ("first" is English under the en_first direction).
-Paragraphs are taken pairwise, one from each side per step, while the projected
-token cost stays within the budget; once one side runs out, the other continues
+Paragraphs are taken pairwise, one from each side per step, while the token
+cost stays within the budget; once one side runs out, the other continues
 alone. When a context fills up it is closed and a new one opens (titles repeat
 by default), until both sides are exhausted.
 
-Cost accounting is per segment: every segment is priced as its text plus a
-trailing blank-line delimiter, plus one token for the terminal delimiter token.
-Each title and paragraph is split into tokenizer pieces once, when its article
-is paragraphized, and its cost is its number of pieces. A context carries the
-pieces of its segments, and encoding it maps them to ids in one call, so no
-text is split twice. For non-merging tokenizers the cost equals the token
-count of the rendered context exactly; for subword tokenizers the packer's
-estimate may differ by a few tokens at segment seams, and the context index
-records the encoded length, not the estimate.
+Every segment is priced as its text plus a trailing blank-line delimiter, plus
+one token for the terminal delimiter token. Each title and paragraph is split
+into tokenizer pieces once, when its article is paragraphized; the article
+keeps its paragraphs' pieces as one flat sequence with an `offsets` prefix sum,
+so a paragraph run costs `offsets[b] - offsets[a]`. While both sides have
+paragraphs the two cursors move in lockstep, so one bisect over the summed
+offsets of the pair finds how far a context reaches, and one bisect over a
+side's offsets finds its one-sided tail. A context is therefore two paragraph
+ranges over the pair's articles, and encoding it maps the title pieces and two
+flat slices to ids in one call. Since `len(ids) == len(pieces)` for every
+tokenizer kind, a context's cost is exactly its encoded length.
 
 A paragraph too large to fit even a fresh context is emitted alone, truncated
-at token level (or skipped when truncation is disabled); that is the only case
-where article text is not reproduced verbatim, and it is tallied.
+at token level so that it and its delimiter leave room for the split token (or
+skipped when truncation is disabled); that is the only case where article text
+is not reproduced verbatim, and it is tallied.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .alignment import ArticlePair, PairId
@@ -44,23 +49,46 @@ class Segment(NamedTuple):
     text: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ParagraphizedArticle:
     title: str
     title_pieces: Sequence  # tokenizer pieces of title + SEGMENT_DELIM
-    paragraphs: list[tuple[str, Sequence]]  # (text, pieces of text + SEGMENT_DELIM)
+    paragraphs: list[str]
+    flat: Sequence  # pieces of each paragraph + SEGMENT_DELIM, concatenated
+    offsets: list[int]  # paragraph k's pieces are flat[offsets[k]:offsets[k + 1]]
     lang: str
 
 
-@dataclass
+@dataclass(slots=True)
 class PackedContext:
-    segments: list[Segment]
-    pieces: list[Sequence]  # per segment, the tokenizer pieces of its text + SEGMENT_DELIM
+    """Two paragraph ranges over a pair's articles, each led by its title
+    when with_titles is set; a range (a, b) holds paragraphs a..b-1."""
+
+    first: ParagraphizedArticle
+    second: ParagraphizedArticle
+    with_titles: bool
+    first_range: tuple[int, int]
+    second_range: tuple[int, int]
     token_len: int  # includes the terminal split token
     direction: str
     pair: PairId
     seq_index: int
     origin: str = "wiki"
+
+    def _blocks(self) -> Iterator[tuple[ParagraphizedArticle, int, int]]:
+        """(article, a, b) of each language block that holds a segment."""
+        for art, (a, b) in ((self.first, self.first_range), (self.second, self.second_range)):
+            if self.with_titles or a < b:
+                yield art, a, b
+
+    @property
+    def segments(self) -> list[Segment]:
+        out: list[Segment] = []
+        for art, a, b in self._blocks():
+            if self.with_titles:
+                out.append(Segment(art.lang, "title", art.title))
+            out += [Segment(art.lang, "paragraph", t) for t in art.paragraphs[a:b]]
+        return out
 
     def rendered_text(self, split_token_text: str) -> str:
         return "".join(s.text + SEGMENT_DELIM for s in self.segments) + split_token_text
@@ -68,17 +96,20 @@ class PackedContext:
     def encode(self, tokenizer: Tokenizer) -> tuple[list[int], dict[str, int]]:
         """Token ids of the rendered context, plus per-language token counts.
 
-        The segments' pieces are mapped in one `ids` call, in segment order,
-        so a tokenizer that assigns ids on first encounter assigns them in
-        corpus order. The terminal split token is in the ids but in no
-        language's count.
+        The title pieces and paragraph slices are mapped in one `ids` call, in
+        segment order, so a tokenizer that assigns ids on first encounter
+        assigns them in corpus order. The terminal split token is in the ids
+        but in no language's count.
         """
-        flat: list = []
+        pieces = self.first.flat[:0]
         per_language: dict[str, int] = {}
-        for seg, pieces in zip(self.segments, self.pieces):
-            flat += pieces
-            per_language[seg.lang] = per_language.get(seg.lang, 0) + len(pieces)
-        ids = tokenizer.ids(flat)
+        for art, a, b in self._blocks():
+            part = art.flat[art.offsets[a]:art.offsets[b]]
+            if self.with_titles:
+                part = art.title_pieces + part
+            pieces += part
+            per_language[art.lang] = per_language.get(art.lang, 0) + len(part)
+        ids = tokenizer.ids(pieces)
         ids.append(tokenizer.split_token_id)
         return ids, per_language
 
@@ -121,7 +152,7 @@ class PackTally:
 
 def split_paragraphs(text: str) -> list[str]:
     """Split on blank lines, trim each piece, drop empty pieces."""
-    return [p for p in (piece.strip() for piece in text.split("\n\n")) if p]
+    return [p for p in map(str.strip, text.split("\n\n")) if p]
 
 
 def _scrub(text: str, marker: str, tally: PackTally) -> str:
@@ -140,40 +171,16 @@ def paragraphize(
     title = _scrub(title, tokenizer.split_token_text, tally).strip()
     text = _scrub(text, tokenizer.split_token_text, tally)
     pieces = tokenizer.pieces
-    paragraphs = [(p, pieces(p + SEGMENT_DELIM)) for p in split_paragraphs(text)]
-    return ParagraphizedArticle(title, pieces(title + SEGMENT_DELIM), paragraphs, lang)
-
-
-class _ContextBuilder:
-    """Accumulates one context's two language blocks and its running cost."""
-
-    def __init__(self, first: ParagraphizedArticle, second: ParagraphizedArticle,
-                 title_cost: int, with_titles: bool):
-        # (segment, its pieces) per placed paragraph
-        self.first_paras: list[tuple[Segment, Sequence]] = []
-        self.second_paras: list[tuple[Segment, Sequence]] = []
-        self.with_titles = with_titles
-        self.first = first
-        self.second = second
-        self.cost = (title_cost if with_titles else 0) + 1  # + terminal split token
-        self.placed = 0
-
-    def add(self, to_first: bool, text: str, pieces: Sequence) -> None:
-        art = self.first if to_first else self.second
-        seg = Segment(art.lang, "paragraph", text)
-        (self.first_paras if to_first else self.second_paras).append((seg, pieces))
-        self.cost += len(pieces)
-        self.placed += 1
-
-    def parts(self) -> tuple[list[Segment], list[Sequence]]:
-        """The context's segments in order, and the pieces of each."""
-        parts: list[tuple[Segment, Sequence]] = []
-        for art, paras in ((self.first, self.first_paras), (self.second, self.second_paras)):
-            if self.with_titles:
-                parts.append((Segment(art.lang, "title", art.title), art.title_pieces))
-            parts += paras
-        segments, pieces = zip(*parts)
-        return list(segments), list(pieces)
+    title_pieces = pieces(title + SEGMENT_DELIM)
+    paragraphs = split_paragraphs(text)
+    parts = [pieces(p + SEGMENT_DELIM) for p in paragraphs]
+    # bytes for the byte kind, a list of words for the others
+    if isinstance(title_pieces, bytes):
+        flat = b"".join(parts)
+    else:
+        flat = list(chain.from_iterable(parts))
+    offsets = [0, *accumulate(map(len, parts))]
+    return ParagraphizedArticle(title, title_pieces, paragraphs, flat, offsets, lang)
 
 
 def pack_pair(
@@ -203,92 +210,71 @@ def pack_pair(
 
     n = cfg.n_budget
     title_cost = len(first.title_pieces) + len(second.title_pieces)
+    o1, o2 = first.offsets, second.offsets
+    na, nb = len(o1) - 1, len(o2) - 1
+    both = [x + y for x, y in zip(o1, o2)]  # cost of the first k paragraph pairs
+    m = len(both) - 1
     contexts: list[PackedContext] = []
 
-    def emit(builder: _ContextBuilder) -> None:
-        segments, pieces = builder.parts()
-        contexts.append(
-            PackedContext(
-                segments=segments,
-                pieces=pieces,
-                token_len=builder.cost,
-                direction=direction,
-                pair=pair.pair,
-                seq_index=len(contexts),
-                origin=pair.origin,
-            )
-        )
+    def emit(a1: ParagraphizedArticle, a2: ParagraphizedArticle, with_titles: bool,
+             r1: tuple[int, int], r2: tuple[int, int], token_len: int) -> None:
+        contexts.append(PackedContext(a1, a2, with_titles, r1, r2, token_len, direction,
+                                      pair.pair, len(contexts), pair.origin))
         tally.contexts_emitted += 1
 
-    def emit_oversize(art: ParagraphizedArticle, text: str, pieces: Sequence) -> None:
-        # Even a fresh context cannot hold this paragraph next to the titles.
-        if not cfg.truncate_oversize:
-            tally.oversize_skipped += 1
-            return
-        short = tokenizer.truncate_to_tokens(text, n - 1)
-        if short != text:
-            tally.truncated_paragraphs += 1
-            pieces = tokenizer.pieces(short + SEGMENT_DELIM)
-        contexts.append(
-            PackedContext(
-                segments=[Segment(art.lang, "paragraph", short)],
-                pieces=[pieces],
-                token_len=len(pieces) + 1,
-                direction=direction,
-                pair=pair.pair,
-                seq_index=len(contexts),
-                origin=pair.origin,
-            )
-        )
-        tally.contexts_emitted += 1
-
-    def emit_single(art: ParagraphizedArticle, is_first: bool, text: str,
-                    pieces: Sequence) -> None:
+    def emit_single(is_first: bool, k: int) -> None:
+        art = first if is_first else second
         with_titles = cfg.repeat_titles or not contexts
-        builder = _ContextBuilder(first, second, title_cost, with_titles)
-        if builder.cost + len(pieces) <= n:
-            builder.add(is_first, text, pieces)
-            emit(builder)
+        cost = art.offsets[k + 1] - art.offsets[k] + 1 + (title_cost if with_titles else 0)
+        if cost <= n:
+            if is_first:
+                emit(first, second, with_titles, (k, k + 1), (0, 0), cost)
+            else:
+                emit(first, second, with_titles, (0, 0), (k, k + 1), cost)
+        elif not cfg.truncate_oversize:
+            tally.oversize_skipped += 1
         else:
-            emit_oversize(art, text, pieces)
+            # Even a fresh context cannot hold this paragraph next to the
+            # titles, so it goes alone, as a one-paragraph article.
+            text = art.paragraphs[k]
+            pieces = art.flat[art.offsets[k]:art.offsets[k + 1]]
+            if len(pieces) >= n:
+                keep = n - 1 - len(tokenizer.pieces(SEGMENT_DELIM))
+                text = tokenizer.truncate_to_tokens(text, keep)
+                pieces = tokenizer.pieces(text + SEGMENT_DELIM)
+                tally.truncated_paragraphs += 1
+            alone = ParagraphizedArticle(art.title, art.title_pieces, [text], pieces,
+                                         [0, len(pieces)], art.lang)
+            emit(alone, alone, False, (0, 1), (0, 0), len(pieces) + 1)
 
     i = j = 0
-    na, nb = len(first.paragraphs), len(second.paragraphs)
     while i < na or j < nb:
         with_titles = cfg.repeat_titles or not contexts
-        builder = _ContextBuilder(first, second, title_cost, with_titles)
-        while i < na and j < nb:
-            t1, p1 = first.paragraphs[i]
-            t2, p2 = second.paragraphs[j]
-            if builder.cost + len(p1) + len(p2) > n:
-                break
-            builder.add(True, t1, p1)
-            builder.add(False, t2, p2)
-            i += 1
-            j += 1
-        if i >= na:
-            while j < nb and builder.cost + len(second.paragraphs[j][1]) <= n:
-                builder.add(False, *second.paragraphs[j])
-                j += 1
-        elif j >= nb:
-            while i < na and builder.cost + len(first.paragraphs[i][1]) <= n:
-                builder.add(True, *first.paragraphs[i])
-                i += 1
-        if builder.placed:
-            emit(builder)
+        room = n - 1 - (title_cost if with_titles else 0)
+        i0, j0 = i, j
+        if room >= 0:
+            if i < m:  # both sides have paragraphs left, and i == j
+                k = bisect_right(both, both[i] + room, i, m + 1) - 1
+                room -= both[k] - both[i]
+                i = j = k
+            if i >= na:
+                k = bisect_right(o2, o2[j] + room, j, nb + 1) - 1
+                room -= o2[k] - o2[j]
+                j = k
+            elif j >= nb:
+                k = bisect_right(o1, o1[i] + room, i, na + 1) - 1
+                room -= o1[k] - o1[i]
+                i = k
+        if i > i0 or j > j0:
+            emit(first, second, with_titles, (i0, i), (j0, j), n - room)
             continue
         # Nothing fit a fresh context. Advance by placing the blocking
         # paragraph(s) one per context so the pairwise cursors stay in step.
-        if i < na and j < nb:
-            emit_single(first, True, *first.paragraphs[i])
+        if i < na:
+            emit_single(True, i)
             i += 1
-            emit_single(second, False, *second.paragraphs[j])
-            j += 1
-        elif i < na:
-            emit_single(first, True, *first.paragraphs[i])
-            i += 1
-        else:
-            emit_single(second, False, *second.paragraphs[j])
+        if j < nb:
+            emit_single(False, j)
             j += 1
 
     tally.pairs_packed += 1

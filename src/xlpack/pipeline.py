@@ -10,9 +10,11 @@ pairs through both article stores, pseudo pairs through the target-language
 store and paths.web_corpus, which pack reads only when pseudo pairs exist.
 
 Text is tokenized only by the pack stage: it splits each title and paragraph
-into tokenizer pieces once, prices it by their number, and maps each context's
-pieces to ids in one call, in corpus order. Later stages work from the ids and
-counts it wrote.
+into tokenizer pieces once and prices it by their number. A context is two
+paragraph ranges over a pair's articles, and its ids come from one mapping
+call over the titles' pieces and two slices of the articles' flat pieces, in
+corpus order; pack checks that each context's ids match its planned length and
+the budget. Later stages work from the ids and counts it wrote.
 
 Output layout under paths.output_dir:
     pairs.tsv                 aligned pair map (align)
@@ -386,6 +388,11 @@ def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) 
                         # The one ids mapping of this context; whitespace ids
                         # are assigned here, in corpus order.
                         ids, per_language = ctx.encode(tokenizer)
+                        if len(ids) != ctx.token_len or ctx.token_len > cfg.pack.n_budget:
+                            raise ValueError(
+                                f"pair [{ctx.pair.id_l}, {ctx.pair.id_en}] seq_index "
+                                f"{ctx.seq_index}: {len(ids)} tokens, planned "
+                                f"{ctx.token_len}, budget is {cfg.pack.n_budget}")
                         fb.write(encode_window_record(ids))
                         entry = ContextEntry(ctx.pair, ctx.seq_index, ctx.direction,
                                              ctx.origin, len(ids), per_language)

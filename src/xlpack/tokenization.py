@@ -95,6 +95,19 @@ class Tokenizer:
         return text
 
 
+class _FirstSeenIds(dict):
+    """Word -> id; looking up a new word gives it the next id."""
+
+    def __init__(self, first_id: int):
+        super().__init__()
+        self.next_id = first_id
+
+    def __missing__(self, word: str) -> int:
+        wid = self[word] = self.next_id
+        self.next_id += 1
+        return wid
+
+
 class WhitespaceTokenizer(Tokenizer):
     """Words are maximal non-whitespace runs; ids start at 1 in encounter order."""
 
@@ -102,23 +115,12 @@ class WhitespaceTokenizer(Tokenizer):
 
     def __init__(self, split_token_text: str = DEFAULT_SPLIT_TOKEN, split_token_id: int = 0):
         super().__init__(split_token_text, split_token_id)
-        self._ids: dict[str, int] = {}
-        self._next_id = split_token_id + 1
+        self._ids = _FirstSeenIds(split_token_id + 1)
 
     def ids(self, pieces: Sequence[str]) -> list[int]:
-        table = self._ids
-        out = list(map(table.get, pieces))
-        if None in out:
-            # New words take the next ids in the order they first appear.
-            for k, wid in enumerate(out):
-                if wid is None:
-                    word = pieces[k]
-                    wid = table.get(word)
-                    if wid is None:
-                        wid = table[word] = self._next_id
-                        self._next_id += 1
-                    out[k] = wid
-        return out
+        # Pieces are looked up in order, so new words take ids in the order
+        # they first appear.
+        return list(map(self._ids.__getitem__, pieces))
 
 
 class ByteTokenizer(Tokenizer):

@@ -81,7 +81,9 @@ def reference_pack_pair(pair, tokenizer, cfg, direction):
             return
         if not cfg.truncate_oversize:
             return
-        short = tokenizer.truncate_to_tokens(text, cfg.n_budget - 1)
+        # Room for the text, its trailing delimiter and the split token.
+        keep = cfg.n_budget - 1 - tokenizer.count("\n\n")
+        short = tokenizer.truncate_to_tokens(text, keep)
         segs = [(lang, "paragraph", short)]
         out.append((segs, cost_of(segs)))
 

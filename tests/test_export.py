@@ -2,12 +2,13 @@
 
 import json
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlpack.alignment import PairId
+from xlpack.alignment import ArticlePair, PairId
 from xlpack.export import (
     ContextEntry,
     CorpusStats,
@@ -16,11 +17,12 @@ from xlpack.export import (
     compute_stats,
     config_digest,
     encode_window_record,
+    iter_shard_records,
     read_shards,
     split_validation,
     write_shards,
 )
-from xlpack.packing import SEGMENT_DELIM, PackedContext, Segment
+from xlpack.packing import EN_FIRST, PackConfig, pack_pair
 from xlpack.sliding import WindowShard
 from xlpack.tokenization import WhitespaceTokenizer
 
@@ -86,6 +88,21 @@ def _write(tmp_path, windows, **kw):
 class TestShards:
     def test_record_byte_layout(self):
         assert encode_window_record([0]) == bytes([1, 0, 0, 0, 0, 0, 0, 0])
+        # u32-LE count, then u32-LE ids, whatever the host byte order.
+        ids = [0, 1, 258, 2**32 - 1]
+        assert encode_window_record(ids) == struct.pack("<5I", 4, *ids)
+        assert encode_window_record([]) == struct.pack("<I", 0)
+
+    @given(records=st.lists(
+        st.lists(st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+                 max_size=20),
+        max_size=10,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_record_round_trip(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("records") / "records.bin"
+        path.write_bytes(b"".join(encode_window_record(ids) for ids in records))
+        assert list(iter_shard_records(path)) == records
 
     def test_empty_stream(self, tmp_path):
         manifest = _write(tmp_path, [])
@@ -156,8 +173,9 @@ class TestShards:
             list(read_shards(tmp_path))
 
     def test_token_id_over_u32_rejected(self):
-        with pytest.raises(ShardError):
-            encode_window_record([2**32])
+        for bad in (2**32, -1):
+            with pytest.raises(ShardError):
+                encode_window_record([5, bad])
 
     def test_partial_file_removed_on_error(self, tmp_path):
         def windows():
@@ -178,31 +196,20 @@ class TestConfigDigest:
         assert config_digest({"x": 2}) != a
 
 
-def _entry(segments, origin="wiki", tok=None):
-    """Index entry of one context, with counts from PackedContext.encode."""
+def _entry(title_en, text_en, title_l, text_l, origin="wiki", tok=None):
+    """Index entry of the one context pack_pair makes of a pair, with counts
+    from PackedContext.encode."""
     tok = tok or WhitespaceTokenizer()
-    ctx = PackedContext(
-        segments=[Segment(*s) for s in segments],
-        pieces=[tok.pieces(text + SEGMENT_DELIM) for _, _, text in segments],
-        token_len=0,
-        direction="en_first",
-        pair=PairId(1, 2),
-        seq_index=0,
-        origin=origin,
-    )
+    pair = ArticlePair(PairId(1, 2), title_en, title_l, text_en, text_l, "xx", origin)
+    (ctx,) = pack_pair(pair, tok, PackConfig(n_budget=64), EN_FIRST)
     ids, per_language = ctx.encode(tok)
-    return ContextEntry(ctx.pair, ctx.seq_index, ctx.direction, origin, len(ids),
+    return ContextEntry(ctx.pair, ctx.seq_index, ctx.direction, ctx.origin, len(ids),
                         per_language)
 
 
 class TestComputeStats:
     def test_single_context_attribution(self):
-        entry = _entry([
-            ("en", "title", "T"),
-            ("en", "paragraph", "a b c d e"),
-            ("xx", "title", "U"),
-            ("xx", "paragraph", "p q r"),
-        ])
+        entry = _entry("T", "a b c d e", "U", "p q r")
         assert entry.token_len == 11
         stats = compute_stats([entry])
         assert stats.per_source == {"wiki": {"en": 6, "xx": 4}}
@@ -215,8 +222,8 @@ class TestComputeStats:
     def test_two_row_per_source_shape(self):
         tok = WhitespaceTokenizer()
         entries = [
-            _entry([("en", "title", "T"), ("xx", "paragraph", "a")], origin="wiki", tok=tok),
-            _entry([("en", "title", "T"), ("xx", "paragraph", "b c")], origin="web", tok=tok),
+            _entry("T", "a", "U", "b", origin="wiki", tok=tok),
+            _entry("T", "c", "U", "d e", origin="web", tok=tok),
         ]
         data = compute_stats(entries).to_dict()
         assert set(data["sources"]) == {"wiki", "web"}

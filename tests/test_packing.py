@@ -15,7 +15,7 @@ from xlpack.packing import (
     pack_pair,
     split_paragraphs,
 )
-from xlpack.tokenization import WhitespaceTokenizer
+from xlpack.tokenization import ByteTokenizer, ExternalVocabTokenizer, WhitespaceTokenizer
 
 from .oracles import reference_pack_pair, render_segments
 
@@ -131,19 +131,33 @@ class TestPackPairFixtures:
 
 # --- randomized invariants -------------------------------------------------
 
-_words = st.lists(st.sampled_from([f"w{k}" for k in range(40)]), min_size=1, max_size=8)
-_paragraph = _words.map(" ".join)
-_article_text = st.lists(_paragraph, min_size=1, max_size=8).map("\n\n".join)
+_WORDS = [f"w{k}" for k in range(40)]
+# Multi-byte characters and the delimiter text, which pack scrubs.
+_RICH_WORDS = _WORDS[:8] + ["ñu", "日本語", "a\u00a0b", "[SPLIT]", "x[SPLIT]y"]
+
+KINDS = ["whitespace", "byte", "external"]
+
+
+def fresh_tokenizer(kind):
+    if kind == "whitespace":
+        return WhitespaceTokenizer()
+    if kind == "byte":
+        return ByteTokenizer()
+    # Half the words are known; the rest map to <unk>.
+    vocab = {"<unk>": 1, **{word: k + 2 for k, word in enumerate(_RICH_WORDS[::2])}}
+    return ExternalVocabTokenizer(vocab)
 
 
 @st.composite
-def random_pairs(draw):
+def random_pairs(draw, words=_WORDS):
+    paragraph = st.lists(st.sampled_from(words), min_size=1, max_size=8).map(" ".join)
+    article_text = st.lists(paragraph, min_size=1, max_size=8).map("\n\n".join)
     return ArticlePair(
         pair=PairId(draw(st.integers(0, 999)), draw(st.integers(1000, 1999))),
-        title_en=draw(_paragraph),
-        title_l=draw(_paragraph),
-        text_en=draw(_article_text),
-        text_l=draw(_article_text),
+        title_en=draw(paragraph),
+        title_l=draw(paragraph),
+        text_en=draw(article_text),
+        text_l=draw(article_text),
         lang_l="xx",
     )
 
@@ -192,10 +206,10 @@ def check_invariants(pair, ctxs, cfg, tokenizer, tally):
                 assert ctx.segments[0].kind == "title"
 
 
-@given(pair=random_pairs(), n=st.sampled_from([8, 16, 64]))
+@given(pair=random_pairs(), n=st.sampled_from([8, 16, 64]), kind=st.sampled_from(KINDS))
 @settings(max_examples=150, deadline=None)
-def test_invariants_random(pair, n):
-    tokenizer = WhitespaceTokenizer()
+def test_invariants_random(pair, n, kind):
+    tokenizer = fresh_tokenizer(kind)
     cfg = PackConfig(n_budget=n)
     tally = PackTally()
     ctxs = pack_pair(pair, tokenizer, cfg, EN_FIRST, tally)
@@ -204,16 +218,34 @@ def test_invariants_random(pair, n):
 
 @given(pair=random_pairs(), n=st.integers(4, 32),
        direction=st.sampled_from([EN_FIRST, L_FIRST]),
-       repeat_titles=st.booleans())
+       repeat_titles=st.booleans(), truncate=st.booleans(), kind=st.sampled_from(KINDS))
 @settings(max_examples=200, deadline=None)
-def test_oracle_equivalence_random(pair, n, direction, repeat_titles):
-    tokenizer = WhitespaceTokenizer()
-    cfg = PackConfig(n_budget=n, repeat_titles=repeat_titles)
+def test_oracle_equivalence_random(pair, n, direction, repeat_titles, truncate, kind):
+    tokenizer = fresh_tokenizer(kind)
+    cfg = PackConfig(n_budget=n, repeat_titles=repeat_titles, truncate_oversize=truncate)
     actual = pack_pair(pair, tokenizer, cfg, direction)
     expected = reference_pack_pair(pair, tokenizer, cfg, direction)
     assert [([tuple(s) for s in c.segments], c.token_len) for c in actual] == [
         (segs, length) for segs, length in expected
     ]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(pair=random_pairs(_RICH_WORDS), n=st.sampled_from([4, 8, 16, 64, 4096]),
+       direction=st.sampled_from([EN_FIRST, L_FIRST]),
+       repeat_titles=st.booleans(), truncate=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_span_encode_matches_rendered_text(kind, pair, n, direction, repeat_titles, truncate):
+    """A context's ids, mapped from title pieces and flat paragraph slices,
+    are the ids of its rendered text under a fresh tokenizer of the same kind
+    (the whitespace kind assigns ids in the same order in both)."""
+    tok_a, tok_b = fresh_tokenizer(kind), fresh_tokenizer(kind)
+    cfg = PackConfig(n_budget=n, repeat_titles=repeat_titles, truncate_oversize=truncate)
+    for ctx in pack_pair(pair, tok_a, cfg, direction):
+        ids, per_language = ctx.encode(tok_a)
+        assert ids == tok_b.encode(ctx.rendered_text(tok_b.split_token_text))
+        assert len(ids) == ctx.token_len <= n
+        assert sum(per_language.values()) == ctx.token_len - 1
 
 
 class TestPackCorpus:

@@ -9,11 +9,15 @@ with the context index.
 
 import hashlib
 import json
+import re
+from collections import Counter
 
 import pytest
 
+from xlpack.alignment import ArticleStore, join_articles, load_pair_map
 from xlpack.cli import EXIT_INPUT, EXIT_OK, EXIT_STAGE, run
 from xlpack.export import encode_window_record, iter_shard_records
+from xlpack.packing import split_paragraphs
 from xlpack.report import read_events
 from xlpack.synth import build_corpus
 from xlpack.tokenization import Tokenizer
@@ -72,20 +76,70 @@ def test_slide_and_stats_never_tokenize(tmp_path, monkeypatch):
         assert run([sub, "--config", str(cfg_path)]) == EXIT_OK, sub
 
 
+def test_pack_tokenizes_each_text_once(tmp_path, monkeypatch):
+    """pieces runs once per title and paragraph of every joined pair, plus
+    twice per truncated paragraph (the delimiter's cost and the shortened
+    text); ids runs once per context; encode and count never run."""
+    corpus = build_corpus(tmp_path / "data", n_pairs=20, seed=5)
+    cfg_path = make_config(tmp_path, corpus, n_budget=10)
+    assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    with ArticleStore(corpus.articles_en, "en") as store_en, \
+            ArticleStore(corpus.articles_l, corpus.lang) as store_l:
+        pairs = list(join_articles(load_pair_map(out / "pairs.tsv"), store_en, store_l))
+    paragraphs = sum(len(split_paragraphs(p.text_en)) + len(split_paragraphs(p.text_l))
+                     for p in pairs)
+
+    calls = Counter()
+
+    def counted(step, method):
+        def wrapper(self, *args):
+            calls[step] += 1
+            return method(self, *args)
+        return wrapper
+
+    for kind in [Tokenizer, *Tokenizer.__subclasses__()]:
+        for step in ("pieces", "ids", "encode", "count", "truncate_to_tokens"):
+            if step in vars(kind):
+                monkeypatch.setattr(kind, step, counted(step, vars(kind)[step]))
+    assert run(["pack", "--config", str(cfg_path)]) == EXIT_OK
+    (done,) = [e for e in read_events(out / "run_report.jsonl") if e.get("stage") == "pack"]
+    truncated = done["packing"]["truncated_paragraphs"]
+    assert truncated > 0 and len(pairs) == 20
+    assert calls["pieces"] == 2 * len(pairs) + paragraphs + 2 * truncated
+    assert calls["truncate_to_tokens"] == truncated
+    assert calls["ids"] == done["context_count"] > len(pairs)
+    assert calls["encode"] == calls["count"] == 0
+
+
+def test_pack_refuses_context_over_budget(tmp_path, monkeypatch, capsys):
+    corpus = build_corpus(tmp_path / "data", n_pairs=20, seed=5)
+    cfg_path = make_config(tmp_path, corpus, n_budget=10)
+    assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+    # Without truncation an oversize paragraph's context overruns the budget.
+    monkeypatch.setattr(Tokenizer, "truncate_to_tokens", lambda self, text, keep: text)
+    assert run(["pack", "--config", str(cfg_path)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert re.search(r"pair \[\d+, \d+\] seq_index \d+: \d+ tokens, planned \d+, "
+                     r"budget is 10", err)
+    assert not (tmp_path / "out" / "contexts.jsonl").exists()
+    assert not (tmp_path / "out" / "contexts.bin").exists()
+
+
 # Pack output under the two other tokenizer kinds, at budgets small enough
 # that oversize paragraphs are truncated: (n_budget, longest context, digests).
 # The external vocabulary covers only some words, so the rest map to <unk>
 # (id 1).
 #
-# The byte bytes pin a known defect: emit_oversize truncates a paragraph to
-# n_budget - 1 tokens of text, but the byte kind prices the trailing segment
-# delimiter as 2 more tokens, so truncated contexts hold 66 tokens against a
-# budget of 64, and slide refuses them. Mending that must change the longest
-# length and both byte digests here.
+# The byte kind prices the segment delimiter as 2 tokens, so a truncated
+# paragraph keeps n_budget - 3 bytes and its context holds at most n_budget
+# tokens. The byte digests changed, on purpose, when truncation began to
+# count the delimiter: before, those contexts held 65 or 66 tokens, slide
+# refused them, and only those contexts' records and index lines differ.
 PACK_DIGESTS = {
-    "byte": (64, 66, {
-        "contexts.bin": "187db0372a39bb7e1a088d2998711031930687c3e468ad25b5f93f6bfe14a4f1",
-        "contexts.jsonl": "6744d0da9bac726c8dcd35a3a10aa77f08dcdd42bc5c1518b1b844603d3ae83a",
+    "byte": (64, 64, {
+        "contexts.bin": "30402b2ebca00405a780c28964d280ff627acfc7295023190574090a2168c1e2",
+        "contexts.jsonl": "d257ecdcb0ba5c8cb2877588c0ecff758b7453ee1c3dc9663d68d809c466524b",
     }),
     "external": (10, 10, {
         "contexts.bin": "5eb9b3bb75a99cd49932a9917016b8d239d94a49d84fd65e5f64db07f771a121",
@@ -111,7 +165,8 @@ def test_pack_digests_pinned(tmp_path, monkeypatch, kind):
         extra["tokenizer.vocab_source"] = str(_partial_vocab(tmp_path / "partial.vocab"))
     corpus = build_corpus(tmp_path / "data", n_pairs=40, seed=11)
     cfg_path = make_config(tmp_path, corpus, n_budget=n_budget, extra=extra)
-    for sub in ("align", "pack"):
+    # slide refuses a context over the budget, so it must accept these.
+    for sub in ("align", "pack", "slide"):
         assert run([sub, "--config", str(cfg_path)]) == EXIT_OK, sub
     out = tmp_path / "out"
     (done,) = [e for e in read_events(out / "run_report.jsonl") if e.get("stage") == "pack"]
