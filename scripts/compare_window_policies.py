@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Compare the optimized window batcher against the fixed-stride baseline.
+"""Compare the optimized window policy against the fixed-stride baseline.
 
-Packs a synthetic bilingual corpus once, then slides the same context stream
-under both policies (plus the lossy variant) and reports window counts, fill
-rates, and how many contexts the baseline cuts mid-sequence. The optimized
-policy never cuts a context, at the price of partially filled windows.
+Packs a synthetic bilingual corpus once, then plans windows over the same
+context lengths under both policies (plus the lossy variant) and reports
+window counts, fill rates, and how many contexts the baseline cuts
+mid-sequence. The optimized policy never cuts a context, at the price of
+partially filled windows.
 
 Example:
     python scripts/compare_window_policies.py --pairs 2000 --n-budget 1024
@@ -23,33 +24,22 @@ from xlpack.dump_ingest import parse_langlinks_dump, parse_pages_dump
 from xlpack.tokenization import WhitespaceTokenizer
 
 
-def summarize(name, windows, n, total_tokens):
-    windows = list(windows)
-    kept = sum(len(w.ids) for w in windows)
-    fill = kept / (len(windows) * n) if windows else 0.0
+def summarize(name, ranges, n, total_tokens):
+    ranges = list(ranges)
+    kept = sum(end - start for start, end in ranges)
+    fill = kept / (len(ranges) * n) if ranges else 0.0
     share = kept / total_tokens if total_tokens else 0.0
-    print(f"{name:>10}: {len(windows):6d} windows  fill {fill:6.1%}  "
+    print(f"{name:>10}: {len(ranges):6d} windows  fill {fill:6.1%}  "
           f"tokens kept {kept}/{total_tokens} ({share:.1%})")
-    return windows
 
 
-def count_cut_contexts(windows, contexts_ids):
+def count_cut_contexts(lengths, n):
     """Contexts whose tokens land in more than one standard window."""
-    boundaries = []
-    pos = 0
-    for ids in contexts_ids:
-        boundaries.append((pos, pos + len(ids)))
-        pos += len(ids)
     cut = 0
-    window_edges = []
     pos = 0
-    for w in windows:
-        window_edges.append((pos, pos + len(w.ids)))
-        pos += len(w.ids)
-    for start, end in boundaries:
-        spans = [we for we in window_edges if we[0] < end and start < we[1]]
-        if len(spans) > 1:
-            cut += 1
+    for length in lengths:
+        cut += pos // n != (pos + length - 1) // n
+        pos += length
     return cut
 
 
@@ -77,22 +67,15 @@ def main() -> int:
         with ArticleStore(corpus.articles_en, "en") as store_en, \
                 ArticleStore(corpus.articles_l, corpus.lang) as store_l:
             pairs = join_articles(pair_ids, store_en, store_l)
-            contexts_ids = [
-                ctx.encode(tokenizer)[0] for ctx in pack_corpus(pairs, tokenizer, cfg)
-            ]
-        total = sum(len(ids) for ids in contexts_ids)
-        print(f"{len(contexts_ids)} contexts, {total} tokens, budget {args.n_budget}\n")
+            lengths = [ctx.token_len for ctx in pack_corpus(pairs, tokenizer, cfg)]
+        total = sum(lengths)
+        print(f"{len(lengths)} contexts, {total} tokens, budget {args.n_budget}\n")
 
-        summarize("optimized", slide_optimized(iter(contexts_ids), args.n_budget),
-                  args.n_budget, total)
-        standard = summarize(
-            "standard", slide_standard(iter(contexts_ids), args.n_budget),
-            args.n_budget, total,
-        )
-        summarize("lossy", slide_optimized_lossy(iter(contexts_ids), args.n_budget),
-                  args.n_budget, total)
-        cut = count_cut_contexts(standard, contexts_ids)
-        print(f"\nstandard policy cuts {cut}/{len(contexts_ids)} contexts mid-sequence; "
+        for name, planner in (("optimized", slide_optimized), ("standard", slide_standard),
+                              ("lossy", slide_optimized_lossy)):
+            summarize(name, planner(lengths, args.n_budget), args.n_budget, total)
+        cut = count_cut_contexts(lengths, args.n_budget)
+        print(f"\nstandard policy cuts {cut}/{len(lengths)} contexts mid-sequence; "
               "the optimized policy cuts none.")
     return 0
 

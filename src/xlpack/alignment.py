@@ -44,7 +44,6 @@ class ArticlePair:
 class AlignmentFilters:
     """Sub-filters behind the blank/invalid title rule; strict by default."""
 
-    drop_blank_titles: bool = True
     article_namespace_only: bool = True
     drop_redirects: bool = True
 
@@ -109,7 +108,8 @@ def build_pair_map(
 
     Forward: (id_l -> english title) resolved against the English page index.
     Reverse: (id_en -> target title) resolved against the target page index.
-    Both directions apply the same blank/invalid-title filtering.
+    Both directions apply the same page filters; a blank target title never
+    resolves, since build_title_index skips blank titles.
     """
     filters = filters if filters is not None else AlignmentFilters()
     tally = tally if tally is not None else AlignTally()
@@ -118,9 +118,6 @@ def build_pair_map(
     index_en = build_title_index(pages_en, filters, tally)
     for link in langlinks_l_to_en:
         tally.links_seen += 1
-        if filters.drop_blank_titles and not link.target_title.strip():
-            tally.links_dropped += 1
-            continue
         id_en = index_en.get(link.target_title)
         if id_en is None:
             tally.links_dropped += 1
@@ -130,9 +127,6 @@ def build_pair_map(
     index_l = build_title_index(pages_l, filters, tally)
     for link in langlinks_en_to_l:
         tally.links_seen += 1
-        if filters.drop_blank_titles and not link.target_title.strip():
-            tally.links_dropped += 1
-            continue
         id_l = index_l.get(link.target_title)
         if id_l is None:
             tally.links_dropped += 1

@@ -28,10 +28,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TypeVar
 
-import numpy as np
-
 from .alignment import PairId
-from .sliding import WindowShard
 
 T = TypeVar("T")
 
@@ -41,6 +38,14 @@ MANIFEST_NAME = "manifest.json"
 
 class ShardError(ValueError):
     pass
+
+
+@dataclass
+class WindowShard:
+    """One window read back from a shard set, numbered in written order."""
+
+    ids: list[int]
+    window_index: int
 
 
 @dataclass
@@ -126,7 +131,7 @@ def encode_window_record(ids: Sequence[int]) -> bytes:
 
 
 def write_shards(
-    windows: Iterable[WindowShard],
+    windows: Iterable[Sequence[int]],
     out_dir: str | Path,
     *,
     config_digest: str,
@@ -138,7 +143,8 @@ def write_shards(
     shard_max_bytes: int = 64 * 1024 * 1024,
     created_at: str | None = None,
 ) -> ShardManifest:
-    """Write windows as rolled binary shards plus a manifest; byte-deterministic.
+    """Write windows (id sequences) as rolled binary shards plus a manifest;
+    byte-deterministic.
 
     Shard files and a manifest already in `out_dir` are removed first, so a
     rerun that writes fewer shards leaves none of the old ones behind. A
@@ -158,7 +164,7 @@ def write_shards(
     cur_bytes = 0
     try:
         for window in windows:
-            record = encode_window_record(window.ids)
+            record = encode_window_record(window)
             if cur_file is not None and cur_bytes + len(record) > shard_max_bytes:
                 cur_file.close()
                 cur_file = None
@@ -170,7 +176,7 @@ def write_shards(
             cur_file.write(record)
             cur_bytes += len(record)
             window_count += 1
-            token_total += len(window.ids)
+            token_total += len(window)
     except BaseException:
         if cur_file is not None:
             cur_file.close()
@@ -198,9 +204,9 @@ def write_shards(
     return manifest
 
 
-def iter_shard_records(path: str | Path) -> Iterator[list[int]]:
-    """Stream the records of one shard file, raising on a truncated record
-    with its offset. Holds one record in memory at a time."""
+def iter_shard_records(path: str | Path) -> Iterator[array]:
+    """Stream the records of one shard file as u32 ids, raising on a
+    truncated record with its offset. Holds one record in memory at a time."""
     with open(path, "rb") as f:
         pos = 0
         while header := f.read(4):
@@ -210,7 +216,11 @@ def iter_shard_records(path: str | Path) -> Iterator[list[int]]:
             body = f.read(4 * count)
             if len(body) < 4 * count:
                 raise ShardError(f"{path}: truncated record at offset {pos}")
-            yield np.frombuffer(body, dtype="<u4").tolist()
+            ids = array("I")
+            ids.frombytes(body)
+            if sys.byteorder == "big":
+                ids.byteswap()
+            yield ids
             pos += 4 + len(body)
 
 
@@ -229,7 +239,7 @@ def read_shards(shard_dir: str | Path) -> Iterator[WindowShard]:
     token_total = 0
     for file in shard_files:
         for ids in iter_shard_records(file):
-            yield WindowShard(ids, window_index)
+            yield WindowShard(ids.tolist(), window_index)
             window_index += 1
             token_total += len(ids)
     if window_index != manifest.window_count:

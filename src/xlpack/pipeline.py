@@ -16,6 +16,10 @@ call over the titles' pieces and two slices of the articles' flat pieces, in
 corpus order; pack checks that each context's ids match its planned length and
 the budget. Later stages work from the ids and counts it wrote.
 
+slide plans each split's windows as token ranges from the index's token_len
+values alone, then cuts the ranges out of the contexts.bin records, which it
+streams once and checks against the index and the context rules.
+
 Output layout under paths.output_dir:
     pairs.tsv                 aligned pair map (align)
     pseudo_pairs.jsonl        retrieval-built pairs as references, one
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import json
 import time
+from array import array
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -79,7 +84,13 @@ from .retrieval import (
     read_candidate_corpus,
     two_step_retrieve,
 )
-from .sliding import slide_optimized, slide_optimized_lossy, slide_standard
+from .sliding import (
+    check_context,
+    cut_windows,
+    slide_optimized,
+    slide_optimized_lossy,
+    slide_standard,
+)
 from .tokenization import make_tokenizer
 
 PAIRS_NAME = "pairs.tsv"
@@ -424,12 +435,14 @@ def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) 
 
 
 def _context_ids(
-    path: Path, entries: list[ContextEntry], validation: set[int], held: list[list[int]]
-) -> Iterator[list[int]]:
+    path: Path, entries: list[ContextEntry], validation: set[int], held: list[array],
+    n: int, split_token_id: int,
+) -> Iterator[array]:
     """Stream the train contexts' ids from contexts.bin in corpus order.
 
     Validation contexts are appended to `held` instead. Every record must
-    match its index line: a missing, extra or resized record raises.
+    match its index line and pass check_context: a missing, extra, resized
+    or malformed record raises.
     """
     count = 0
     for i, ids in enumerate(iter_shard_records(path)):
@@ -439,6 +452,7 @@ def _context_ids(
         if len(ids) != entries[i].token_len:
             raise ValueError(f"{path}: record {i} holds {len(ids)} tokens, "
                              f"the index's token_len is {entries[i].token_len}")
+        check_context(ids, n, split_token_id, i)
         if i in validation:
             held.append(ids)
         else:
@@ -453,35 +467,37 @@ def stage_slide(cfg: PipelineConfig, report: RunReport, discard_tails: bool = Fa
     out = cfg.output_dir
     entries = read_contexts_jsonl(out / CONTEXTS_NAME)
     train_idx, val_idx = split_validation(range(len(entries)), cfg.split)
-    held: list[list[int]] = []
-    train_ids = _context_ids(out / CONTEXT_IDS_NAME, entries, set(val_idx), held)
-    split_token_id = cfg.tokenizer.split_token_id
+    n = cfg.slide.n_budget
+    held: list[array] = []
+    train_ids = _context_ids(out / CONTEXT_IDS_NAME, entries, set(val_idx), held,
+                             n, cfg.tokenizer.split_token_id)
     digest = config_digest(cfg.effective_dict())
 
     meta: dict = {
         "policy": cfg.slide.kind,
-        "n_budget": cfg.slide.n_budget,
+        "n_budget": n,
         "discard_tails": discard_tails,
         "splits": {},
     }
-    n = cfg.slide.n_budget
     with StageGuard() as guard:
         shards_root = guard.track(out / SHARDS_NAME)
-        # Train first: streaming it fills `held` before validation is read.
+        # Train first: cutting it runs the record stream to its end, which
+        # fills `held` before validation is cut.
         for split_name, indices, ids_stream in (("train", train_idx, train_ids),
                                                 ("validation", val_idx, held)):
+            lengths = (entries[i].token_len for i in indices)
             if cfg.slide.kind == "standard":
-                windows = slide_standard(ids_stream, n, cfg.slide.keep_final_partial)
+                ranges = slide_standard(lengths, n, cfg.slide.keep_final_partial)
             elif discard_tails:
-                windows = slide_optimized_lossy(ids_stream, n, split_token_id)
+                ranges = slide_optimized_lossy(lengths, n)
             else:
-                windows = slide_optimized(ids_stream, n, split_token_id)
+                ranges = slide_optimized(lengths, n)
             per_language: dict[str, int] = {}
             for i in indices:
                 for lang, tokens in entries[i].per_language.items():
                     per_language[lang] = per_language.get(lang, 0) + tokens
             manifest = write_shards(
-                windows,
+                cut_windows(ids_stream, ranges),
                 shards_root / split_name,
                 config_digest=digest,
                 tokenizer_kind=cfg.tokenizer.kind,

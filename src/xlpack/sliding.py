@@ -1,27 +1,32 @@
-"""Window batchers over a stream of delimiter-terminated token sequences.
+"""Window plans over a stream of delimiter-terminated contexts.
 
-The optimized policy never cuts a context: each window takes whole contexts
-while they fit the budget, which is equivalent to sliding a raw window of n
-tokens and retreating its end to the last delimiter token. Tokens past that
-delimiter are deferred to the next window, not discarded, so concatenating all
-windows reproduces the input stream exactly.
+Each policy is a planner: it reads the contexts' token lengths and yields
+(start, end) token ranges of their concatenated stream. The boundary rule
+depends only on where contexts end, so no planner reads an id; cut_windows
+slices the planned ranges out of the ids.
 
-The standard policy is the fixed-stride baseline: the concatenated stream is
-cut into exact n-token ranges regardless of context boundaries.
-
-A lossy variant of the optimized policy (tail tokens after the last delimiter
-of each raw n-token window are discarded and the next window starts at the raw
-boundary) is kept for comparison runs only.
+- optimized: slide a raw n-token window and retreat its end to the last
+  context end inside it, so each window holds whole contexts while they fit.
+  The next window starts where this one ends: tokens past the retreat are
+  deferred, not discarded, and the ranges tile the stream.
+- standard: the fixed-stride baseline, range(0, total, n). Contexts may be
+  cut mid-sequence, and the final remainder (< n tokens) is optional.
+- lossy (comparison runs only): raw windows at stride n, each retreated to the
+  last context end inside it. The tokens between the retreat and the raw
+  boundary are discarded, so a context head can be lost entirely.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 
 class ContextStreamError(ValueError):
-    """An input context violates the packing invariants the batcher relies on."""
+    """An input context violates the packing invariants the windows rely on."""
 
 
 @dataclass
@@ -31,15 +36,9 @@ class SlidePolicy:
     keep_final_partial: bool = True  # standard policy only
 
 
-@dataclass
-class WindowShard:
-    ids: list[int]
-    window_index: int
-    dropped_from_raw_span: int = 0  # tokens deferred past this window's raw end
-    source: tuple[int, int] | None = None  # (first, last) input context index
-
-
-def _check_context(ids: list[int], n: int, split_token_id: int, index: int) -> None:
+def check_context(ids: Sequence[int], n: int, split_token_id: int, index: int) -> None:
+    """Refuse a context that is empty, over the budget, or not terminated by
+    exactly one split token."""
     if not ids:
         raise ContextStreamError(f"context {index} is empty")
     if len(ids) > n:
@@ -52,114 +51,58 @@ def _check_context(ids: list[int], n: int, split_token_id: int, index: int) -> N
         raise ContextStreamError(f"context {index} contains an interior split token")
 
 
-def slide_optimized(
-    contexts: Iterable[list[int]], n: int, split_token_id: int = 0
-) -> Iterator[WindowShard]:
-    """Greedy whole-context windows of at most n tokens.
-
-    Every emitted window ends with the split token, and the concatenation of
-    all windows equals the concatenation of all inputs. dropped_from_raw_span
-    records how many tokens of the raw n-token span were pushed to the next
-    window.
-    """
-    cur: list[int] = []
-    first_idx = 0
-    last_idx = -1
-    window_index = 0
-    for index, ids in enumerate(contexts):
-        _check_context(ids, n, split_token_id, index)
-        if cur and len(cur) + len(ids) > n:
-            yield WindowShard(cur, window_index, n - len(cur), (first_idx, last_idx))
-            window_index += 1
-            cur = []
-        if not cur:
-            first_idx = index
-            cur = list(ids)
-        else:
-            cur.extend(ids)
-        last_idx = index
-    if cur:
-        yield WindowShard(cur, window_index, 0, (first_idx, last_idx))
+def slide_optimized(lengths: Iterable[int], n: int) -> Iterator[tuple[int, int]]:
+    """Greedy whole-context windows of at most n tokens: a window closes when
+    the next context would overflow it."""
+    start = end = 0
+    for length in lengths:
+        if end > start and end + length - start > n:
+            yield start, end
+            start = end
+        end += length
+    if end > start:
+        yield start, end
 
 
 def slide_standard(
-    contexts: Iterable[list[int]], n: int, keep_final_partial: bool = True
-) -> Iterator[WindowShard]:
-    """Exact partition of the concatenated stream into n-token windows.
-
-    Contexts may be cut mid-sequence; the final remainder (< n tokens) is
-    emitted only when keep_final_partial is set.
-    """
+    lengths: Iterable[int], n: int, keep_final_partial: bool = True
+) -> Iterator[tuple[int, int]]:
+    """Exact partition of the stream into n-token windows; the final
+    remainder is kept only when keep_final_partial is set."""
     if n <= 0:
         raise ValueError("window size must be positive")
-    buf: list[int] = []
-    spans: list[tuple[int, int]] = []  # (context index, token count) queued in buf
-    window_index = 0
-
-    def drain_window() -> WindowShard:
-        nonlocal buf, spans, window_index
-        out = buf[:n]
-        buf = buf[n:]
-        taken = 0
-        first = spans[0][0]
-        last = first
-        while taken < n:
-            ci, length = spans[0]
-            last = ci
-            if taken + length <= n:
-                taken += length
-                spans.pop(0)
-            else:
-                spans[0] = (ci, length - (n - taken))
-                taken = n
-        shard = WindowShard(out, window_index, 0, (first, last))
-        window_index += 1
-        return shard
-
-    for index, ids in enumerate(contexts):
-        if not ids:
-            continue
-        buf.extend(ids)
-        spans.append((index, len(ids)))
-        while len(buf) >= n:
-            yield drain_window()
-    if buf and keep_final_partial:
-        yield WindowShard(buf, window_index, 0, (spans[0][0], spans[-1][0]))
+    total = sum(lengths)
+    for start in range(0, total, n):
+        end = min(start + n, total)
+        if end - start == n or keep_final_partial:
+            yield start, end
 
 
-def slide_optimized_lossy(
-    contexts: Iterable[list[int]], n: int, split_token_id: int = 0
-) -> Iterator[WindowShard]:
-    """Fixed-stride raw windows, each cut back to its last split token.
+def slide_optimized_lossy(lengths: Iterable[int], n: int) -> Iterator[tuple[int, int]]:
+    """Stride-n raw windows, each cut back to the last context end inside it;
+    a raw window holding no context end yields nothing."""
+    ends = list(accumulate(lengths))
+    for raw in range(0, ends[-1] if ends else 0, n):
+        k = bisect_right(ends, raw + n)
+        if k and ends[k - 1] > raw:
+            yield raw, ends[k - 1]
 
-    Tokens between the cut and the raw boundary are discarded from the corpus
-    (the comparison-only reading of the boundary rule); the next raw window
-    starts at the boundary, so a context head can be lost entirely.
-    """
-    buf: list[int] = []
-    window_index = 0
-    exhausted = False
+
+def cut_windows(
+    contexts: Iterable[Sequence[int]], ranges: Iterable[tuple[int, int]]
+) -> Iterator[array]:
+    """Slice each (start, end) range out of the concatenated contexts, as
+    u32 ids. Ranges must ascend without overlap. Once they are done the rest
+    of `contexts` is still consumed, so a stream that checks its records runs
+    to its end."""
     it = iter(contexts)
-    index = -1
-    while not exhausted:
-        while len(buf) < n:
-            try:
-                ids = next(it)
-            except StopIteration:
-                exhausted = True
-                break
-            index += 1
-            _check_context(ids, n, split_token_id, index)
-            buf.extend(ids)
-        raw = buf[:n]
-        buf = buf[n:]
-        if not raw:
-            break
-        cut = len(raw) - 1
-        while cut >= 0 and raw[cut] != split_token_id:
-            cut -= 1
-        if cut < 0:
-            # Only possible on a final partial span with no delimiter left.
-            continue
-        yield WindowShard(raw[: cut + 1], window_index, len(raw) - cut - 1, None)
-        window_index += 1
+    buf = array("I")  # stream tokens [base, base + len(buf))
+    base = 0
+    for start, end in ranges:
+        while base + len(buf) < end:
+            buf.extend(next(it))
+        yield buf[start - base : end - base]
+        del buf[: end - base]
+        base = end
+    for _ in it:
+        pass

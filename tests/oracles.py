@@ -158,6 +158,19 @@ def reference_slide_standard(id_lists, n, keep_final_partial=True):
     return out
 
 
+def reference_slide_lossy(id_lists, n, split_id=0):
+    """Stride-n raw chunks of the stream, each cut after its last split id;
+    a chunk without one is skipped."""
+    stream = [t for ids in id_lists for t in ids]
+    out = []
+    for s in range(0, len(stream), n):
+        chunk = stream[s : s + n]
+        splits = [k for k, t in enumerate(chunk) if t == split_id]
+        if splits:
+            out.append(chunk[: splits[-1] + 1])
+    return out
+
+
 def reference_search(docs, query, k):
     """Brute-force cosine scan: docs is a list of (doc_id, unit vector)."""
     scored = []

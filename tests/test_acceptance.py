@@ -24,7 +24,7 @@ from xlpack.retrieval import (
     extract_keywords,
     two_step_retrieve,
 )
-from xlpack.sliding import slide_optimized
+from xlpack.sliding import cut_windows, slide_optimized
 from xlpack.synth import build_corpus, write_langlinks_dump
 from xlpack.tokenization import WhitespaceTokenizer
 
@@ -110,30 +110,35 @@ def test_criterion_3_optimized_sliding():
     def ctx(length, tag):
         return [tag * 1000 + k + 1 for k in range(length - 1)] + [0]
 
+    def windows(streams, n):
+        """The optimized plan's ranges, cut out of the streams as id lists."""
+        ranges = slide_optimized([len(s) for s in streams], n)
+        return [w.tolist() for w in cut_windows(streams, ranges)]
+
     rng = random.Random(1003)
     for trial in range(1_000):
         n = rng.randint(2, 64)
         streams = [ctx(rng.randint(1, n), k) for k in range(rng.randint(0, 20))]
-        ws = list(slide_optimized(streams, n))
+        ws = windows(streams, n)
         flat_in = [t for s in streams for t in s]
-        flat_out = [t for w in ws for t in w.ids]
+        flat_out = [t for w in ws for t in w]
         assert flat_out == flat_in  # lossless
         for w in ws:
-            assert len(w.ids) <= n
-            assert w.ids[-1] == 0  # split-terminated
-        assert [w.ids for w in ws] == reference_slide_optimized(streams, n)
+            assert len(w) <= n
+            assert w[-1] == 0  # split-terminated
+        assert ws == reference_slide_optimized(streams, n)
         # No context spans windows.
         pos = 0
         for w in ws:
             consumed = 0
-            while consumed < len(w.ids):
-                assert w.ids[consumed : consumed + len(streams[pos])] == streams[pos]
+            while consumed < len(w):
+                assert w[consumed : consumed + len(streams[pos])] == streams[pos]
                 consumed += len(streams[pos])
                 pos += 1
-    fixed1 = list(slide_optimized([ctx(5, 1), ctx(5, 2), ctx(5, 3)], 8))
-    assert [len(w.ids) for w in fixed1] == [5, 5, 5]
-    fixed2 = list(slide_optimized([ctx(3, 1), ctx(4, 2), ctx(5, 3)], 8))
-    assert [len(w.ids) for w in fixed2] == [7, 5]
+    fixed1 = windows([ctx(5, 1), ctx(5, 2), ctx(5, 3)], 8)
+    assert [len(w) for w in fixed1] == [5, 5, 5]
+    fixed2 = windows([ctx(3, 1), ctx(4, 2), ctx(5, 3)], 8)
+    assert [len(w) for w in fixed2] == [7, 5]
     _pass(3, "1,000 streams equal the positional oracle; fixtures reproduce")
 
 

@@ -83,6 +83,17 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_export_import_does_not_load_numpy(self):
+        # The shard codec decodes records with array, so it needs no numpy.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, xlpack.export; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_missing_config_file(self, tmp_path):
         assert run(["align", "--config", str(tmp_path / "nope.json")]) == EXIT_INPUT
 

@@ -23,7 +23,6 @@ from xlpack.export import (
     write_shards,
 )
 from xlpack.packing import EN_FIRST, PackConfig, pack_pair
-from xlpack.sliding import WindowShard
 from xlpack.tokenization import WhitespaceTokenizer
 
 
@@ -67,10 +66,6 @@ class TestSplitValidation:
             SplitConfig(validation_fraction=1.0)
 
 
-def _window(ids, index=0):
-    return WindowShard(list(ids), index)
-
-
 def _write(tmp_path, windows, **kw):
     defaults = dict(
         config_digest="cafe",
@@ -102,7 +97,7 @@ class TestShards:
     def test_record_round_trip(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("records") / "records.bin"
         path.write_bytes(b"".join(encode_window_record(ids) for ids in records))
-        assert list(iter_shard_records(path)) == records
+        assert [ids.tolist() for ids in iter_shard_records(path)] == records
 
     def test_empty_stream(self, tmp_path):
         manifest = _write(tmp_path, [])
@@ -121,13 +116,12 @@ class TestShards:
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, tmp_path_factory, windows, max_bytes):
         out = tmp_path_factory.mktemp("shards")
-        _write(out, (_window(w, i) for i, w in enumerate(windows)),
-               shard_max_bytes=max_bytes)
+        _write(out, windows, shard_max_bytes=max_bytes)
         back = [w.ids for w in read_shards(out)]
         assert back == windows
 
     def test_rolls_files_at_cap(self, tmp_path):
-        windows = [_window([7] * 10, i) for i in range(4)]
+        windows = [[7] * 10] * 4
         _write(tmp_path, windows, shard_max_bytes=50)  # each record is 44 bytes
         files = sorted(p.name for p in tmp_path.glob("windows-*.bin"))
         assert files == [f"windows-{k:05d}.bin" for k in range(4)]
@@ -136,13 +130,13 @@ class TestShards:
         windows = [[1, 2, 3], [4, 5]]
         a = tmp_path / "a"
         b = tmp_path / "b"
-        _write(a, (_window(w, i) for i, w in enumerate(windows)))
-        _write(b, (_window(w, i) for i, w in enumerate(windows)))
+        _write(a, windows)
+        _write(b, windows)
         for name in ("windows-00000.bin", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_manifest_contents(self, tmp_path):
-        manifest = _write(tmp_path, [_window([1, 2, 0])])
+        manifest = _write(tmp_path, [[1, 2, 0]])
         data = json.loads((tmp_path / "manifest.json").read_text())
         assert data["window_count"] == 1
         assert data["token_total"] == 3
@@ -151,7 +145,7 @@ class TestShards:
         assert data["config_digest"] == manifest.config_digest == "cafe"
 
     def test_count_mismatch_detected(self, tmp_path):
-        _write(tmp_path, [_window([1, 2, 0])])
+        _write(tmp_path, [[1, 2, 0]])
         data = json.loads((tmp_path / "manifest.json").read_text())
         data["window_count"] = 5
         (tmp_path / "manifest.json").write_text(json.dumps(data))
@@ -160,13 +154,15 @@ class TestShards:
         assert "window_count" in str(err.value)
 
     def test_truncated_record_names_file_and_offset(self, tmp_path):
-        _write(tmp_path, [_window([1, 2, 0])])
-        shard = tmp_path / "windows-00000.bin"
-        shard.write_bytes(shard.read_bytes()[:-2])
-        with pytest.raises(ShardError) as err:
-            list(read_shards(tmp_path))
-        assert "windows-00000.bin" in str(err.value)
-        assert "offset" in str(err.value)
+        # Cut inside the last id, then at an id boundary.
+        for cut in (2, 4):
+            _write(tmp_path, [[1, 2, 0]])
+            shard = tmp_path / "windows-00000.bin"
+            shard.write_bytes(shard.read_bytes()[:-cut])
+            with pytest.raises(ShardError) as err:
+                list(read_shards(tmp_path))
+            assert "windows-00000.bin" in str(err.value)
+            assert "truncated record at offset 0" in str(err.value)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ShardError):
@@ -179,7 +175,7 @@ class TestShards:
 
     def test_partial_file_removed_on_error(self, tmp_path):
         def windows():
-            yield _window([1, 2, 3])
+            yield [1, 2, 3]
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError):

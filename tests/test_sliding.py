@@ -1,4 +1,7 @@
-"""Window batcher tests: fixtures, properties, and positional-oracle equivalence."""
+"""Window planner and cutter tests: fixtures, properties, and positional-oracle
+equivalence."""
+
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +9,14 @@ from hypothesis import strategies as st
 
 from xlpack.sliding import (
     ContextStreamError,
+    check_context,
+    cut_windows,
     slide_optimized,
     slide_optimized_lossy,
     slide_standard,
 )
 
-from .oracles import reference_slide_optimized, reference_slide_standard
+from .oracles import reference_slide_lossy, reference_slide_optimized, reference_slide_standard
 
 SPLIT = 0
 
@@ -22,93 +27,125 @@ def ctx(length: int, start: int = 1) -> list[int]:
     return [start + k for k in range(length - 1)] + [SPLIT]
 
 
-# Random streams of contexts with lengths in [1, n].
+def lengths(streams):
+    return [len(ids) for ids in streams]
+
+
+def cut(streams, ranges) -> list[list[int]]:
+    return [w.tolist() for w in cut_windows(streams, ranges)]
+
+
+# Random streams of contexts with lengths in [1, max_factor * n].
 @st.composite
-def context_streams(draw):
+def context_streams(draw, max_factor=1):
     n = draw(st.integers(2, 24))
-    lengths = draw(st.lists(st.integers(1, n), min_size=0, max_size=30))
-    streams = [ctx(length, start=100 * k + 1) for k, length in enumerate(lengths)]
+    sizes = draw(st.lists(st.integers(1, max_factor * n), min_size=0, max_size=30))
+    streams = [ctx(length, start=100 * k + 1) for k, length in enumerate(sizes)]
     return streams, n
 
 
 class TestOptimizedFixtures:
     def test_equal_contexts_force_one_per_window(self):
-        ws = list(slide_optimized([ctx(5), ctx(5), ctx(5)], 8))
-        assert [len(w.ids) for w in ws] == [5, 5, 5]
-        assert [w.dropped_from_raw_span for w in ws] == [3, 3, 0]
-        expected = reference_slide_optimized([ctx(5), ctx(5), ctx(5)], 8)
-        assert [w.ids for w in ws] == expected
+        streams = [ctx(5), ctx(5), ctx(5)]
+        ranges = list(slide_optimized(lengths(streams), 8))
+        assert ranges == [(0, 5), (5, 10), (10, 15)]
+        # Each closed window defers the n - len(w) tokens of its raw span.
+        assert [8 - (end - start) for start, end in ranges[:-1]] == [3, 3]
+        assert cut(streams, ranges) == reference_slide_optimized(streams, 8)
 
     def test_mixed_lengths(self):
         streams = [ctx(3), ctx(4), ctx(5)]
-        ws = list(slide_optimized(streams, 8))
-        assert [len(w.ids) for w in ws] == [7, 5]
-        assert [w.ids for w in ws] == reference_slide_optimized(streams, 8)
-        assert ws[0].source == (0, 1)
-        assert ws[1].source == (2, 2)
+        ranges = list(slide_optimized(lengths(streams), 8))
+        # Contexts 0-1 end at 7 and fill the first window; context 2 the second.
+        assert ranges == [(0, 7), (7, 12)]
+        assert cut(streams, ranges) == reference_slide_optimized(streams, 8)
 
     def test_exact_budget_context(self):
-        ws = list(slide_optimized([ctx(8)], 8))
-        assert [len(w.ids) for w in ws] == [8]
+        assert list(slide_optimized([8], 8)) == [(0, 8)]
 
     def test_empty_stream(self):
         assert list(slide_optimized([], 8)) == []
 
     def test_window_indices_sequential(self):
-        ws = list(slide_optimized([ctx(5)] * 4, 8))
-        assert [w.window_index for w in ws] == list(range(len(ws)))
+        # Window k + 1 starts where window k ends, and the last ends the stream.
+        ranges = list(slide_optimized([5] * 4, 8))
+        assert [start for start, _ in ranges] == [0] + [end for _, end in ranges[:-1]]
+        assert ranges[-1][1] == 20
 
 
 class TestOptimizedErrors:
+    """The context rules slide checks on every record, under every policy."""
+
+    def test_well_formed_context_passes(self):
+        check_context(ctx(8), 8, SPLIT, 0)
+
     def test_oversized_context_rejected(self):
         with pytest.raises(ContextStreamError) as err:
-            list(slide_optimized([ctx(9)], 8))
+            check_context(ctx(9), 8, SPLIT, 0)
         assert "context 0" in str(err.value)
 
     def test_missing_terminal_split_rejected(self):
         with pytest.raises(ContextStreamError) as err:
-            list(slide_optimized([ctx(4), [1, 2, 3]], 8))
+            check_context([1, 2, 3], 8, SPLIT, 1)
         assert "context 1" in str(err.value)
 
     def test_interior_split_rejected(self):
         with pytest.raises(ContextStreamError):
-            list(slide_optimized([[1, SPLIT, 2, SPLIT]], 8))
+            check_context([1, SPLIT, 2, SPLIT], 8, SPLIT, 0)
 
     def test_empty_context_rejected(self):
         with pytest.raises(ContextStreamError):
-            list(slide_optimized([[]], 8))
+            check_context([], 8, SPLIT, 0)
+
+
+class TestCutWindows:
+    def test_runs_the_stream_to_its_end(self):
+        # The dropped final partial needs no record, yet every record is read.
+        read = []
+
+        def stream():
+            for ids in [ctx(8), ctx(3)]:
+                read.append(ids)
+                yield ids
+
+        assert cut(stream(), slide_standard([8, 3], 8, keep_final_partial=False)) == [ctx(8)]
+        assert len(read) == 2
+
+    def test_skips_tokens_between_ranges(self):
+        assert cut([[1, 2, 3], [4, 5]], [(1, 2), (4, 5)]) == [[2], [5]]
 
 
 @given(context_streams())
 @settings(max_examples=200, deadline=None)
 def test_optimized_matches_positional_oracle(stream_and_n):
     streams, n = stream_and_n
-    ws = list(slide_optimized(streams, n))
-    assert [w.ids for w in ws] == reference_slide_optimized(streams, n)
+    ws = cut(streams, slide_optimized(lengths(streams), n))
+    assert ws == reference_slide_optimized(streams, n)
 
 
 @given(context_streams())
 @settings(max_examples=200, deadline=None)
 def test_optimized_properties(stream_and_n):
     streams, n = stream_and_n
-    ws = list(slide_optimized(streams, n))
+    ranges = list(slide_optimized(lengths(streams), n))
+    ws = cut(streams, ranges)
     flat_in = [t for ids in streams for t in ids]
-    flat_out = [t for w in ws for t in w.ids]
+    flat_out = [t for w in ws for t in w]
     # Losslessness: deferred, never discarded.
     assert flat_out == flat_in
+    length_at = dict(zip(accumulate([0] + lengths(streams)), lengths(streams)))
     for k, w in enumerate(ws):
-        assert 1 <= len(w.ids) <= n
-        assert w.ids[-1] == SPLIT
-        # Greedy maximality: the next context would not have fit.
-        if k + 1 < len(ws):
-            next_first = ws[k + 1].source[0]
-            assert len(w.ids) + len(streams[next_first]) > n
+        assert 1 <= len(w) <= n
+        assert w[-1] == SPLIT
+        # Greedy maximality: the context that opens the next window would not have fit.
+        if k + 1 < len(ranges):
+            assert len(w) + length_at[ranges[k + 1][0]] > n
     # No context spans windows: each window is a concatenation of whole contexts.
     pos = 0
     for w in ws:
         consumed = 0
-        while consumed < len(w.ids):
-            assert w.ids[consumed : consumed + len(streams[pos])] == streams[pos]
+        while consumed < len(w):
+            assert w[consumed : consumed + len(streams[pos])] == streams[pos]
             consumed += len(streams[pos])
             pos += 1
     assert pos == len(streams)
@@ -117,55 +154,63 @@ def test_optimized_properties(stream_and_n):
 class TestStandardFixtures:
     def test_cuts_mid_context(self):
         streams = [ctx(3), ctx(4), ctx(5)]
-        ws = list(slide_standard(streams, 8))
-        assert [len(w.ids) for w in ws] == [8, 4]
-        # Window 1 ends with the first token of context 3.
-        assert ws[0].ids[-1] == streams[2][0]
-        assert ws[0].source == (0, 2)
-        assert [w.ids for w in ws] == reference_slide_standard(streams, 8)
+        ranges = list(slide_standard(lengths(streams), 8))
+        # Window 0 covers contexts 0-1 (ending at 7) and the head of context 2.
+        assert ranges == [(0, 8), (8, 12)]
+        ws = cut(streams, ranges)
+        assert ws[0][-1] == streams[2][0]
+        assert ws == reference_slide_standard(streams, 8)
 
     def test_exact_multiple_no_partial(self):
-        ws = list(slide_standard([ctx(8), ctx(8)], 8))
-        assert [len(w.ids) for w in ws] == [8, 8]
+        assert list(slide_standard([8, 8], 8)) == [(0, 8), (8, 16)]
 
     def test_drop_final_partial(self):
-        assert list(slide_standard([ctx(5)], 8, keep_final_partial=False)) == []
+        assert list(slide_standard([5], 8, keep_final_partial=False)) == []
 
     def test_keep_final_partial(self):
-        (w,) = slide_standard([ctx(5)], 8, keep_final_partial=True)
-        assert len(w.ids) == 5
+        assert list(slide_standard([5], 8, keep_final_partial=True)) == [(0, 5)]
 
 
 @given(context_streams(), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_standard_partition_property(stream_and_n, keep_partial):
     streams, n = stream_and_n
-    ws = list(slide_standard(streams, n, keep_partial))
-    total = sum(len(s) for s in streams)
-    lengths = [len(w.ids) for w in ws]
+    ws = cut(streams, slide_standard(lengths(streams), n, keep_partial))
+    total = sum(lengths(streams))
+    sizes = [len(w) for w in ws]
     if keep_partial:
-        assert sum(lengths) == total
-        if lengths:
-            assert all(l == n for l in lengths[:-1])
-            assert 0 < lengths[-1] <= n
+        assert sum(sizes) == total
+        if sizes:
+            assert all(l == n for l in sizes[:-1])
+            assert 0 < sizes[-1] <= n
     else:
-        assert all(l == n for l in lengths)
-        assert sum(lengths) == total - total % n
-    assert [w.ids for w in ws] == reference_slide_standard(streams, n, keep_partial)
+        assert all(l == n for l in sizes)
+        assert sum(sizes) == total - total % n
+    assert ws == reference_slide_standard(streams, n, keep_partial)
 
 
 class TestLossy:
     def test_tails_are_discarded(self):
-        # Raw window [s, s+8): contexts of 5 + head of next 5; tail dropped.
-        ws = list(slide_optimized_lossy([ctx(5), ctx(5), ctx(5)], 8))
+        # Raw window [0, 8): context 0 + head of context 1, whose head is dropped.
+        streams = [ctx(5), ctx(5), ctx(5)]
+        ranges = list(slide_optimized_lossy(lengths(streams), 8))
+        assert ranges == [(0, 5), (8, 15)]
+        ws = cut(streams, ranges)
         for w in ws:
-            assert w.ids[-1] == SPLIT
-            assert len(w.ids) <= 8
-        flat_out = [t for w in ws for t in w.ids]
-        flat_in = [t for s in [ctx(5), ctx(5), ctx(5)] for t in s]
-        assert len(flat_out) < len(flat_in)
+            assert w[-1] == SPLIT
+            assert len(w) <= 8
+        assert sum(len(w) for w in ws) < sum(lengths(streams))
 
     def test_fitting_stream_is_unchanged(self):
         streams = [ctx(4), ctx(4), ctx(4), ctx(4)]
-        ws = list(slide_optimized_lossy(streams, 8))
-        assert [t for w in ws for t in w.ids] == [t for s in streams for t in s]
+        ws = cut(streams, slide_optimized_lossy(lengths(streams), 8))
+        assert [t for w in ws for t in w] == [t for s in streams for t in s]
+
+
+# Contexts up to 2n long, so some raw windows hold no context end and are skipped.
+@given(context_streams(max_factor=2))
+@settings(max_examples=200, deadline=None)
+def test_lossy_matches_chunk_oracle(stream_and_n):
+    streams, n = stream_and_n
+    ws = cut(streams, slide_optimized_lossy(lengths(streams), n))
+    assert ws == reference_slide_lossy(streams, n)

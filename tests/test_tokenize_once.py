@@ -57,6 +57,41 @@ def test_shard_digests_pinned(tmp_path, monkeypatch, policy):
     assert digests == SHARD_DIGESTS[policy]
 
 
+# The other slide settings over the en_first corpus, recorded before slide
+# planned windows as token ranges: (extra CLI args, train and validation
+# digests of windows-00000.bin).
+SLIDE_DIGESTS = {
+    "standard": (["--set", "slide.kind=standard"], (
+        "723f79d70a0b0866ae0e36d0db4ced068371f57cea504c8b0768b3913f20002d",
+        "b5107e85f281395ec43bbd2f0c5d7b16cae1ffb011742d411715438d16222ee8",
+    )),
+    "standard_drop_partial": (
+        ["--set", "slide.kind=standard", "--set", "slide.keep_final_partial=false"], (
+            "b32d50c14c56aa4943e66e087071de354dd41603f69f3c714b566eb1b629a8a1",
+            "26934c6fd410e8d85ea7468aae8599b4a795963925180d93acc9b9e807f4adb0",
+        )),
+    "discard_tails": (["--discard-tails"], (
+        "c1fc877977879c8a82b1b03f5626e43d3e76a792fd9e46b752bbb40caff98dc2",
+        "188561c43f23c59f9aad7e64069f2d31eec6d513cba4d0f87d497d66609d6c98",
+    )),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(SLIDE_DIGESTS))
+def test_slide_policy_digests_pinned(tmp_path, monkeypatch, setting):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    args, (train, validation) = SLIDE_DIGESTS[setting]
+    cfg_path = _configured(tmp_path, "en_first")
+    assert run(["all", "--config", str(cfg_path), *args]) == EXIT_OK
+    shards = tmp_path / "out" / "shards"
+    digests = {
+        str(p.relative_to(shards)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(shards.glob("*/windows-*.bin"))
+    }
+    assert digests == {"train/windows-00000.bin": train,
+                       "validation/windows-00000.bin": validation}
+
+
 def test_slide_and_stats_never_tokenize(tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     cfg_path = _configured(tmp_path, "mix")
@@ -221,6 +256,26 @@ def test_slide_refuses_resized_record(packed, capsys):
     assert run(["slide", "--config", str(cfg_path)]) == EXIT_STAGE
     err = capsys.readouterr().err
     assert f"record 3 holds {length - 1} tokens" in err and f"token_len is {length}" in err
+    assert not (out / "shards").exists()
+
+
+@pytest.mark.parametrize("args", [[], ["--set", "slide.kind=standard"], ["--discard-tails"]],
+                         ids=["optimized", "standard", "discard_tails"])
+@pytest.mark.parametrize("damage", ["no_split", "interior_split"])
+def test_slide_refuses_malformed_record(packed, capsys, args, damage):
+    """Every policy checks each record, including validation record 19; the
+    record keeps its length, so only the context rules can catch it."""
+    out, cfg_path = packed
+    records = list(iter_shard_records(out / "contexts.bin"))
+    if damage == "no_split":
+        records[-1][-1] = 7
+        expected = f"context {len(records) - 1} lacks the terminal split token"
+    else:
+        records[19][0] = 0
+        expected = "context 19 contains an interior split token"
+    _rewrite(out / "contexts.bin", records)
+    assert run(["slide", "--config", str(cfg_path), *args]) == EXIT_STAGE
+    assert expected in capsys.readouterr().err
     assert not (out / "shards").exists()
 
 
