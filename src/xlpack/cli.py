@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PATH=VALUE", help="override one config field (dotted path)")
         p.add_argument("--emit-text", action="store_true",
                        help="also write rendered context text (pack)")
-        p.add_argument("--discard-tails", action="store_true",
-                       help="lossy window boundaries for comparison runs (slide)")
         p.add_argument("--dump-tsv", action="store_true",
                        help="write parsed dump records as TSV for inspection (align)")
     return parser
@@ -90,19 +88,14 @@ def run(argv: list[str] | None = None) -> int:
             elif args.subcommand == "pack":
                 pipeline.stage_pack(cfg, report, emit_text=args.emit_text)
             elif args.subcommand == "slide":
-                pipeline.stage_slide(cfg, report, discard_tails=args.discard_tails)
+                pipeline.stage_slide(cfg, report)
             elif args.subcommand == "export":
                 pipeline.stage_export(cfg, report)
             elif args.subcommand == "stats":
                 pipeline.stage_stats(cfg, report)
             else:
-                pipeline.run_all(
-                    cfg,
-                    report,
-                    emit_text=args.emit_text,
-                    discard_tails=args.discard_tails,
-                    dump_tsv=args.dump_tsv,
-                )
+                pipeline.run_all(cfg, report, emit_text=args.emit_text,
+                                 dump_tsv=args.dump_tsv)
         except FileNotFoundError as e:
             report.event("run_failed", subcommand=args.subcommand, error=str(e))
             print(f"input error: {e}", file=sys.stderr)

@@ -5,17 +5,15 @@ dotted paths (applied to the raw document prior to validation)."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from .export import SplitConfig
+from .export import DEFAULT_SHARD_MAX_BYTES, SplitConfig
 from .packing import PackConfig
 from .retrieval import RetrievalConfig
 from .sliding import SlidePolicy
 from .tokenization import TokenizerSpec
-
-DEFAULT_SHARD_MAX_BYTES = 64 * 1024 * 1024
 
 
 class ConfigError(Exception):
@@ -43,30 +41,6 @@ class PipelinePaths:
 
 
 @dataclass
-class RetrievalSettings:
-    """Retrieval constants plus the embedding provider wiring."""
-
-    threshold: float = 0.75
-    max_results: int = 3
-    candidate_pool_k: int = 100
-    provider: str = "mock"  # mock | file | wire
-    dim: int = 16
-    seed: int = 0
-    cache_path: str | None = None
-    endpoint: str | None = None
-    auth_token: str | None = None
-    timeout_s: float = 30.0
-    max_retries: int = 3
-
-    def to_retrieval_config(self) -> RetrievalConfig:
-        return RetrievalConfig(
-            threshold=self.threshold,
-            max_results=self.max_results,
-            candidate_pool_k=self.candidate_pool_k,
-        )
-
-
-@dataclass
 class PipelineConfig:
     language_l: str
     paths: PipelinePaths
@@ -74,7 +48,7 @@ class PipelineConfig:
     pack: PackConfig = field(default_factory=PackConfig)
     slide: SlidePolicy = field(default_factory=SlidePolicy)
     split: SplitConfig = field(default_factory=SplitConfig)
-    retrieval: RetrievalSettings | None = None
+    retrieval: RetrievalConfig | None = None
     shard_max_bytes: int = DEFAULT_SHARD_MAX_BYTES
 
     @property
@@ -120,25 +94,32 @@ def parse_mix_ratio(value: Any, path: str, diags: list[str]) -> float:
 
 
 class _Section:
-    """Typed field access over one dict section, recording diagnostics."""
+    """Typed field access over one dict section, recording diagnostics.
 
-    def __init__(self, data: dict, prefix: str, diags: list[str]):
-        self.data = data if isinstance(data, dict) else {}
+    `schema` is the dataclass the section fills: a key that is not one of its
+    fields is refused, a field without a default is required, and a missing
+    or null field reads as the field's default."""
+
+    def __init__(self, data: dict, prefix: str, diags: list[str], schema: type):
+        self.data = data
         self.prefix = prefix
         self.diags = diags
-        if not isinstance(data, dict):
-            diags.append(f"{prefix}: expected an object")
+        self.fields = {f.name: f for f in fields(schema)}
+        for key in data:
+            if key not in self.fields:
+                diags.append(f"{self.path(key)}: unknown field")
 
     def path(self, key: str) -> str:
         return f"{self.prefix}.{key}" if self.prefix else key
 
-    def get(self, key: str, kind, default=None, required: bool = False):
-        if key not in self.data:
+    def get(self, key: str, kind):
+        spec = self.fields[key]
+        required = spec.default is MISSING and spec.default_factory is MISSING
+        default = None if spec.default is MISSING else spec.default
+        value = self.data.get(key)
+        if value is None:
             if required:
                 self.diags.append(f"{self.path(key)}: required field is missing")
-            return default
-        value = self.data[key]
-        if value is None and not required:
             return default
         if kind in (int, float) and isinstance(value, bool):
             self.diags.append(f"{self.path(key)}: expected a number, got {value!r}")
@@ -152,130 +133,90 @@ class _Section:
             return default
         return value
 
-    def check_range(self, key: str, value, low, high, low_inclusive=True, high_inclusive=True):
-        if value is None:
-            return value
-        ok_low = value >= low if low_inclusive else value > low
-        ok_high = value <= high if high_inclusive else value < high
-        if not (ok_low and ok_high):
-            lo = "[" if low_inclusive else "("
+    def read(self, **kinds) -> dict:
+        """The named fields, each checked against its kind."""
+        return {key: self.get(key, kind) for key, kind in kinds.items()}
+
+    def section(self, key: str, schema: type) -> "_Section":
+        return _Section(self.get(key, dict) or {}, self.path(key), self.diags, schema)
+
+    def check_range(self, key: str, value, low, high, high_inclusive=True):
+        if not (low <= value and (value <= high if high_inclusive else value < high)):
             hi = "]" if high_inclusive else ")"
-            self.diags.append(f"{self.path(key)}: {value!r} outside {lo}{low}, {high}{hi}")
-        return value
+            self.diags.append(f"{self.path(key)}: {value!r} outside [{low}, {high}{hi}")
 
 
 def _parse_config_dict(data: dict) -> tuple[PipelineConfig | None, list[str]]:
     diags: list[str] = []
-    top = _Section(data, "", diags)
+    top = _Section(data, "", diags, PipelineConfig)
 
-    language_l = top.get("language_l", str, required=True) or "xx"
+    language_l = top.get("language_l", str)
+    paths_sec = top.section("paths", PipelinePaths)
+    paths = paths_sec.read(**{name: str for name in paths_sec.fields})
 
-    paths_sec = _Section(top.get("paths", dict, {}, required=True) or {}, "paths", diags)
-    path_fields = {}
-    for name in ("langlinks_l_to_en", "langlinks_en_to_l", "pages_en", "pages_l",
-                 "articles_en", "articles_l", "output_dir"):
-        path_fields[name] = paths_sec.get(name, str, required=True) or ""
-    web_corpus = paths_sec.get("web_corpus", str)
-
-    tok_sec = _Section(top.get("tokenizer", dict, {}) or {}, "tokenizer", diags)
-    tokenizer = TokenizerSpec(
-        kind=tok_sec.get("kind", str, "whitespace"),
-        vocab_source=tok_sec.get("vocab_source", str),
-        split_token_text=tok_sec.get("split_token_text", str, "[SPLIT]"),
-        split_token_id=tok_sec.get("split_token_id", int, 0),
-    )
-    if tokenizer.kind not in ("whitespace", "byte", "external"):
-        diags.append(f"tokenizer.kind: unknown kind {tokenizer.kind!r}")
-    if tokenizer.kind == "external" and not tokenizer.vocab_source:
+    tokenizer = top.section("tokenizer", TokenizerSpec).read(
+        kind=str, vocab_source=str, split_token_text=str, split_token_id=int)
+    if tokenizer["kind"] not in ("whitespace", "byte", "external"):
+        diags.append(f"tokenizer.kind: unknown kind {tokenizer['kind']!r}")
+    if tokenizer["kind"] == "external" and not tokenizer["vocab_source"]:
         diags.append("tokenizer.vocab_source: required for the external kind")
-    if not tokenizer.split_token_text:
+    if not tokenizer["split_token_text"]:
         diags.append("tokenizer.split_token_text: must be non-empty")
 
-    pack_sec = _Section(top.get("pack", dict, {}) or {}, "pack", diags)
-    pack_budget = pack_sec.get("n_budget", int, 4096)
-    pack_sec.check_range("n_budget", pack_budget, 4, 2**31)
-    policy = pack_sec.get("direction_policy", str, "en_first")
-    if policy not in ("en_first", "l_first", "mix"):
-        diags.append(f"pack.direction_policy: unknown policy {policy!r}")
-        policy = "en_first"
-    raw_ratio = pack_sec.data.get("mix_ratio", 0.5)
-    mix_ratio = parse_mix_ratio(raw_ratio, "pack.mix_ratio", diags)
+    pack_sec = top.section("pack", PackConfig)
+    pack = pack_sec.read(n_budget=int, direction_policy=str, mix_ratio=None, seed=int,
+                         repeat_titles=bool, truncate_oversize=bool)
+    pack_sec.check_range("n_budget", pack["n_budget"], 4, 2**31)
+    if pack["direction_policy"] not in ("en_first", "l_first", "mix"):
+        diags.append(f"pack.direction_policy: unknown policy {pack['direction_policy']!r}")
+    pack["mix_ratio"] = parse_mix_ratio(pack["mix_ratio"], "pack.mix_ratio", diags)
 
-    slide_sec = _Section(top.get("slide", dict, {}) or {}, "slide", diags)
-    slide_kind = slide_sec.get("kind", str, "optimized")
-    if slide_kind not in ("optimized", "standard"):
-        diags.append(f"slide.kind: unknown kind {slide_kind!r}")
-        slide_kind = "optimized"
-    slide_budget = slide_sec.get("n_budget", int, pack_budget if pack_budget else 4096)
+    slide_sec = top.section("slide", SlidePolicy)
+    slide = slide_sec.read(kind=str, n_budget=int, keep_final_partial=bool)
+    if slide["kind"] not in ("optimized", "standard", "lossy"):
+        diags.append(f"slide.kind: unknown kind {slide['kind']!r}")
+    if slide_sec.data.get("n_budget") is None:
+        slide["n_budget"] = pack["n_budget"]  # it must equal pack's, so it follows it
+    if pack["n_budget"] != slide["n_budget"]:
+        diags.append(f"pack.n_budget={pack['n_budget']} and "
+                     f"slide.n_budget={slide['n_budget']} must be equal")
 
-    split_sec = _Section(top.get("split", dict, {}) or {}, "split", diags)
-    fraction = split_sec.get("validation_fraction", float, 0.001)
-    split_sec.check_range("validation_fraction", fraction, 0.0, 1.0, high_inclusive=False)
-    split_seed = split_sec.get("seed", int, 32)
+    split_sec = top.section("split", SplitConfig)
+    split = split_sec.read(validation_fraction=float, seed=int)
+    split_sec.check_range("validation_fraction", split["validation_fraction"], 0.0, 1.0,
+                          high_inclusive=False)
 
     retrieval = None
-    if data.get("retrieval") is not None:
-        ret_sec = _Section(data["retrieval"], "retrieval", diags)
-        threshold = ret_sec.get("threshold", float, 0.75)
-        ret_sec.check_range("threshold", threshold, 0.0, 1.0)
-        max_results = ret_sec.get("max_results", int, 3)
-        ret_sec.check_range("max_results", max_results, 1, 2**31)
-        pool_k = ret_sec.get("candidate_pool_k", int, 100)
-        ret_sec.check_range("candidate_pool_k", pool_k, 1, 2**31)
-        dim = ret_sec.get("dim", int, 16)
-        ret_sec.check_range("dim", dim, 1, 2**31)
-        provider = ret_sec.get("provider", str, "mock")
-        if provider not in ("mock", "file", "wire"):
-            diags.append(f"retrieval.provider: unknown provider {provider!r}")
-            provider = "mock"
-        if provider == "file" and not ret_sec.get("cache_path", str):
+    if (ret_data := top.get("retrieval", dict)) is not None:
+        ret_sec = _Section(ret_data, "retrieval", diags, RetrievalConfig)
+        retrieval = ret_sec.read(
+            threshold=float, max_results=int, candidate_pool_k=int, provider=str, dim=int,
+            seed=int, cache_path=str, endpoint=str, auth_token=str, timeout_s=float,
+            max_retries=int)
+        ret_sec.check_range("threshold", retrieval["threshold"], 0.0, 1.0)
+        for key in ("max_results", "candidate_pool_k", "dim"):
+            ret_sec.check_range(key, retrieval[key], 1, 2**31)
+        if retrieval["provider"] not in ("mock", "file", "wire"):
+            diags.append(f"retrieval.provider: unknown provider {retrieval['provider']!r}")
+        if retrieval["provider"] == "file" and not retrieval["cache_path"]:
             diags.append("retrieval.cache_path: required for the file provider")
-        if provider == "wire" and not ret_sec.get("endpoint", str):
+        if retrieval["provider"] == "wire" and not retrieval["endpoint"]:
             diags.append("retrieval.endpoint: required for the wire provider")
-        retrieval = RetrievalSettings(
-            threshold=0.75 if threshold is None else threshold,
-            max_results=3 if max_results is None else max_results,
-            candidate_pool_k=100 if pool_k is None else pool_k,
-            provider=provider,
-            dim=dim,
-            seed=ret_sec.get("seed", int, 0),
-            cache_path=ret_sec.get("cache_path", str),
-            endpoint=ret_sec.get("endpoint", str),
-            auth_token=ret_sec.get("auth_token", str),
-            timeout_s=ret_sec.get("timeout_s", float, 30.0),
-            max_retries=ret_sec.get("max_retries", int, 3),
-        )
 
-    shard_max_bytes = top.get("shard_max_bytes", int, DEFAULT_SHARD_MAX_BYTES)
+    shard_max_bytes = top.get("shard_max_bytes", int)
     top.check_range("shard_max_bytes", shard_max_bytes, 16, 2**62)
-
-    if pack_budget is not None and slide_budget is not None and pack_budget != slide_budget:
-        diags.append(
-            f"pack.n_budget={pack_budget} and slide.n_budget={slide_budget} must be equal"
-        )
 
     if diags:
         return None, diags
 
     cfg = PipelineConfig(
         language_l=language_l,
-        paths=PipelinePaths(web_corpus=web_corpus, **path_fields),
-        tokenizer=tokenizer,
-        pack=PackConfig(
-            n_budget=pack_budget,
-            direction_policy=policy,
-            mix_ratio=mix_ratio,
-            seed=pack_sec.get("seed", int, 0),
-            repeat_titles=pack_sec.get("repeat_titles", bool, True),
-            truncate_oversize=pack_sec.get("truncate_oversize", bool, True),
-        ),
-        slide=SlidePolicy(
-            kind=slide_kind,
-            n_budget=slide_budget,
-            keep_final_partial=slide_sec.get("keep_final_partial", bool, True),
-        ),
-        split=SplitConfig(validation_fraction=fraction, seed=split_seed),
-        retrieval=retrieval,
+        paths=PipelinePaths(**paths),
+        tokenizer=TokenizerSpec(**tokenizer),
+        pack=PackConfig(**pack),
+        slide=SlidePolicy(**slide),
+        split=SplitConfig(**split),
+        retrieval=RetrievalConfig(**retrieval) if retrieval is not None else None,
         shard_max_bytes=shard_max_bytes,
     )
     return cfg, []

@@ -34,6 +34,7 @@ T = TypeVar("T")
 
 SHARD_PATTERN = "windows-{:05d}.bin"
 MANIFEST_NAME = "manifest.json"
+DEFAULT_SHARD_MAX_BYTES = 64 * 1024 * 1024
 
 
 class ShardError(ValueError):
@@ -140,7 +141,7 @@ def write_shards(
     per_language_tokens: dict[str, int],
     seed: int,
     split: str,
-    shard_max_bytes: int = 64 * 1024 * 1024,
+    shard_max_bytes: int = DEFAULT_SHARD_MAX_BYTES,
     created_at: str | None = None,
 ) -> ShardManifest:
     """Write windows (id sequences) as rolled binary shards plus a manifest;

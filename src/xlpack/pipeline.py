@@ -29,13 +29,19 @@ Output layout under paths.output_dir:
     contexts.bin              context token ids, one u32 record per index
                               line, in the shard record format (pack)
     contexts_text.jsonl       rendered context debug dump (pack --emit-text)
-    shards/<split>/           rolled window shard files + manifest.json (slide)
-    windows_meta.json         per-split window, token and context counts (slide)
+    shards/<split>/           rolled window shard files + manifest.json (slide):
+                              the split's window_count, token_total and
+                              n_budget; its config_digest covers the slide
+                              policy. per_language_tokens counts the split's
+                              contexts, so with one split id per context it
+                              sums to more than token_total under a policy
+                              that drops tokens (lossy, or standard without
+                              keep_final_partial)
     stats.json                per-language token totals (stats)
     run_report.jsonl          event log (every stage)
 
 export writes nothing: it reads both shard sets back and checks them against
-their manifests and windows_meta.json.
+their manifests.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ from .export import (
     config_digest,
     encode_window_record,
     iter_shard_records,
+    read_manifest,
     read_shards,
     split_validation,
     write_shards,
@@ -98,7 +105,6 @@ PSEUDO_PAIRS_NAME = "pseudo_pairs.jsonl"
 CONTEXTS_NAME = "contexts.jsonl"
 CONTEXT_IDS_NAME = "contexts.bin"
 CONTEXTS_TEXT_NAME = "contexts_text.jsonl"
-WINDOWS_META_NAME = "windows_meta.json"
 SHARDS_NAME = "shards"
 STATS_NAME = "stats.json"
 REPORT_NAME = "run_report.jsonl"
@@ -271,7 +277,6 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     provider = make_embedding_provider(cfg)
-    ret_cfg = cfg.retrieval.to_retrieval_config()
 
     # Web texts are held one batch at a time; a blank one is kept only as an id.
     blank_docs: set[str] = set()
@@ -300,7 +305,7 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
             articles = (article for article in store_l if article.text.strip())
             while group := list(islice(articles, group_size)):
                 keyword_sets = [extract_keywords(a, title_map, tally) for a in group]
-                found = two_step_retrieve(keyword_sets, index, provider, ret_cfg, tally)
+                found = two_step_retrieve(keyword_sets, index, provider, cfg.retrieval, tally)
                 for article, results in zip(group, found):
                     for res in results:
                         if res.doc_id in blank_docs:
@@ -462,7 +467,7 @@ def _context_ids(
                          f"{len(entries)} lines")
 
 
-def stage_slide(cfg: PipelineConfig, report: RunReport, discard_tails: bool = False) -> Path:
+def stage_slide(cfg: PipelineConfig, report: RunReport) -> Path:
     start = time.perf_counter()
     out = cfg.output_dir
     entries = read_contexts_jsonl(out / CONTEXTS_NAME)
@@ -473,12 +478,7 @@ def stage_slide(cfg: PipelineConfig, report: RunReport, discard_tails: bool = Fa
                              n, cfg.tokenizer.split_token_id)
     digest = config_digest(cfg.effective_dict())
 
-    meta: dict = {
-        "policy": cfg.slide.kind,
-        "n_budget": n,
-        "discard_tails": discard_tails,
-        "splits": {},
-    }
+    window_counts = {}
     with StageGuard() as guard:
         shards_root = guard.track(out / SHARDS_NAME)
         # Train first: cutting it runs the record stream to its end, which
@@ -488,7 +488,7 @@ def stage_slide(cfg: PipelineConfig, report: RunReport, discard_tails: bool = Fa
             lengths = (entries[i].token_len for i in indices)
             if cfg.slide.kind == "standard":
                 ranges = slide_standard(lengths, n, cfg.slide.keep_final_partial)
-            elif discard_tails:
+            elif cfg.slide.kind == "lossy":
                 ranges = slide_optimized_lossy(lengths, n)
             else:
                 ranges = slide_optimized(lengths, n)
@@ -507,41 +507,24 @@ def stage_slide(cfg: PipelineConfig, report: RunReport, discard_tails: bool = Fa
                 split=split_name,
                 shard_max_bytes=cfg.shard_max_bytes,
             )
-            meta["splits"][split_name] = {
-                "window_count": manifest.window_count,
-                "token_total": manifest.token_total,
-                "context_count": len(indices),
-                "per_language_tokens": per_language,
-            }
-        meta_path = guard.track(out / WINDOWS_META_NAME)
-        meta_path.write_text(
-            json.dumps(meta, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+            window_counts[split_name] = manifest.window_count
     report.event(
         "stage_complete",
         stage="slide",
         elapsed_s=round(time.perf_counter() - start, 3),
-        **{name: info["window_count"] for name, info in meta["splits"].items()},
+        **window_counts,
     )
-    return meta_path
+    return shards_root
 
 
 def stage_export(cfg: PipelineConfig, report: RunReport) -> Path:
-    """Verify the shards slide wrote: read every record back and check each
-    split's window count against its manifest and windows_meta.json."""
+    """Verify the shards slide wrote: read every record of each split back
+    and check its window and token counts against the split's manifest."""
     start = time.perf_counter()
-    out = cfg.output_dir
-    meta = json.loads((out / WINDOWS_META_NAME).read_text(encoding="utf-8"))
-    shards_root = out / SHARDS_NAME
-    counts = {}
-    for split_name in SPLITS:
-        count = sum(1 for _ in read_shards(shards_root / split_name))
-        expected = meta["splits"][split_name]["window_count"]
-        if count != expected:
-            raise ValueError(f"{split_name}: {WINDOWS_META_NAME} lists {expected} windows, "
-                             f"the shards hold {count}")
-        counts[split_name] = count
+    shards_root = cfg.output_dir / SHARDS_NAME
+    if not shards_root.is_dir():
+        raise FileNotFoundError(f"{shards_root}: no shard set; run slide first")
+    counts = {name: sum(1 for _ in read_shards(shards_root / name)) for name in SPLITS}
     report.event(
         "stage_complete",
         stage="export",
@@ -574,7 +557,6 @@ def run_all(
     cfg: PipelineConfig,
     report: RunReport,
     emit_text: bool = False,
-    discard_tails: bool = False,
     dump_tsv: bool = False,
 ) -> None:
     start = time.perf_counter()
@@ -582,12 +564,12 @@ def run_all(
     if cfg.retrieval is not None and cfg.paths.web_corpus:
         stage_retrieve(cfg, report)
     stage_pack(cfg, report, emit_text=emit_text)
-    stage_slide(cfg, report, discard_tails=discard_tails)
+    stage_slide(cfg, report)
     stage_export(cfg, report)
     stage_stats(cfg, report)
     elapsed = time.perf_counter() - start
-    meta = json.loads((cfg.output_dir / WINDOWS_META_NAME).read_text(encoding="utf-8"))
-    token_total = sum(info["token_total"] for info in meta["splits"].values())
+    shards_root = cfg.output_dir / SHARDS_NAME
+    token_total = sum(read_manifest(shards_root / name).token_total for name in SPLITS)
     with open(cfg.output_dir / PAIRS_NAME, encoding="utf-8") as f:
         pair_count = sum(1 for line in f if line.strip())
     report.event(

@@ -75,9 +75,19 @@ class RetrievalResult:
 
 @dataclass
 class RetrievalConfig:
+    """Retrieval constants plus the embedding provider wiring."""
+
     threshold: float = 0.75
     max_results: int = 3
     candidate_pool_k: int = 100
+    provider: str = "mock"  # mock | file | wire
+    dim: int = 16
+    seed: int = 0
+    cache_path: str | None = None
+    endpoint: str | None = None
+    auth_token: str | None = None
+    timeout_s: float = 30.0
+    max_retries: int = 3
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:

@@ -14,6 +14,9 @@ slices the planned ranges out of the ids.
 - lossy (comparison runs only): raw windows at stride n, each retreated to the
   last context end inside it. The tokens between the retreat and the raw
   boundary are discarded, so a context head can be lost entirely.
+
+SlidePolicy.kind names the policy; like every other setting it lives in the
+config, so its digest tells shard sets of different policies apart.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class ContextStreamError(ValueError):
 
 @dataclass
 class SlidePolicy:
-    kind: str = "optimized"  # optimized | standard
+    kind: str = "optimized"  # optimized | standard | lossy
     n_budget: int = 4096
     keep_final_partial: bool = True  # standard policy only
 

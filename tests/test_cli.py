@@ -9,8 +9,11 @@ import pytest
 
 from xlpack.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_STAGE, run
 from xlpack.config import ConfigError, validate_config
-from xlpack.export import read_shards
+from xlpack.export import SplitConfig, config_digest, read_shards
+from xlpack.packing import PackConfig
 from xlpack.report import read_events
+from xlpack.retrieval import RetrievalConfig
+from xlpack.sliding import SlidePolicy
 from xlpack.synth import (
     build_corpus,
     write_articles_jsonl,
@@ -18,6 +21,7 @@ from xlpack.synth import (
     write_pages_dump,
     write_web_corpus_jsonl,
 )
+from xlpack.tokenization import TokenizerSpec
 
 
 def make_config(root: Path, corpus, n_budget=64, extra=None) -> Path:
@@ -52,6 +56,11 @@ def small_run(tmp_path):
     corpus = build_corpus(tmp_path / "data", n_pairs=25, seed=3)
     cfg_path = make_config(tmp_path, corpus)
     return tmp_path, corpus, cfg_path
+
+
+def _manifests(out: Path) -> dict[str, dict]:
+    return {split: json.loads((out / "shards" / split / "manifest.json").read_text())
+            for split in ("train", "validation")}
 
 
 def _tree_bytes(root: Path, skip=("run_report.jsonl",)) -> dict[str, bytes]:
@@ -140,16 +149,24 @@ class TestExitCodes:
 
     def test_stage_failure_when_inputs_missing_for_stage(self, small_run):
         _, _, cfg_path = small_run
-        # slide requires contexts.jsonl which pack has not produced yet
-        assert run(["slide", "--config", str(cfg_path)]) == EXIT_INPUT
+        # slide requires contexts.jsonl which pack has not produced yet, and
+        # export the shard set which slide has not written yet
+        for sub in ("slide", "export"):
+            assert run([sub, "--config", str(cfg_path)]) == EXIT_INPUT, sub
 
 
 class TestValidateConfig:
     def test_minimal_valid_config(self, small_run):
         _, _, cfg_path = small_run
-        cfg = validate_config(cfg_path)
+        cfg = validate_config(cfg_path, ["retrieval={}"])
         assert cfg.pack.n_budget == cfg.slide.n_budget == 64
         assert cfg.split.seed == 32 and cfg.split.validation_fraction == 0.001
+        # Every default comes from the section's dataclass.
+        assert cfg.tokenizer == TokenizerSpec()
+        assert cfg.pack == PackConfig(n_budget=64)
+        assert cfg.slide == SlidePolicy(n_budget=64)
+        assert cfg.split == SplitConfig()
+        assert cfg.retrieval == RetrievalConfig()
 
     def test_mix_ratio_string(self, small_run):
         _, _, cfg_path = small_run
@@ -162,6 +179,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as err:
             validate_config(cfg_path, ["split.validation_fraction=2"])
         assert any("split.validation_fraction" in d for d in err.value.diagnostics)
+        # A key that no section field reads is refused, not ignored.
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg_path, ["slide.discard_tails=true", "pack.nbudget=3"])
+        assert err.value.diagnostics == ["pack.nbudget: unknown field",
+                                         "slide.discard_tails: unknown field"]
 
 
 class TestStages:
@@ -235,14 +257,15 @@ class TestStages:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
         out = tmp_path / "out"
-        manifest = json.loads((out / "shards" / "train" / "manifest.json").read_text())
-        meta = json.loads((out / "windows_meta.json").read_text())
-        assert manifest["window_count"] == meta["splits"]["train"]["window_count"]
+        manifests = _manifests(out)
         stats = json.loads((out / "stats.json").read_text())
         assert set(stats["sources"]["wiki"]) == {"en", "xx"}
         events = read_events(out / "run_report.jsonl")
+        slide = [e for e in events if e.get("stage") == "slide"][-1]
+        assert slide["train"] == manifests["train"]["window_count"]
         assert events[-1]["event"] == "run_complete"
         assert events[-1]["tokens_per_s"] > 0
+        assert events[-1]["token_total"] == sum(m["token_total"] for m in manifests.values())
 
     def test_stage_isolation(self, small_run, monkeypatch):
         """Each subcommand runs standalone given prior stage outputs on disk."""
@@ -263,8 +286,7 @@ class TestStages:
         assert _tree_bytes(out) == before
         last = read_events(out / "run_report.jsonl")[-1]
         assert last["stage"] == "export"
-        meta = json.loads((out / "windows_meta.json").read_text())
-        assert last["train"] == meta["splits"]["train"]["window_count"]
+        assert last["train"] == _manifests(out)["train"]["window_count"]
 
     @pytest.mark.parametrize("damage", ["truncated_shard", "meta_count"])
     def test_export_refuses_damaged_shards(self, small_run, monkeypatch, capsys, damage):
@@ -277,11 +299,11 @@ class TestStages:
             shard.write_bytes(shard.read_bytes()[:-3])
             expected = "truncated record"
         else:
-            meta_path = out / "windows_meta.json"
-            meta = json.loads(meta_path.read_text())
-            meta["splits"]["validation"]["window_count"] += 1
-            meta_path.write_text(json.dumps(meta))
-            expected = "the shards hold"
+            manifest_path = out / "shards" / "validation" / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            manifest["window_count"] += 1
+            manifest_path.write_text(json.dumps(manifest))
+            expected = "manifest window_count"
         assert run(["export", "--config", str(cfg_path)]) == EXIT_STAGE
         assert expected in capsys.readouterr().err
 
@@ -295,8 +317,7 @@ class TestStages:
         assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
         assert [p.name for p in train.glob("windows-*.bin")] == ["windows-00000.bin"]
         windows = list(read_shards(train))
-        meta = json.loads((tmp_path / "out" / "windows_meta.json").read_text())
-        assert len(windows) == meta["splits"]["train"]["window_count"]
+        assert len(windows) == _manifests(tmp_path / "out")["train"]["window_count"]
 
     def test_idempotent_reruns_byte_identical(self, small_run, monkeypatch):
         tmp_path, _, cfg_path = small_run
@@ -574,23 +595,25 @@ class TestVariants:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         assert run(["all", "--config", str(cfg_path),
                     "--set", "slide.kind=standard"]) == EXIT_OK
-        meta = json.loads((tmp_path / "out" / "windows_meta.json").read_text())
-        assert meta["policy"] == "standard"
+        manifest = _manifests(tmp_path / "out")["train"]
+        standard = validate_config(cfg_path, ["slide.kind=standard"])
+        assert manifest["config_digest"] == config_digest(standard.effective_dict())
         # Exact partition: all full windows except possibly the last.
         lengths = [len(w.ids) for w in read_shards(tmp_path / "out" / "shards" / "train")]
-        assert len(lengths) == meta["splits"]["train"]["window_count"] > 1
+        assert len(lengths) == manifest["window_count"] > 1
         assert all(l == 64 for l in lengths[:-1])
 
-    def test_discard_tails_flag(self, small_run, monkeypatch):
+    def test_lossy_slide_kind(self, small_run, monkeypatch):
         tmp_path, _, cfg_path = small_run
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
-        meta_lossless = json.loads((tmp_path / "out" / "windows_meta.json").read_text())
-        assert run(["all", "--config", str(cfg_path), "--discard-tails"]) == EXIT_OK
-        meta_lossy = json.loads((tmp_path / "out" / "windows_meta.json").read_text())
-        assert meta_lossy["discard_tails"] is True
-        assert (meta_lossy["splits"]["train"]["token_total"]
-                < meta_lossless["splits"]["train"]["token_total"])
+        lossless = _manifests(tmp_path / "out")["train"]
+        assert run(["all", "--config", str(cfg_path), "--set", "slide.kind=lossy"]) == EXIT_OK
+        lossy = _manifests(tmp_path / "out")["train"]
+        assert lossy["config_digest"] != lossless["config_digest"]
+        assert lossy["token_total"] < lossless["token_total"]
+        with pytest.raises(SystemExit):
+            run(["all", "--config", str(cfg_path), "--discard-tails"])
 
     def test_file_embedding_provider_wiring(self, tmp_path):
         import numpy as np

@@ -70,7 +70,7 @@ SLIDE_DIGESTS = {
             "b32d50c14c56aa4943e66e087071de354dd41603f69f3c714b566eb1b629a8a1",
             "26934c6fd410e8d85ea7468aae8599b4a795963925180d93acc9b9e807f4adb0",
         )),
-    "discard_tails": (["--discard-tails"], (
+    "lossy": (["--set", "slide.kind=lossy"], (
         "c1fc877977879c8a82b1b03f5626e43d3e76a792fd9e46b752bbb40caff98dc2",
         "188561c43f23c59f9aad7e64069f2d31eec6d513cba4d0f87d497d66609d6c98",
     )),
@@ -244,7 +244,6 @@ def test_slide_refuses_dropped_record(packed, capsys):
     err = capsys.readouterr().err
     assert f"{len(records) - 1} records" in err and f"{len(records)} lines" in err
     assert not (out / "shards").exists()
-    assert not (out / "windows_meta.json").exists()
 
 
 def test_slide_refuses_resized_record(packed, capsys):
@@ -259,8 +258,9 @@ def test_slide_refuses_resized_record(packed, capsys):
     assert not (out / "shards").exists()
 
 
-@pytest.mark.parametrize("args", [[], ["--set", "slide.kind=standard"], ["--discard-tails"]],
-                         ids=["optimized", "standard", "discard_tails"])
+@pytest.mark.parametrize("args", [[], ["--set", "slide.kind=standard"],
+                                  ["--set", "slide.kind=lossy"]],
+                         ids=["optimized", "standard", "lossy"])
 @pytest.mark.parametrize("damage", ["no_split", "interior_split"])
 def test_slide_refuses_malformed_record(packed, capsys, args, damage):
     """Every policy checks each record, including validation record 19; the
