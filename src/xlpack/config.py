@@ -11,9 +11,9 @@ from typing import Any
 
 from .export import DEFAULT_SHARD_MAX_BYTES, SplitConfig
 from .packing import PackConfig
-from .retrieval import RetrievalConfig
 from .sliding import SlidePolicy
 from .tokenization import TokenizerSpec
+from .web import RetrievalConfig
 
 
 class ConfigError(Exception):

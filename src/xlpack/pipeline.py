@@ -79,18 +79,6 @@ from .export import (
 )
 from .packing import PackTally, direction_for, pack_pair
 from .report import RunReport
-from .retrieval import (
-    CandidateDoc,
-    CachedEmbeddingProvider,
-    MockEmbeddingProvider,
-    RetrievalTally,
-    VectorIndex,
-    WireEmbeddingProvider,
-    extract_keywords,
-    pseudo_pair,
-    read_candidate_corpus,
-    two_step_retrieve,
-)
 from .sliding import (
     check_context,
     cut_windows,
@@ -99,6 +87,13 @@ from .sliding import (
     slide_standard,
 )
 from .tokenization import make_tokenizer
+from .web import (
+    RetrievalTally,
+    extract_keywords,
+    pseudo_pair,
+    read_candidate_corpus,
+    two_step_retrieve,
+)
 
 PAIRS_NAME = "pairs.tsv"
 PSEUDO_PAIRS_NAME = "pseudo_pairs.jsonl"
@@ -237,6 +232,8 @@ def stage_align(cfg: PipelineConfig, report: RunReport, dump_tsv: bool = False) 
 
 
 def make_embedding_provider(cfg: PipelineConfig):
+    from .retrieval import CachedEmbeddingProvider, MockEmbeddingProvider, WireEmbeddingProvider
+
     settings = cfg.retrieval
     if settings is None:
         raise ValueError("retrieval section is not configured")
@@ -269,6 +266,9 @@ def build_l_to_en_title_map(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
+    # The one stage that loads numpy, on entry.
+    from .retrieval import CandidateDoc, VectorIndex
+
     start = time.perf_counter()
     if cfg.retrieval is None:
         raise ValueError("retrieval section is not configured")

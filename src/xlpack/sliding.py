@@ -46,12 +46,27 @@ def check_context(ids: Sequence[int], n: int, split_token_id: int, index: int) -
         raise ContextStreamError(f"context {index} is empty")
     if len(ids) > n:
         raise ContextStreamError(f"context {index} has {len(ids)} tokens, budget is {n}")
-    try:
-        first_split = ids.index(split_token_id)
-    except ValueError:
-        raise ContextStreamError(f"context {index} lacks the terminal split token") from None
+    first_split = _first_u32_index(ids, split_token_id)
+    if first_split < 0:
+        raise ContextStreamError(f"context {index} lacks the terminal split token")
     if first_split != len(ids) - 1:
         raise ContextStreamError(f"context {index} contains an interior split token")
+
+
+def _first_u32_index(ids: Sequence[int], value: int) -> int:
+    """The index of `value`'s first occurrence in u32 `ids`, or -1.
+
+    One bytes.find of the value's packed bytes over the record's bytes, so no
+    id is boxed; a hit whose offset is not a multiple of the item size spans
+    two ids and is stepped past."""
+    if not 0 <= value < 1 << 32:
+        return -1
+    record = ids if isinstance(ids, array) and ids.typecode == "I" else array("I", ids)
+    data, needle = record.tobytes(), array("I", [value]).tobytes()
+    at = data.find(needle)
+    while at > 0 and at % record.itemsize:
+        at = data.find(needle, at + 1)
+    return at // record.itemsize if at >= 0 else -1
 
 
 def slide_optimized(lengths: Iterable[int], n: int) -> Iterator[tuple[int, int]]:

@@ -15,18 +15,17 @@ from xlpack.alignment import ArticlePair, PairId, build_pair_map
 from xlpack.dump_ingest import LangLink, PageRecord, parse_langlinks_dump
 from xlpack.export import SplitConfig, split_validation
 from xlpack.packing import EN_FIRST, PackConfig, PackTally, direction_for, pack_pair
-from xlpack.retrieval import (
-    MAX_CONTENT_KEYWORDS,
-    CandidateDoc,
-    KeywordSet,
-    RetrievalConfig,
-    VectorIndex,
-    extract_keywords,
-    two_step_retrieve,
-)
+from xlpack.retrieval import CandidateDoc, VectorIndex
 from xlpack.sliding import cut_windows, slide_optimized
 from xlpack.synth import build_corpus, write_langlinks_dump
 from xlpack.tokenization import WhitespaceTokenizer
+from xlpack.web import (
+    MAX_CONTENT_KEYWORDS,
+    KeywordSet,
+    RetrievalConfig,
+    extract_keywords,
+    two_step_retrieve,
+)
 
 from .oracles import reference_pack_pair, reference_slide_optimized
 from .test_cli import _tree_bytes, make_config

@@ -12,7 +12,6 @@ from xlpack.config import ConfigError, validate_config
 from xlpack.export import SplitConfig, config_digest, read_shards
 from xlpack.packing import PackConfig
 from xlpack.report import read_events
-from xlpack.retrieval import RetrievalConfig
 from xlpack.sliding import SlidePolicy
 from xlpack.synth import (
     build_corpus,
@@ -22,6 +21,7 @@ from xlpack.synth import (
     write_web_corpus_jsonl,
 )
 from xlpack.tokenization import TokenizerSpec
+from xlpack.web import RetrievalConfig
 
 
 def make_config(root: Path, corpus, n_budget=64, extra=None) -> Path:
@@ -92,16 +92,30 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_export_import_does_not_load_numpy(self):
-        # The shard codec decodes records with array, so it needs no numpy.
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, xlpack.export; print('numpy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+    def test_export_import_does_not_load_numpy(self, tmp_path):
+        # The shard codec decodes records with array, so it needs no numpy;
+        # neither does the CLI, nor a run without retrieve. A run with
+        # retrieve on loads it, so the check sees a run that reached retrieve.
+        corpus = build_corpus(tmp_path / "data", n_pairs=6, seed=5)
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "web").mkdir()
+        plain = make_config(tmp_path / "plain", corpus)
+        web_path = write_web_corpus_jsonl(tmp_path / "data" / "web.jsonl",
+                                          [(f"web{k}", f"Topic {k}") for k in range(6)])
+        retrieving = make_config(tmp_path / "web", corpus, extra={
+            "paths.web_corpus": str(web_path), "retrieval.provider": "mock"})
+        run_all = ("import sys, xlpack.cli; code = xlpack.cli.run(['all', '--config', {!r}]); "
+                   "print(code, 'numpy' in sys.modules)")
+        for script, printed in [
+            ("import sys, xlpack.export; print('numpy' in sys.modules)", "False"),
+            ("import sys, xlpack.cli; print('numpy' in sys.modules)", "False"),
+            (run_all.format(str(plain)), f"{EXIT_OK} False"),
+            (run_all.format(str(retrieving)), f"{EXIT_OK} True"),
+        ]:
+            proc = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == printed, script
 
     def test_missing_config_file(self, tmp_path):
         assert run(["align", "--config", str(tmp_path / "nope.json")]) == EXIT_INPUT
@@ -440,11 +454,17 @@ class TestRetrieveStage:
         from xlpack.retrieval import MockEmbeddingProvider
 
         calls = []
+        groups = []
+        query = pipeline.two_step_retrieve
 
         class CountingProvider(MockEmbeddingProvider):
             def embed_batch(self, texts):
                 calls.append(len(texts))
                 return super().embed_batch(texts)
+
+        def counting_query(keyword_sets, *args, **kwargs):
+            groups.append(len(keyword_sets))
+            return query(keyword_sets, *args, **kwargs)
 
         corpus = build_corpus(tmp_path / "data", n_pairs=8, seed=5)
         docs = [(f"web{k}", f"Topic {k}") for k in range(8)]
@@ -453,13 +473,18 @@ class TestRetrieveStage:
             "paths.web_corpus": str(web_path), "retrieval.threshold": 0.99})
         monkeypatch.setattr(pipeline, "make_embedding_provider",
                             lambda cfg: CountingProvider(dim=12))
+        # The benchmark's tracer wraps xlpack.pipeline.two_step_retrieve, so
+        # retrieve must call the query through that binding, once per group.
+        monkeypatch.setattr(pipeline, "two_step_retrieve", counting_query)
         out = tmp_path / "out"
         assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
         assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_OK
         one_group = (out / "pseudo_pairs.jsonl").read_bytes()
         assert calls[0] == len(docs) and len(calls) == 2  # corpus, then one group
+        assert len(groups) == 1
 
         calls.clear()
+        groups.clear()
         monkeypatch.setattr(pipeline, "SCORE_BLOCK_BYTES", 16 * len(docs) * 3)  # groups of 3
         assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_OK
         (done, *_) = [e for e in reversed(read_events(out / "run_report.jsonl"))
@@ -469,6 +494,7 @@ class TestRetrieveStage:
         assert calls[0] == len(docs)
         assert len(calls) - 1 == -(-n_articles // 3)
         assert sum(calls[1:]) == 2 * n_articles
+        assert len(groups) == len(calls) - 1 and sum(groups) == n_articles
         assert (out / "pseudo_pairs.jsonl").read_bytes() == one_group
         assert one_group
 

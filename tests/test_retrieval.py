@@ -15,19 +15,21 @@ from xlpack.dump_ingest import RawArticle
 from xlpack.retrieval import (
     CachedEmbeddingProvider,
     CandidateDoc,
+    MockEmbeddingProvider,
+    VectorIndex,
+    WireEmbeddingProvider,
+    read_embedding_cache,
+    write_embedding_cache,
+)
+from xlpack.web import (
     EmbeddingError,
     KeywordSet,
-    MockEmbeddingProvider,
     RetrievalConfig,
     RetrievalError,
     RetrievalTally,
-    VectorIndex,
-    WireEmbeddingProvider,
     extract_keywords,
     pseudo_pair,
-    read_embedding_cache,
     two_step_retrieve,
-    write_embedding_cache,
 )
 
 from .oracles import reference_keyword_frequencies, reference_search
@@ -146,6 +148,13 @@ class TestProviders:
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-6
         (w,) = CachedEmbeddingProvider({"a": np.array([3.0, 4.0])}).embed_batch(["a"])
         assert np.allclose(w, [0.6, 0.8], atol=1e-12)
+
+    def test_default_providers_match_the_default_config(self):
+        cfg = RetrievalConfig()
+        mock = MockEmbeddingProvider()
+        assert (mock.dim, mock.seed) == (cfg.dim, cfg.seed)
+        wire = WireEmbeddingProvider("http://localhost:1/embed")
+        assert (wire.timeout_s, wire.max_retries) == (cfg.timeout_s, cfg.max_retries)
 
 
 class _EmbeddingHandler(http.server.BaseHTTPRequestHandler):

@@ -1,6 +1,7 @@
 """Window planner and cutter tests: fixtures, properties, and positional-oracle
 equivalence."""
 
+from array import array
 from itertools import accumulate
 
 import pytest
@@ -96,6 +97,33 @@ class TestOptimizedErrors:
     def test_empty_context_rejected(self):
         with pytest.raises(ContextStreamError):
             check_context([], 8, SPLIT, 0)
+
+    def test_split_bytes_across_two_ids_are_not_a_split(self):
+        # Little-endian, 1 packs as 01 00 00 00 and 256 as 00 01 00 00, so the
+        # record's bytes hold four zero bytes at offset 1, across two ids.
+        check_context([1, 256, 0], 8, SPLIT, 0)
+        check_context(array("I", [1, 256, 0]), 8, SPLIT, 0)
+        with pytest.raises(ContextStreamError, match="lacks the terminal split token"):
+            check_context([1, 256], 8, SPLIT, 0)
+        with pytest.raises(ContextStreamError, match="lacks the terminal split token"):
+            check_context([1, 256, 7], 8, SPLIT, 0)
+
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12),
+           st.sampled_from([0, 1, 256, 65_536, 2**32 - 1, -1, 2**32]))
+    def test_matches_the_index_rule(self, ids, split):
+        # The rule of the first split occurrence, as array.index would find it;
+        # no u32 record holds a split id outside the u32 range.
+        expected = None
+        if split not in ids:
+            expected = "lacks the terminal split token"
+        elif ids.index(split) != len(ids) - 1:
+            expected = "interior split token"
+        for record in (ids, array("I", ids)):
+            if expected is None:
+                check_context(record, 16, split, 0)
+            else:
+                with pytest.raises(ContextStreamError, match=expected):
+                    check_context(record, 16, split, 0)
 
 
 class TestCutWindows:
