@@ -5,7 +5,7 @@ wiki are resolved against the English `page` table (forward), links of the
 English wiki against the target `page` table (reverse), and the two pair sets
 are unioned. A link is dropped when its target title is blank, or does not
 resolve to a kept page. Pages outside the article namespace and redirects are
-excluded from resolution by default; each of those sub-filters can be relaxed.
+excluded from resolution.
 
 Pair ids are joined against article texts through ArticleStores, on-disk
 byte-offset indexes over the extracted-article files that keep memory
@@ -41,14 +41,6 @@ class ArticlePair:
 
 
 @dataclass
-class AlignmentFilters:
-    """Sub-filters behind the blank/invalid title rule; strict by default."""
-
-    article_namespace_only: bool = True
-    drop_redirects: bool = True
-
-
-@dataclass
 class AlignTally:
     links_seen: int = 0
     links_dropped: int = 0
@@ -57,34 +49,17 @@ class AlignTally:
     duplicate_articles: int = 0
     malformed_articles: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "links_seen": self.links_seen,
-            "links_dropped": self.links_dropped,
-            "title_collisions": self.title_collisions,
-            "pairs_missing_text": self.pairs_missing_text,
-            "duplicate_articles": self.duplicate_articles,
-            "malformed_articles": self.malformed_articles,
-        }
 
-
-def build_title_index(
-    pages: Iterable[PageRecord],
-    filters: AlignmentFilters,
-    tally: AlignTally,
-) -> dict[str, int]:
-    """Map title -> page id over the records that pass the page filters.
+def build_title_index(pages: Iterable[PageRecord], tally: AlignTally) -> dict[str, int]:
+    """Map title -> page id over the article-namespace pages that are not
+    redirects and whose title is not blank.
 
     A title resolving to several page ids keeps the lowest id (deterministic)
     and counts a collision.
     """
     index: dict[str, int] = {}
     for rec in pages:
-        if filters.article_namespace_only and rec.namespace != 0:
-            continue
-        if filters.drop_redirects and rec.is_redirect:
-            continue
-        if not rec.title.strip():
+        if rec.namespace != 0 or rec.is_redirect or not rec.title.strip():
             continue
         prev = index.get(rec.title)
         if prev is None:
@@ -101,7 +76,6 @@ def build_pair_map(
     pages_en: Iterable[PageRecord],
     langlinks_en_to_l: Iterable[LangLink],
     pages_l: Iterable[PageRecord],
-    filters: AlignmentFilters | None = None,
     tally: AlignTally | None = None,
 ) -> set[PairId]:
     """Union of forward and reverse title-resolved id pairs.
@@ -111,11 +85,10 @@ def build_pair_map(
     Both directions apply the same page filters; a blank target title never
     resolves, since build_title_index skips blank titles.
     """
-    filters = filters if filters is not None else AlignmentFilters()
     tally = tally if tally is not None else AlignTally()
     pairs: set[PairId] = set()
 
-    index_en = build_title_index(pages_en, filters, tally)
+    index_en = build_title_index(pages_en, tally)
     for link in langlinks_l_to_en:
         tally.links_seen += 1
         id_en = index_en.get(link.target_title)
@@ -124,7 +97,7 @@ def build_pair_map(
             continue
         pairs.add(PairId(id_l=link.from_page_id, id_en=id_en))
 
-    index_l = build_title_index(pages_l, filters, tally)
+    index_l = build_title_index(pages_l, tally)
     for link in langlinks_en_to_l:
         tally.links_seen += 1
         id_l = index_l.get(link.target_title)

@@ -5,7 +5,7 @@ dotted paths (applied to the raw document prior to validation)."""
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -55,24 +55,14 @@ class PipelineConfig:
     def output_dir(self) -> Path:
         return Path(self.paths.output_dir)
 
+    @property
+    def retrieves(self) -> bool:
+        """Whether retrieve runs and pack joins its pseudo pairs."""
+        return self.retrieval is not None and bool(self.paths.web_corpus)
+
     def effective_dict(self) -> dict:
         """Canonical dict of everything that shapes the output bytes."""
-
-        def plain(obj: Any) -> Any:
-            if hasattr(obj, "__dataclass_fields__"):
-                return {k: plain(getattr(obj, k)) for k in obj.__dataclass_fields__}
-            return obj
-
-        return {
-            "language_l": self.language_l,
-            "paths": plain(self.paths),
-            "tokenizer": plain(self.tokenizer),
-            "pack": plain(self.pack),
-            "slide": plain(self.slide),
-            "split": plain(self.split),
-            "retrieval": plain(self.retrieval) if self.retrieval else None,
-            "shard_max_bytes": self.shard_max_bytes,
-        }
+        return asdict(self)
 
 
 def parse_mix_ratio(value: Any, path: str, diags: list[str]) -> float:
@@ -258,7 +248,7 @@ def check_input_paths(cfg: PipelineConfig, needs_dumps: bool = True) -> list[str
             ("paths.articles_en", p.articles_en),
             ("paths.articles_l", p.articles_l),
         ]
-    if cfg.retrieval is not None and p.web_corpus:
+    if cfg.retrieves:
         wanted.append(("paths.web_corpus", p.web_corpus))
     if cfg.tokenizer.kind == "external" and cfg.tokenizer.vocab_source:
         wanted.append(("tokenizer.vocab_source", cfg.tokenizer.vocab_source))

@@ -63,14 +63,6 @@ class ParseTally:
     malformed: int = 0
     resyncs: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "tuples_scanned": self.tuples_scanned,
-            "records_yielded": self.records_yielded,
-            "malformed": self.malformed,
-            "resyncs": self.resyncs,
-        }
-
 
 @dataclass
 class LangLink:
@@ -99,21 +91,6 @@ class RawArticle:
     title: str
     text: str
     lang: str
-
-
-@dataclass
-class PageColumns:
-    """Column positions inside a `page` table tuple.
-
-    Dump vintages reorder columns; the defaults match dumps that start with
-    (page_id, page_namespace, page_title, page_is_redirect, ...). Older dumps
-    with page_restrictions/page_counter need is_redirect=5.
-    """
-
-    page_id: int = 0
-    namespace: int = 1
-    title: int = 2
-    is_redirect: int = 3
 
 
 # Scanner modes.
@@ -341,24 +318,19 @@ def parse_langlinks_dump(
 
 def parse_pages_dump(
     source: str | Path | IO[bytes],
-    columns: PageColumns | None = None,
     tally: ParseTally | None = None,
 ) -> Iterator[PageRecord]:
-    """Stream PageRecord rows from a `page` table dump.
+    """Stream PageRecord rows from a `page` table dump whose tuples start with
+    (page_id, page_namespace, page_title, page_is_redirect, ...).
 
     All namespaces and redirects pass through; alignment decides what to keep.
     """
-    columns = columns if columns is not None else PageColumns()
     tally = tally if tally is not None else ParseTally()
-    need = max(columns.page_id, columns.namespace, columns.title, columns.is_redirect) + 1
     for fields in iter_insert_tuples(source, tally):
-        if len(fields) < need:
+        if len(fields) < 4:
             tally.malformed += 1
             continue
-        raw_id = fields[columns.page_id]
-        raw_ns = fields[columns.namespace]
-        raw_title = fields[columns.title]
-        raw_redirect = fields[columns.is_redirect]
+        raw_id, raw_ns, raw_title, raw_redirect = fields[:4]
         if raw_id is None or raw_ns is None or raw_title is None or raw_redirect is None:
             tally.malformed += 1
             continue

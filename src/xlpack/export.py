@@ -23,7 +23,7 @@ import random
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TypeVar
@@ -70,23 +70,6 @@ class ShardManifest:
     seed: int
     split: str  # "train" | "validation"
     created_at: str
-
-    def to_dict(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "tokenizer_kind": self.tokenizer_kind,
-            "n_budget": self.n_budget,
-            "window_count": self.window_count,
-            "token_total": self.token_total,
-            "per_language_tokens": dict(sorted(self.per_language_tokens.items())),
-            "seed": self.seed,
-            "split": self.split,
-            "created_at": self.created_at,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardManifest":
-        return cls(**data)
 
 
 def config_digest(config_data: dict) -> str:
@@ -144,23 +127,18 @@ def write_shards(
     shard_max_bytes: int = DEFAULT_SHARD_MAX_BYTES,
     created_at: str | None = None,
 ) -> ShardManifest:
-    """Write windows (id sequences) as rolled binary shards plus a manifest;
-    byte-deterministic.
+    """Write windows (id sequences) as rolled binary shards plus a manifest
+    into an empty or new `out_dir`; byte-deterministic.
 
-    Shard files and a manifest already in `out_dir` are removed first, so a
-    rerun that writes fewer shards leaves none of the old ones behind. A
-    failure mid-write removes the partial shard file before propagating, and
-    the manifest is only written after every record landed, so a directory
-    without a manifest is detectably incomplete.
+    The manifest is only written after every record landed, so a directory
+    without a manifest is detectably incomplete. The caller owns `out_dir`:
+    the slide stage removes it before a run and after a failed one.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for stale in [*out.glob("windows-*.bin"), out / MANIFEST_NAME]:
-        stale.unlink(missing_ok=True)
     window_count = 0
     token_total = 0
     shard_idx = 0
-    cur_path: Path | None = None
     cur_file = None
     cur_bytes = 0
     try:
@@ -170,22 +148,16 @@ def write_shards(
                 cur_file.close()
                 cur_file = None
             if cur_file is None:
-                cur_path = out / SHARD_PATTERN.format(shard_idx)
-                cur_file = open(cur_path, "wb")
+                cur_file = open(out / SHARD_PATTERN.format(shard_idx), "wb")
                 cur_bytes = 0
                 shard_idx += 1
             cur_file.write(record)
             cur_bytes += len(record)
             window_count += 1
             token_total += len(window)
-    except BaseException:
+    finally:
         if cur_file is not None:
             cur_file.close()
-            if cur_path is not None:
-                cur_path.unlink(missing_ok=True)
-        raise
-    if cur_file is not None:
-        cur_file.close()
     manifest = ShardManifest(
         config_digest=config_digest,
         tokenizer_kind=tokenizer_kind,
@@ -199,7 +171,7 @@ def write_shards(
     )
     manifest_path = out / MANIFEST_NAME
     manifest_path.write_text(
-        json.dumps(manifest.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+        json.dumps(asdict(manifest), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
     return manifest
@@ -229,7 +201,7 @@ def read_manifest(shard_dir: str | Path) -> ShardManifest:
     manifest_path = Path(shard_dir) / MANIFEST_NAME
     if not manifest_path.exists():
         raise ShardError(f"missing manifest {manifest_path}")
-    return ShardManifest.from_dict(json.loads(manifest_path.read_text(encoding="utf-8")))
+    return ShardManifest(**json.loads(manifest_path.read_text(encoding="utf-8")))
 
 
 def read_shards(shard_dir: str | Path) -> Iterator[WindowShard]:
@@ -271,21 +243,12 @@ class ContextEntry:
 class CorpusStats:
     """Per-language token totals, two rows (en, L) per data source."""
 
-    per_source: dict[str, dict[str, int]] = field(default_factory=dict)
+    sources: dict[str, dict[str, int]] = field(default_factory=dict)
     control_tokens: int = 0
 
     def add(self, origin: str, lang: str, tokens: int) -> None:
-        row = self.per_source.setdefault(origin, {})
+        row = self.sources.setdefault(origin, {})
         row[lang] = row.get(lang, 0) + tokens
-
-    def to_dict(self) -> dict:
-        return {
-            "sources": {
-                origin: dict(sorted(langs.items()))
-                for origin, langs in sorted(self.per_source.items())
-            },
-            "control_tokens": self.control_tokens,
-        }
 
 
 def compute_stats(entries: Iterable[ContextEntry]) -> CorpusStats:

@@ -139,16 +139,6 @@ class PackTally:
     oversize_skipped: int = 0
     split_markers_scrubbed: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "pairs_packed": self.pairs_packed,
-            "contexts_emitted": self.contexts_emitted,
-            "degenerate_pairs": self.degenerate_pairs,
-            "truncated_paragraphs": self.truncated_paragraphs,
-            "oversize_skipped": self.oversize_skipped,
-            "split_markers_scrubbed": self.split_markers_scrubbed,
-        }
-
 
 def split_paragraphs(text: str) -> list[str]:
     """Split on blank lines, trim each piece, drop empty pieces."""

@@ -7,7 +7,9 @@ deterministic order.
 
 Pairs travel between stages as ids. pack joins them to their texts: aligned
 pairs through both article stores, pseudo pairs through the target-language
-store and paths.web_corpus, which pack reads only when pseudo pairs exist.
+store and paths.web_corpus. pack joins pseudo_pairs.jsonl only when the config
+retrieves (a retrieval section and paths.web_corpus), so a file left by an
+earlier run with retrieval on is ignored.
 
 Text is tokenized only by the pack stage: it splits each title and paragraph
 into tokenizer pieces once and prices it by their number. A context is two
@@ -20,8 +22,15 @@ slide plans each split's windows as token ranges from the index's token_len
 values alone, then cuts the ranges out of the contexts.bin records, which it
 streams once and checks against the index and the context rules.
 
+Each stage owns the outputs named after it below and runs its body inside
+_stage: the outputs are removed when the stage starts and again when it fails,
+so a failed stage leaves none of them, and a debug output not asked for in
+this run does not outlive it. Only a stage that completes reports its
+stage_complete event.
+
 Output layout under paths.output_dir:
     pairs.tsv                 aligned pair map (align)
+    debug/<stream>.tsv        parsed dump records (align --dump-tsv)
     pseudo_pairs.jsonl        retrieval-built pairs as references, one
                               {"doc_id", "id_l"} line each (retrieve, optional)
     contexts.jsonl            context index: pair, seq_index, direction, origin,
@@ -38,17 +47,20 @@ Output layout under paths.output_dir:
                               that drops tokens (lossy, or standard without
                               keep_final_partial)
     stats.json                per-language token totals (stats)
-    run_report.jsonl          event log (every stage)
+    run_report.jsonl          event log (every stage appends; none owns it)
 
-export writes nothing: it reads both shard sets back and checks them against
+export owns nothing: it reads both shard sets back and checks them against
 their manifests.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from array import array
+from contextlib import contextmanager, nullcontext
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -67,7 +79,6 @@ from .config import PipelineConfig
 from .dump_ingest import ParseTally, parse_langlinks_dump, parse_pages_dump
 from .export import (
     ContextEntry,
-    CorpusStats,
     compute_stats,
     config_digest,
     encode_window_record,
@@ -100,40 +111,13 @@ PSEUDO_PAIRS_NAME = "pseudo_pairs.jsonl"
 CONTEXTS_NAME = "contexts.jsonl"
 CONTEXT_IDS_NAME = "contexts.bin"
 CONTEXTS_TEXT_NAME = "contexts_text.jsonl"
+DEBUG_NAME = "debug"
 SHARDS_NAME = "shards"
 STATS_NAME = "stats.json"
 REPORT_NAME = "run_report.jsonl"
 SPLITS = ("train", "validation")
 EMBED_BATCH_SIZE = 256  # web documents per provider call when retrieve builds its index
 SCORE_BLOCK_BYTES = 1 << 20  # retrieve scores articles in groups whose score block fits this
-
-
-class StageGuard:
-    """Removes the files a stage created if the stage dies part-way."""
-
-    def __init__(self):
-        self.paths: list[Path] = []
-
-    def track(self, path: str | Path) -> Path:
-        p = Path(path)
-        self.paths.append(p)
-        return p
-
-    def __enter__(self) -> "StageGuard":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            for p in self.paths:
-                if p.is_dir():
-                    for child in sorted(p.rglob("*"), reverse=True):
-                        if child.is_file():
-                            child.unlink(missing_ok=True)
-                        else:
-                            child.rmdir()
-                    p.rmdir()
-                else:
-                    p.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -184,33 +168,62 @@ def _dump_tsv(records: Iterable, path: Path) -> Iterator:
             yield rec
 
 
+def _remove(path: Path) -> None:
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink(missing_ok=True)
+
+
+@contextmanager
+def _stage(report: RunReport, cfg: PipelineConfig, name: str, *outputs: str) -> Iterator[dict]:
+    """Run one stage body as the owner of its outputs, timed and reported.
+
+    Each named output (a file or a tree under paths.output_dir) is removed on
+    entry and again if the body raises, so a failed stage leaves none of its
+    outputs, whether this run or an earlier one wrote them. The body fills the
+    yielded dict with its counts; on success they go into the stage_complete
+    event with the stage's name and elapsed time.
+    """
+    start = time.perf_counter()
+    out = cfg.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    for output in outputs:
+        _remove(out / output)
+    counts: dict = {}
+    try:
+        yield counts
+    except BaseException:
+        for output in outputs:
+            _remove(out / output)
+        raise
+    report.event("stage_complete", stage=name,
+                 elapsed_s=round(time.perf_counter() - start, 3), **counts)
+
+
 # ---------------------------------------------------------------------------
 # Stages
 
 
 def stage_align(cfg: PipelineConfig, report: RunReport, dump_tsv: bool = False) -> Path:
-    start = time.perf_counter()
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    tallies = {name: ParseTally() for name in
-               ("langlinks_l_to_en", "pages_en", "langlinks_en_to_l", "pages_l")}
-    streams = {
-        "langlinks_l_to_en": parse_langlinks_dump(
-            cfg.paths.langlinks_l_to_en, "en", tallies["langlinks_l_to_en"]
-        ),
-        "pages_en": parse_pages_dump(cfg.paths.pages_en, tally=tallies["pages_en"]),
-        "langlinks_en_to_l": parse_langlinks_dump(
-            cfg.paths.langlinks_en_to_l, cfg.language_l, tallies["langlinks_en_to_l"]
-        ),
-        "pages_l": parse_pages_dump(cfg.paths.pages_l, tally=tallies["pages_l"]),
-    }
-    if dump_tsv:
-        debug = out / "debug"
+    with _stage(report, cfg, "align", PAIRS_NAME, DEBUG_NAME) as counts:
+        out = cfg.output_dir
+        tallies = {name: ParseTally() for name in
+                   ("langlinks_l_to_en", "pages_en", "langlinks_en_to_l", "pages_l")}
         streams = {
-            name: _dump_tsv(stream, debug / f"{name}.tsv") for name, stream in streams.items()
+            "langlinks_l_to_en": parse_langlinks_dump(
+                cfg.paths.langlinks_l_to_en, "en", tallies["langlinks_l_to_en"]
+            ),
+            "pages_en": parse_pages_dump(cfg.paths.pages_en, tally=tallies["pages_en"]),
+            "langlinks_en_to_l": parse_langlinks_dump(
+                cfg.paths.langlinks_en_to_l, cfg.language_l, tallies["langlinks_en_to_l"]
+            ),
+            "pages_l": parse_pages_dump(cfg.paths.pages_l, tally=tallies["pages_l"]),
         }
-    align_tally = AlignTally()
-    with StageGuard() as guard:
+        if dump_tsv:
+            streams = {name: _dump_tsv(stream, out / DEBUG_NAME / f"{name}.tsv")
+                       for name, stream in streams.items()}
+        align_tally = AlignTally()
         pairs = build_pair_map(
             streams["langlinks_l_to_en"],
             streams["pages_en"],
@@ -218,17 +231,10 @@ def stage_align(cfg: PipelineConfig, report: RunReport, dump_tsv: bool = False) 
             streams["pages_l"],
             tally=align_tally,
         )
-        pairs_path = guard.track(out / PAIRS_NAME)
-        save_pair_map(pairs, pairs_path)
-    report.event(
-        "stage_complete",
-        stage="align",
-        elapsed_s=round(time.perf_counter() - start, 3),
-        pair_count=len(pairs),
-        alignment=align_tally.as_dict(),
-        parse_tallies={name: t.as_dict() for name, t in tallies.items()},
-    )
-    return pairs_path
+        save_pair_map(pairs, out / PAIRS_NAME)
+        counts.update(pair_count=len(pairs), alignment=asdict(align_tally),
+                      parse_tallies={name: asdict(t) for name, t in tallies.items()})
+    return out / PAIRS_NAME
 
 
 def make_embedding_provider(cfg: PipelineConfig):
@@ -269,39 +275,35 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
     # The one stage that loads numpy, on entry.
     from .retrieval import CandidateDoc, VectorIndex
 
-    start = time.perf_counter()
-    if cfg.retrieval is None:
-        raise ValueError("retrieval section is not configured")
-    if not cfg.paths.web_corpus:
-        raise ValueError("paths.web_corpus is not configured")
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    provider = make_embedding_provider(cfg)
+    with _stage(report, cfg, "retrieve", PSEUDO_PAIRS_NAME) as counts:
+        if not cfg.retrieves:
+            raise ValueError("retrieve needs a retrieval section and paths.web_corpus")
+        provider = make_embedding_provider(cfg)
 
-    # Web texts are held one batch at a time; a blank one is kept only as an id.
-    blank_docs: set[str] = set()
+        # Web texts are held one batch at a time; a blank one is kept only as an id.
+        blank_docs: set[str] = set()
 
-    def embedded_docs() -> Iterator[CandidateDoc]:
-        corpus = read_candidate_corpus(cfg.paths.web_corpus)
-        while batch := list(islice(corpus, EMBED_BATCH_SIZE)):
-            vectors = provider.embed_batch([text for _, text in batch])
-            blank_docs.update(doc_id for doc_id, text in batch if not text.strip())
-            yield from (CandidateDoc(doc_id, vec) for (doc_id, _), vec in zip(batch, vectors))
+        def embedded_docs() -> Iterator[CandidateDoc]:
+            corpus = read_candidate_corpus(cfg.paths.web_corpus)
+            while batch := list(islice(corpus, EMBED_BATCH_SIZE)):
+                vectors = provider.embed_batch([text for _, text in batch])
+                blank_docs.update(doc_id for doc_id, text in batch if not text.strip())
+                yield from (CandidateDoc(doc_id, vec)
+                            for (doc_id, _), vec in zip(batch, vectors))
 
-    index = VectorIndex.build(embedded_docs())
-    # Two float64 scores per corpus doc per article in the group's score block.
-    group_size = max(1, SCORE_BLOCK_BYTES // (16 * max(1, len(index))))
+        index = VectorIndex.build(embedded_docs())
+        # Two float64 scores per corpus doc per article in the group's score block.
+        group_size = max(1, SCORE_BLOCK_BYTES // (16 * max(1, len(index))))
 
-    title_map = build_l_to_en_title_map(cfg)
-    tally = RetrievalTally()
-    pseudo_count = 0
-    # Pack joins id_l through an ArticleStore too, so it joins the record
-    # retrieve queried.
-    article_tally = AlignTally()
-    store_l = ArticleStore(cfg.paths.articles_l, cfg.language_l, article_tally)
-    with store_l, StageGuard() as guard:
-        pseudo_path = guard.track(out / PSEUDO_PAIRS_NAME)
-        with open(pseudo_path, "w", encoding="utf-8") as f:
+        title_map = build_l_to_en_title_map(cfg)
+        tally = RetrievalTally()
+        pseudo_count = 0
+        # Pack joins id_l through an ArticleStore too, so it joins the record
+        # retrieve queried.
+        article_tally = AlignTally()
+        pseudo_path = cfg.output_dir / PSEUDO_PAIRS_NAME
+        with (ArticleStore(cfg.paths.articles_l, cfg.language_l, article_tally) as store_l,
+              open(pseudo_path, "w", encoding="utf-8") as f):
             articles = (article for article in store_l if article.text.strip())
             while group := list(islice(articles, group_size)):
                 keyword_sets = [extract_keywords(a, title_map, tally) for a in group]
@@ -315,16 +317,10 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
                                            ensure_ascii=False, sort_keys=True))
                         f.write("\n")
                         pseudo_count += 1
-    report.event(
-        "stage_complete",
-        stage="retrieve",
-        elapsed_s=round(time.perf_counter() - start, 3),
-        corpus_docs=len(index),
-        pseudo_pairs=pseudo_count,
-        retrieval=tally.as_dict(),
-        duplicate_articles=article_tally.duplicate_articles,
-        malformed_articles=article_tally.malformed_articles,
-    )
+        counts.update(corpus_docs=len(index), pseudo_pairs=pseudo_count,
+                      retrieval=asdict(tally),
+                      duplicate_articles=article_tally.duplicate_articles,
+                      malformed_articles=article_tally.malformed_articles)
     return pseudo_path
 
 
@@ -348,9 +344,6 @@ def _join_pseudo_pairs(cfg: PipelineConfig, path: Path,
             except (ValueError, KeyError, TypeError):
                 raise ValueError(f"{where}: not a pseudo pair reference with doc_id and "
                                  "id_l; rerun retrieve") from None
-            if not cfg.paths.web_corpus:
-                raise ValueError(f"{where}: pseudo pairs need paths.web_corpus, "
-                                 "which is not configured")
     if not refs:
         return
     wanted = {doc_id for _, doc_id, _ in refs}
@@ -375,68 +368,55 @@ def _iter_source_pairs(cfg: PipelineConfig, align_tally: AlignTally) -> Iterator
     store_l = ArticleStore(cfg.paths.articles_l, cfg.language_l, align_tally)
     try:
         yield from join_articles(pair_ids, store_en, store_l, align_tally)
-        pseudo_path = out / PSEUDO_PAIRS_NAME
-        if pseudo_path.exists():
-            yield from _join_pseudo_pairs(cfg, pseudo_path, store_l)
+        if cfg.retrieves:
+            yield from _join_pseudo_pairs(cfg, out / PSEUDO_PAIRS_NAME, store_l)
     finally:
         store_en.close()
         store_l.close()
 
 
 def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) -> Path:
-    start = time.perf_counter()
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    tokenizer = make_tokenizer(cfg.tokenizer)
-    align_tally = AlignTally()
-    tally = PackTally()
-    context_count = 0
-    with StageGuard() as guard:
-        contexts_path = guard.track(out / CONTEXTS_NAME)
-        ids_path = guard.track(out / CONTEXT_IDS_NAME)
-        text_path = out / CONTEXTS_TEXT_NAME
-        text_file = open(guard.track(text_path), "w", encoding="utf-8") if emit_text else None
-        try:
-            with open(contexts_path, "w", encoding="utf-8") as f, open(ids_path, "wb") as fb:
-                for pair in _iter_source_pairs(cfg, align_tally):
-                    direction = direction_for(pair.pair, cfg.pack)
-                    for ctx in pack_pair(pair, tokenizer, cfg.pack, direction, tally):
-                        # The one ids mapping of this context; whitespace ids
-                        # are assigned here, in corpus order.
-                        ids, per_language = ctx.encode(tokenizer)
-                        if len(ids) != ctx.token_len or ctx.token_len > cfg.pack.n_budget:
-                            raise ValueError(
-                                f"pair [{ctx.pair.id_l}, {ctx.pair.id_en}] seq_index "
-                                f"{ctx.seq_index}: {len(ids)} tokens, planned "
-                                f"{ctx.token_len}, budget is {cfg.pack.n_budget}")
-                        fb.write(encode_window_record(ids))
-                        entry = ContextEntry(ctx.pair, ctx.seq_index, ctx.direction,
-                                             ctx.origin, len(ids), per_language)
-                        f.write(json.dumps(context_to_dict(entry), ensure_ascii=False,
-                                           sort_keys=True))
-                        f.write("\n")
-                        context_count += 1
-                        if text_file is not None:
-                            text_file.write(json.dumps({
-                                "pair": [ctx.pair.id_l, ctx.pair.id_en],
-                                "seq_index": ctx.seq_index,
-                                "direction": ctx.direction,
-                                "token_len": entry.token_len,
-                                "text": ctx.rendered_text(tokenizer.split_token_text),
-                            }, ensure_ascii=False, sort_keys=True))
-                            text_file.write("\n")
-        finally:
-            if text_file is not None:
-                text_file.close()
-    report.event(
-        "stage_complete",
-        stage="pack",
-        elapsed_s=round(time.perf_counter() - start, 3),
-        context_count=context_count,
-        packing=tally.as_dict(),
-        join=align_tally.as_dict(),
-    )
-    return contexts_path
+    with _stage(report, cfg, "pack", CONTEXTS_NAME, CONTEXT_IDS_NAME,
+                CONTEXTS_TEXT_NAME) as counts:
+        out = cfg.output_dir
+        tokenizer = make_tokenizer(cfg.tokenizer)
+        align_tally = AlignTally()
+        tally = PackTally()
+        context_count = 0
+        with (open(out / CONTEXTS_NAME, "w", encoding="utf-8") as f,
+              open(out / CONTEXT_IDS_NAME, "wb") as fb,
+              (open(out / CONTEXTS_TEXT_NAME, "w", encoding="utf-8")
+               if emit_text else nullcontext()) as text_file):
+            for pair in _iter_source_pairs(cfg, align_tally):
+                direction = direction_for(pair.pair, cfg.pack)
+                for ctx in pack_pair(pair, tokenizer, cfg.pack, direction, tally):
+                    # The one ids mapping of this context; whitespace ids
+                    # are assigned here, in corpus order.
+                    ids, per_language = ctx.encode(tokenizer)
+                    if len(ids) != ctx.token_len or ctx.token_len > cfg.pack.n_budget:
+                        raise ValueError(
+                            f"pair [{ctx.pair.id_l}, {ctx.pair.id_en}] seq_index "
+                            f"{ctx.seq_index}: {len(ids)} tokens, planned "
+                            f"{ctx.token_len}, budget is {cfg.pack.n_budget}")
+                    fb.write(encode_window_record(ids))
+                    entry = ContextEntry(ctx.pair, ctx.seq_index, ctx.direction,
+                                         ctx.origin, len(ids), per_language)
+                    f.write(json.dumps(context_to_dict(entry), ensure_ascii=False,
+                                       sort_keys=True))
+                    f.write("\n")
+                    context_count += 1
+                    if text_file is not None:
+                        text_file.write(json.dumps({
+                            "pair": [ctx.pair.id_l, ctx.pair.id_en],
+                            "seq_index": ctx.seq_index,
+                            "direction": ctx.direction,
+                            "token_len": entry.token_len,
+                            "text": ctx.rendered_text(tokenizer.split_token_text),
+                        }, ensure_ascii=False, sort_keys=True))
+                        text_file.write("\n")
+        counts.update(context_count=context_count, packing=asdict(tally),
+                      join=asdict(align_tally))
+    return out / CONTEXTS_NAME
 
 
 def _context_ids(
@@ -468,19 +448,16 @@ def _context_ids(
 
 
 def stage_slide(cfg: PipelineConfig, report: RunReport) -> Path:
-    start = time.perf_counter()
-    out = cfg.output_dir
-    entries = read_contexts_jsonl(out / CONTEXTS_NAME)
-    train_idx, val_idx = split_validation(range(len(entries)), cfg.split)
-    n = cfg.slide.n_budget
-    held: list[array] = []
-    train_ids = _context_ids(out / CONTEXT_IDS_NAME, entries, set(val_idx), held,
-                             n, cfg.tokenizer.split_token_id)
-    digest = config_digest(cfg.effective_dict())
+    with _stage(report, cfg, "slide", SHARDS_NAME) as counts:
+        out = cfg.output_dir
+        entries = read_contexts_jsonl(out / CONTEXTS_NAME)
+        train_idx, val_idx = split_validation(range(len(entries)), cfg.split)
+        n = cfg.slide.n_budget
+        held: list[array] = []
+        train_ids = _context_ids(out / CONTEXT_IDS_NAME, entries, set(val_idx), held,
+                                 n, cfg.tokenizer.split_token_id)
+        digest = config_digest(cfg.effective_dict())
 
-    window_counts = {}
-    with StageGuard() as guard:
-        shards_root = guard.track(out / SHARDS_NAME)
         # Train first: cutting it runs the record stream to its end, which
         # fills `held` before validation is cut.
         for split_name, indices, ids_stream in (("train", train_idx, train_ids),
@@ -498,7 +475,7 @@ def stage_slide(cfg: PipelineConfig, report: RunReport) -> Path:
                     per_language[lang] = per_language.get(lang, 0) + tokens
             manifest = write_shards(
                 cut_windows(ids_stream, ranges),
-                shards_root / split_name,
+                out / SHARDS_NAME / split_name,
                 config_digest=digest,
                 tokenizer_kind=cfg.tokenizer.kind,
                 n_budget=n,
@@ -507,50 +484,32 @@ def stage_slide(cfg: PipelineConfig, report: RunReport) -> Path:
                 split=split_name,
                 shard_max_bytes=cfg.shard_max_bytes,
             )
-            window_counts[split_name] = manifest.window_count
-    report.event(
-        "stage_complete",
-        stage="slide",
-        elapsed_s=round(time.perf_counter() - start, 3),
-        **window_counts,
-    )
-    return shards_root
+            counts[split_name] = manifest.window_count
+    return out / SHARDS_NAME
 
 
 def stage_export(cfg: PipelineConfig, report: RunReport) -> Path:
     """Verify the shards slide wrote: read every record of each split back
     and check its window and token counts against the split's manifest."""
-    start = time.perf_counter()
-    shards_root = cfg.output_dir / SHARDS_NAME
-    if not shards_root.is_dir():
-        raise FileNotFoundError(f"{shards_root}: no shard set; run slide first")
-    counts = {name: sum(1 for _ in read_shards(shards_root / name)) for name in SPLITS}
-    report.event(
-        "stage_complete",
-        stage="export",
-        elapsed_s=round(time.perf_counter() - start, 3),
-        **counts,
-    )
+    with _stage(report, cfg, "export") as counts:
+        shards_root = cfg.output_dir / SHARDS_NAME
+        if not shards_root.is_dir():
+            raise FileNotFoundError(f"{shards_root}: no shard set; run slide first")
+        for name in SPLITS:
+            counts[name] = sum(1 for _ in read_shards(shards_root / name))
     return shards_root
 
 
 def stage_stats(cfg: PipelineConfig, report: RunReport) -> Path:
-    start = time.perf_counter()
-    out = cfg.output_dir
-    stats: CorpusStats = compute_stats(read_contexts_jsonl(out / CONTEXTS_NAME))
-    with StageGuard() as guard:
-        stats_path = guard.track(out / STATS_NAME)
-        stats_path.write_text(
-            json.dumps(stats.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+    with _stage(report, cfg, "stats", STATS_NAME) as counts:
+        out = cfg.output_dir
+        stats = compute_stats(read_contexts_jsonl(out / CONTEXTS_NAME))
+        (out / STATS_NAME).write_text(
+            json.dumps(asdict(stats), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
             encoding="utf-8",
         )
-    report.event(
-        "stage_complete",
-        stage="stats",
-        elapsed_s=round(time.perf_counter() - start, 3),
-        sources=stats.to_dict()["sources"],
-    )
-    return stats_path
+        counts["sources"] = stats.sources
+    return out / STATS_NAME
 
 
 def run_all(
@@ -561,7 +520,7 @@ def run_all(
 ) -> None:
     start = time.perf_counter()
     stage_align(cfg, report, dump_tsv=dump_tsv)
-    if cfg.retrieval is not None and cfg.paths.web_corpus:
+    if cfg.retrieves:
         stage_retrieve(cfg, report)
     stage_pack(cfg, report, emit_text=emit_text)
     stage_slide(cfg, report)

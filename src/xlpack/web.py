@@ -100,15 +100,6 @@ class RetrievalTally:
     results_kept: int = 0
     missing_corpus_texts: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "articles_queried": self.articles_queried,
-            "unmapped_titles": self.unmapped_titles,
-            "empty_keyword_sets": self.empty_keyword_sets,
-            "results_kept": self.results_kept,
-            "missing_corpus_texts": self.missing_corpus_texts,
-        }
-
 
 def extract_keywords(
     article_l: RawArticle,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from xlpack import alignment
 from xlpack.alignment import (
-    AlignmentFilters,
     AlignTally,
     ArticleStore,
     PairId,
@@ -64,12 +63,6 @@ class TestBuildPairMap:
             [_link(1, "en", "A"), _link(2, "en", "B")], pages, [], []
         )
         assert pairs == set()
-
-    def test_filters_can_be_relaxed(self):
-        pages = [_page(100, "A", redirect=True)]
-        filters = AlignmentFilters(drop_redirects=False)
-        pairs = build_pair_map([_link(1, "en", "A")], pages, [], [], filters)
-        assert pairs == {PairId(1, 100)}
 
     def test_title_collision_keeps_lowest_id(self):
         tally = AlignTally()

@@ -587,17 +587,22 @@ class TestRetrieveStage:
                           "rerun retrieve"),
             "doc_id": ({"doc_id": "webZ", "id_l": 10_000}, "doc_id 'webZ' has no text"),
             "id_l": ({"doc_id": "webA", "id_l": 99}, "id_l 99 has no text"),
-            "no_web_corpus": (good, "paths.web_corpus"),
+            "no_web_corpus": ({"doc_id": "webZ", "id_l": 99}, None),
         }[case]
         (out / "pseudo_pairs.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in (good, bad)))
-        args = ["pack", "--config", str(cfg_path)]
         if case == "no_web_corpus":
-            args += ["--set", "paths.web_corpus="]
-        assert run(args) == EXIT_STAGE
+            # Retrieval is off, so pack ignores the leftover file: only the
+            # config decides whether pseudo pairs are packed.
+            assert run(["pack", "--config", str(cfg_path),
+                        "--set", "paths.web_corpus="]) == EXIT_OK
+            origins = {json.loads(l)["origin"] for l in
+                       (out / "contexts.jsonl").read_text().splitlines()}
+            assert origins == {"wiki"}
+            return
+        assert run(["pack", "--config", str(cfg_path)]) == EXIT_STAGE
         err = capsys.readouterr().err
-        line = 1 if case == "no_web_corpus" else 2
-        assert f"pseudo_pairs.jsonl:{line}:" in err and expected in err
+        assert "pseudo_pairs.jsonl:2:" in err and expected in err
         assert not (out / "contexts.jsonl").exists()
 
     def test_retrieve_requires_web_corpus(self, small_run):
@@ -605,6 +610,173 @@ class TestRetrieveStage:
         code = run(["retrieve", "--config", str(cfg_path),
                     "--set", "retrieval.provider=mock"])
         assert code == EXIT_STAGE
+
+
+def _keys(value):
+    """The nested key structure of an event: each dict maps to its keys'
+    structures, every other value to None."""
+    if isinstance(value, dict):
+        return {k: _keys(v) for k, v in value.items()}
+    return None
+
+
+_ALIGN_TALLY = dict.fromkeys(("links_seen", "links_dropped", "title_collisions",
+                              "pairs_missing_text", "duplicate_articles",
+                              "malformed_articles"))
+_STAGE_EVENT_KEYS = {
+    "align": {
+        "pair_count": None,
+        "alignment": _ALIGN_TALLY,
+        "parse_tallies": dict.fromkeys(
+            ("langlinks_l_to_en", "pages_en", "langlinks_en_to_l", "pages_l"),
+            dict.fromkeys(("tuples_scanned", "records_yielded", "malformed", "resyncs"))),
+    },
+    "retrieve": {
+        "corpus_docs": None,
+        "pseudo_pairs": None,
+        "duplicate_articles": None,
+        "malformed_articles": None,
+        "retrieval": dict.fromkeys(("articles_queried", "unmapped_titles",
+                                    "empty_keyword_sets", "results_kept",
+                                    "missing_corpus_texts")),
+    },
+    "pack": {
+        "context_count": None,
+        "join": _ALIGN_TALLY,
+        "packing": dict.fromkeys(("pairs_packed", "contexts_emitted", "degenerate_pairs",
+                                  "truncated_paragraphs", "oversize_skipped",
+                                  "split_markers_scrubbed")),
+    },
+    "slide": dict.fromkeys(("train", "validation")),
+    "export": dict.fromkeys(("train", "validation")),
+    "stats": {"sources": None},  # filled in per corpus
+}
+
+
+class TestStageShell:
+    """Every stage owns its outputs: it removes them on entry, and a failed
+    stage leaves none of them. Each successful stage reports one
+    stage_complete event of a fixed shape."""
+
+    @pytest.mark.parametrize("retrieval", [False, True], ids=["wiki", "web"])
+    def test_stage_complete_event_keys(self, small_run, tmp_path, retrieval):
+        if retrieval:
+            cfg_path = _retrieve_run(tmp_path / "web", [("webA", "Web A\nalpha")], {},
+                                     n_pairs=2)
+            stages = ["align", "retrieve", "pack", "slide", "export", "stats"]
+            sources = ["web", "wiki"]
+        else:
+            cfg_path = small_run[2]
+            stages = ["align", "pack", "slide", "export", "stats"]
+            sources = ["wiki"]
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        out = Path(json.loads(cfg_path.read_text())["paths"]["output_dir"])
+        done = [e for e in read_events(out / "run_report.jsonl")
+                if e["event"] == "stage_complete"]
+        langs = dict.fromkeys(("en", "xx"))
+        expected = []
+        for stage in stages:
+            keys = {"ts": None, "event": None, "stage": None, "elapsed_s": None,
+                    **_STAGE_EVENT_KEYS[stage]}
+            if stage == "stats":
+                keys["sources"] = dict.fromkeys(sources, langs)
+            expected.append(keys)
+        assert [e["stage"] for e in done] == stages
+        assert [_keys(e) for e in done] == expected
+
+    def test_all_looks_stages_up_at_call_time(self, tmp_path, monkeypatch):
+        # The benchmark's tracer wraps xlpack.pipeline.stage_* by name, so
+        # run_all must call each stage through its module attribute.
+        import xlpack.pipeline as pipeline
+
+        cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=2)
+        calls = []
+
+        def counting(name, stage):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return stage(*args, **kwargs)
+            return wrapper
+
+        stages = ["align", "retrieve", "pack", "slide", "export", "stats"]
+        for name in stages:
+            attr = f"stage_{name}"
+            monkeypatch.setattr(pipeline, attr, counting(name, getattr(pipeline, attr)))
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        assert calls == stages
+
+    @pytest.mark.parametrize("stage", ["align", "retrieve", "slide"])
+    def test_failed_stage_leaves_no_outputs(self, tmp_path, stage):
+        cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=2)
+        paths = json.loads(cfg_path.read_text())["paths"]
+        out = tmp_path / "out"
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        if stage == "align":
+            # A dump that ends inside an INSERT statement.
+            with open(paths["pages_en"], "a", encoding="utf-8") as f:
+                f.write("\nINSERT INTO `page` VALUES (9,0,'Cut")
+            output, code = out / "pairs.tsv", EXIT_STAGE
+        elif stage == "retrieve":
+            # A corpus line that fails while retrieve builds its index.
+            with open(paths["web_corpus"], "a", encoding="utf-8") as f:
+                f.write("not json\n")
+            output, code = out / "pseudo_pairs.jsonl", EXIT_STAGE
+        else:
+            (out / "contexts.jsonl").unlink()
+            output, code = out / "shards", EXIT_INPUT
+        assert output.exists()
+        assert run([stage, "--config", str(cfg_path)]) == code
+        assert not output.exists()
+
+    def test_failed_slide_leaves_no_partial_shard(self, small_run):
+        tmp_path, _, cfg_path = small_run
+        out = tmp_path / "out"
+        for sub in ("align", "pack", "slide"):
+            assert run([sub, "--config", str(cfg_path)]) == EXIT_OK, sub
+        # One record more than the index has lines: slide writes the train
+        # windows of every record before it, then refuses the stream.
+        from xlpack.export import encode_window_record
+
+        with open(out / "contexts.bin", "ab") as f:
+            f.write(encode_window_record([5, 0]))
+        assert run(["slide", "--config", str(cfg_path),
+                    "--set", "shard_max_bytes=2000"]) == EXIT_STAGE
+        assert not (out / "shards").exists()
+
+    def test_debug_outputs_do_not_outlive_their_run(self, small_run):
+        tmp_path, corpus, cfg_path = small_run
+        out = tmp_path / "out"
+        assert run(["align", "--config", str(cfg_path), "--dump-tsv"]) == EXIT_OK
+        assert run(["pack", "--config", str(cfg_path), "--emit-text"]) == EXIT_OK
+        assert (out / "debug" / "pages_l.tsv").exists()
+        assert (out / "contexts_text.jsonl").exists()
+        assert run(["pack", "--config", str(cfg_path)]) == EXIT_OK
+        assert not (out / "contexts_text.jsonl").exists()
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        assert not (out / "debug").exists()
+        # pages_l is read after pages_en and langlinks_l_to_en are dumped.
+        with open(corpus.pages_l, "a", encoding="utf-8") as f:
+            f.write("\nINSERT INTO `page` VALUES (9,0,'Cut")
+        assert run(["align", "--config", str(cfg_path), "--dump-tsv"]) == EXIT_STAGE
+        assert not (out / "debug").exists()
+        assert not (out / "pairs.tsv").exists()
+
+    def test_retrieval_off_ignores_leftover_pseudo_pairs(self, tmp_path, monkeypatch):
+        import shutil
+
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=4)
+        out = tmp_path / "out"
+        off = ["all", "--config", str(cfg_path), "--set", "retrieval=null"]
+        skip = ("run_report.jsonl", "pseudo_pairs.jsonl")
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        assert (out / "pseudo_pairs.jsonl").read_text()
+        assert run(off) == EXIT_OK
+        reused = _tree_bytes(out, skip)
+        shutil.rmtree(out)
+        assert run(off) == EXIT_OK
+        assert _tree_bytes(out, skip) == reused
+        assert list(json.loads(reused["stats.json"])["sources"]) == ["wiki"]
 
 
 class TestVariants:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from xlpack.alignment import AlignTally, ArticleStore
 from xlpack.dump_ingest import (
     LangLink,
-    PageColumns,
     ParseTally,
     TruncatedDumpError,
     iter_insert_tuples,
@@ -109,13 +108,6 @@ class TestPages:
         assert not pages[0].is_redirect
         assert pages[1].namespace == 14  # passed through; alignment filters
         assert pages[2].is_redirect
-
-    def test_configurable_columns_for_old_schema(self):
-        # Old layout: (id, ns, title, restrictions, counter, is_redirect, ...)
-        data = "INSERT INTO `page` VALUES (7,0,'Old_style','',3,1,0);\n"
-        (page,) = parse_pages_dump(_stream(data), PageColumns(is_redirect=5))
-        assert page.title == "Old style"
-        assert page.is_redirect
 
     def test_short_tuple_tallied(self):
         data = "INSERT INTO `page` VALUES (7,0);\n"
