@@ -17,8 +17,6 @@ EXIT_CONFIG = 1
 EXIT_INPUT = 2
 EXIT_STAGE = 3
 
-SUBCOMMANDS = ("align", "pack", "slide", "retrieve", "stats", "export", "all")
-
 # Which stages read the raw dumps (vs. earlier stages' artifacts).
 _NEEDS_DUMPS = {"align", "retrieve", "pack", "all"}
 

@@ -1,13 +1,18 @@
 """Pipeline configuration: one JSON document, validated with field-path
 diagnostics before any stage runs. Flags may override individual fields via
-dotted paths (applied to the raw document prior to validation)."""
+dotted paths (applied to the raw document prior to validation).
+
+Each section's dataclass is the one record of its rules: its annotations give
+the fields' kinds and its __post_init__ the rules on their values. This module
+reads the JSON into those dataclasses and adds the section path to their
+errors."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any
 
 from .export import DEFAULT_SHARD_MAX_BYTES, SplitConfig
 from .packing import PackConfig
@@ -60,41 +65,59 @@ class PipelineConfig:
         """Whether retrieve runs and pack joins its pseudo pairs."""
         return self.retrieval is not None and bool(self.paths.web_corpus)
 
+    def __post_init__(self) -> None:
+        if not 16 <= self.shard_max_bytes <= 2**62:
+            raise ValueError(f"shard_max_bytes: {self.shard_max_bytes!r} outside [16, {2**62}]")
+        if self.pack.n_budget != self.slide.n_budget:
+            raise ValueError(f"pack.n_budget={self.pack.n_budget} and "
+                             f"slide.n_budget={self.slide.n_budget} must be equal")
+
     def effective_dict(self) -> dict:
         """Canonical dict of everything that shapes the output bytes."""
         return asdict(self)
 
 
-def parse_mix_ratio(value: Any, path: str, diags: list[str]) -> float:
-    """Accept a probability in [0, 1] or an "a:b" ratio string (en:L)."""
-    if isinstance(value, str):
-        parts = value.split(":")
-        try:
-            nums = [float(p) for p in parts]
-        except ValueError:
-            nums = []
-        if len(nums) != 2 or min(nums) < 0 or sum(nums) == 0:
-            diags.append(f"{path}: expected number or 'a:b' ratio, got {value!r}")
-            return 0.5
-        return nums[0] / (nums[0] + nums[1])
-    if isinstance(value, (int, float)) and 0.0 <= float(value) <= 1.0:
-        return float(value)
-    diags.append(f"{path}: expected probability in [0, 1] or 'a:b' ratio, got {value!r}")
-    return 0.5
+def parse_mix_ratio(text: str) -> float:
+    """The en-first probability of an "a:b" ratio string (en:L)."""
+    try:
+        nums = [float(p) for p in text.split(":")]
+    except ValueError:
+        nums = []
+    if len(nums) != 2 or min(nums) < 0 or sum(nums) == 0:
+        raise ValueError(f"expected number or 'a:b' ratio, got {text!r}")
+    return nums[0] / (nums[0] + nums[1])
+
+
+def field_kinds(schema: type) -> dict[str, type]:
+    """Each field's kind, read from its annotation; `X | None` reads as X."""
+    hints = typing.get_type_hints(schema)
+    kinds = {}
+    for f in fields(schema):
+        kind = hints[f.name]
+        args = typing.get_args(kind)
+        if type(None) in args:
+            (kind,) = [a for a in args if a is not type(None)]
+        kinds[f.name] = kind
+    return kinds
 
 
 class _Section:
-    """Typed field access over one dict section, recording diagnostics.
+    """One dict section read into its dataclass `schema`, recording diagnostics.
 
-    `schema` is the dataclass the section fills: a key that is not one of its
-    fields is refused, a field without a default is required, and a missing
-    or null field reads as the field's default."""
+    A key that is not one of the schema's fields is refused, a field without
+    a default is required, a missing or null field reads as the field's
+    default, and a value must be of its field's kind (a dataclass field takes
+    a dict). The schema's own errors, raised as "<field>: ...", are recorded
+    under the section's path."""
 
     def __init__(self, data: dict, prefix: str, diags: list[str], schema: type):
         self.data = data
         self.prefix = prefix
         self.diags = diags
+        self.schema = schema
         self.fields = {f.name: f for f in fields(schema)}
+        self.kinds = field_kinds(schema)
+        self.start = len(diags)
         for key in data:
             if key not in self.fields:
                 diags.append(f"{self.path(key)}: unknown field")
@@ -102,114 +125,70 @@ class _Section:
     def path(self, key: str) -> str:
         return f"{self.prefix}.{key}" if self.prefix else key
 
-    def get(self, key: str, kind):
+    def get(self, key: str):
         spec = self.fields[key]
-        required = spec.default is MISSING and spec.default_factory is MISSING
-        default = None if spec.default is MISSING else spec.default
+        kind = dict if is_dataclass(self.kinds[key]) else self.kinds[key]
         value = self.data.get(key)
         if value is None:
-            if required:
+            if spec.default is MISSING and spec.default_factory is MISSING:
                 self.diags.append(f"{self.path(key)}: required field is missing")
-            return default
+            return None if spec.default is MISSING else spec.default
         if kind in (int, float) and isinstance(value, bool):
             self.diags.append(f"{self.path(key)}: expected a number, got {value!r}")
-            return default
+            return None
         if kind is float and isinstance(value, int):
             value = float(value)
-        if kind is not None and not isinstance(value, kind):
-            self.diags.append(
-                f"{self.path(key)}: expected {getattr(kind, '__name__', kind)}, got {value!r}"
-            )
-            return default
+        if not isinstance(value, kind):
+            self.diags.append(f"{self.path(key)}: expected {kind.__name__}, got {value!r}")
+            return None
         return value
 
-    def read(self, **kinds) -> dict:
-        """The named fields, each checked against its kind."""
-        return {key: self.get(key, kind) for key, kind in kinds.items()}
+    def section(self, key: str) -> "_Section":
+        return _Section(self.get(key) or {}, self.path(key), self.diags, self.kinds[key])
 
-    def section(self, key: str, schema: type) -> "_Section":
-        return _Section(self.get(key, dict) or {}, self.path(key), self.diags, schema)
+    def build(self, **given):
+        """The schema built from the section's fields, with `given` ones as
+        passed; None once the section, or a section inside it, has a
+        diagnostic."""
+        values = {key: self.get(key) for key in self.fields if key not in given}
+        if len(self.diags) > self.start:
+            return None
+        try:
+            return self.schema(**values, **given)
+        except ValueError as e:
+            self.diags.append(f"{self.prefix}.{e}" if self.prefix else str(e))
+            return None
 
-    def check_range(self, key: str, value, low, high, high_inclusive=True):
-        if not (low <= value and (value <= high if high_inclusive else value < high)):
-            hi = "]" if high_inclusive else ")"
-            self.diags.append(f"{self.path(key)}: {value!r} outside [{low}, {high}{hi}")
 
-
-def _parse_config_dict(data: dict) -> tuple[PipelineConfig | None, list[str]]:
+def _parse_config_dict(data: dict) -> PipelineConfig:
     diags: list[str] = []
     top = _Section(data, "", diags, PipelineConfig)
+    paths = top.section("paths").build()
+    tokenizer = top.section("tokenizer").build()
 
-    language_l = top.get("language_l", str)
-    paths_sec = top.section("paths", PipelinePaths)
-    paths = paths_sec.read(**{name: str for name in paths_sec.fields})
+    pack_sec = top.section("pack")
+    if isinstance(ratio := pack_sec.data.get("mix_ratio"), str):
+        try:
+            ratio = parse_mix_ratio(ratio)
+        except ValueError as e:
+            diags.append(f"{pack_sec.path('mix_ratio')}: {e}")
+            ratio = None
+        pack_sec.data = {**pack_sec.data, "mix_ratio": ratio}
+    pack = pack_sec.build()
 
-    tokenizer = top.section("tokenizer", TokenizerSpec).read(
-        kind=str, vocab_source=str, split_token_text=str, split_token_id=int)
-    if tokenizer["kind"] not in ("whitespace", "byte", "external"):
-        diags.append(f"tokenizer.kind: unknown kind {tokenizer['kind']!r}")
-    if tokenizer["kind"] == "external" and not tokenizer["vocab_source"]:
-        diags.append("tokenizer.vocab_source: required for the external kind")
-    if not tokenizer["split_token_text"]:
-        diags.append("tokenizer.split_token_text: must be non-empty")
+    slide_sec = top.section("slide")
+    if pack is not None and slide_sec.data.get("n_budget") is None:
+        # slide.n_budget must equal pack's, so it follows it.
+        slide_sec.data = {**slide_sec.data, "n_budget": pack.n_budget}
+    slide = slide_sec.build()
 
-    pack_sec = top.section("pack", PackConfig)
-    pack = pack_sec.read(n_budget=int, direction_policy=str, mix_ratio=None, seed=int,
-                         repeat_titles=bool, truncate_oversize=bool)
-    pack_sec.check_range("n_budget", pack["n_budget"], 4, 2**31)
-    if pack["direction_policy"] not in ("en_first", "l_first", "mix"):
-        diags.append(f"pack.direction_policy: unknown policy {pack['direction_policy']!r}")
-    pack["mix_ratio"] = parse_mix_ratio(pack["mix_ratio"], "pack.mix_ratio", diags)
-
-    slide_sec = top.section("slide", SlidePolicy)
-    slide = slide_sec.read(kind=str, n_budget=int, keep_final_partial=bool)
-    if slide["kind"] not in ("optimized", "standard", "lossy"):
-        diags.append(f"slide.kind: unknown kind {slide['kind']!r}")
-    if slide_sec.data.get("n_budget") is None:
-        slide["n_budget"] = pack["n_budget"]  # it must equal pack's, so it follows it
-    if pack["n_budget"] != slide["n_budget"]:
-        diags.append(f"pack.n_budget={pack['n_budget']} and "
-                     f"slide.n_budget={slide['n_budget']} must be equal")
-
-    split_sec = top.section("split", SplitConfig)
-    split = split_sec.read(validation_fraction=float, seed=int)
-    split_sec.check_range("validation_fraction", split["validation_fraction"], 0.0, 1.0,
-                          high_inclusive=False)
-
-    retrieval = None
-    if (ret_data := top.get("retrieval", dict)) is not None:
-        ret_sec = _Section(ret_data, "retrieval", diags, RetrievalConfig)
-        retrieval = ret_sec.read(
-            threshold=float, max_results=int, candidate_pool_k=int, provider=str, dim=int,
-            seed=int, cache_path=str, endpoint=str, auth_token=str, timeout_s=float,
-            max_retries=int)
-        ret_sec.check_range("threshold", retrieval["threshold"], 0.0, 1.0)
-        for key in ("max_results", "candidate_pool_k", "dim"):
-            ret_sec.check_range(key, retrieval[key], 1, 2**31)
-        if retrieval["provider"] not in ("mock", "file", "wire"):
-            diags.append(f"retrieval.provider: unknown provider {retrieval['provider']!r}")
-        if retrieval["provider"] == "file" and not retrieval["cache_path"]:
-            diags.append("retrieval.cache_path: required for the file provider")
-        if retrieval["provider"] == "wire" and not retrieval["endpoint"]:
-            diags.append("retrieval.endpoint: required for the wire provider")
-
-    shard_max_bytes = top.get("shard_max_bytes", int)
-    top.check_range("shard_max_bytes", shard_max_bytes, 16, 2**62)
-
-    if diags:
-        return None, diags
-
-    cfg = PipelineConfig(
-        language_l=language_l,
-        paths=PipelinePaths(**paths),
-        tokenizer=TokenizerSpec(**tokenizer),
-        pack=PackConfig(**pack),
-        slide=SlidePolicy(**slide),
-        split=SplitConfig(**split),
-        retrieval=RetrievalConfig(**retrieval) if retrieval is not None else None,
-        shard_max_bytes=shard_max_bytes,
-    )
-    return cfg, []
+    split = top.section("split").build()
+    retrieval = top.section("retrieval").build() if data.get("retrieval") is not None else None
+    cfg = top.build(paths=paths, tokenizer=tokenizer, pack=pack, slide=slide, split=split,
+                    retrieval=retrieval)
+    if cfg is None:
+        raise ConfigError(diags)
+    return cfg
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
@@ -250,7 +229,7 @@ def check_input_paths(cfg: PipelineConfig, needs_dumps: bool = True) -> list[str
         ]
     if cfg.retrieves:
         wanted.append(("paths.web_corpus", p.web_corpus))
-    if cfg.tokenizer.kind == "external" and cfg.tokenizer.vocab_source:
+    if cfg.tokenizer.kind == "external":
         wanted.append(("tokenizer.vocab_source", cfg.tokenizer.vocab_source))
     for field_path, value in wanted:
         if not Path(value).exists():
@@ -273,7 +252,4 @@ def validate_config(
         raise ConfigError(["config root must be a JSON object"])
     if overrides:
         data = apply_overrides(data, overrides)
-    cfg, diags = _parse_config_dict(data)
-    if cfg is None:
-        raise ConfigError(diags)
-    return cfg
+    return _parse_config_dict(data)

@@ -56,7 +56,8 @@ class SplitConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be within [0, 1)")
+            raise ValueError(
+                f"validation_fraction: {self.validation_fraction!r} outside [0.0, 1.0)")
 
 
 @dataclass

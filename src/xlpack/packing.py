@@ -124,10 +124,14 @@ class PackConfig:
     truncate_oversize: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_budget < 4:
-            raise ValueError("n_budget must be at least 4 (two titles + a token + delimiter)")
+        # Two titles, a token and the delimiter need at least 4.
+        if not 4 <= self.n_budget <= 2**31:
+            raise ValueError(f"n_budget: {self.n_budget!r} outside [4, {2**31}]")
+        if self.direction_policy not in (EN_FIRST, L_FIRST, "mix"):
+            raise ValueError(f"direction_policy: unknown policy {self.direction_policy!r}")
         if not 0.0 <= self.mix_ratio <= 1.0:
-            raise ValueError("mix_ratio must be within [0, 1]")
+            raise ValueError(f"mix_ratio: expected probability in [0, 1] or 'a:b' ratio, "
+                             f"got {self.mix_ratio!r}")
 
 
 @dataclass
@@ -274,16 +278,12 @@ def pack_pair(
 def direction_for(pair_id: PairId, cfg: PackConfig) -> str:
     """Direction under the configured policy; the mix policy flips a seeded
     coin keyed by (seed, id_l, id_en) so assignment is stable per pair."""
-    if cfg.direction_policy == EN_FIRST:
-        return EN_FIRST
-    if cfg.direction_policy == L_FIRST:
-        return L_FIRST
-    if cfg.direction_policy == "mix":
-        key = f"{cfg.seed}:{pair_id.id_l}:{pair_id.id_en}".encode()
-        h = hashlib.blake2b(key, digest_size=8).digest()
-        u = int.from_bytes(h, "little") / 2.0**64
-        return EN_FIRST if u < cfg.mix_ratio else L_FIRST
-    raise ValueError(f"unknown direction policy {cfg.direction_policy!r}")
+    if cfg.direction_policy != "mix":
+        return cfg.direction_policy
+    key = f"{cfg.seed}:{pair_id.id_l}:{pair_id.id_en}".encode()
+    h = hashlib.blake2b(key, digest_size=8).digest()
+    u = int.from_bytes(h, "little") / 2.0**64
+    return EN_FIRST if u < cfg.mix_ratio else L_FIRST
 
 
 def pack_corpus(

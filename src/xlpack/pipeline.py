@@ -22,10 +22,11 @@ slide plans each split's windows as token ranges from the index's token_len
 values alone, then cuts the ranges out of the contexts.bin records, which it
 streams once and checks against the index and the context rules.
 
-Each stage owns the outputs named after it below and runs its body inside
-_stage: the outputs are removed when the stage starts and again when it fails,
-so a failed stage leaves none of them, and a debug output not asked for in
-this run does not outlive it. Only a stage that completes reports its
+Each stage owns the outputs named after it below (STAGE_OUTPUTS) and runs its
+body inside _stage: the outputs are removed when the stage starts and again
+when it fails, so a failed stage leaves none of them, and a debug output not
+asked for in this run does not outlive it. A stage that finds another stage's
+output missing names that stage. Only a stage that completes reports its
 stage_complete event.
 
 Output layout under paths.output_dir:
@@ -116,6 +117,9 @@ SHARDS_NAME = "shards"
 STATS_NAME = "stats.json"
 REPORT_NAME = "run_report.jsonl"
 SPLITS = ("train", "validation")
+STAGE_OUTPUTS = {"align": (PAIRS_NAME, DEBUG_NAME), "retrieve": (PSEUDO_PAIRS_NAME,),
+                 "pack": (CONTEXTS_NAME, CONTEXT_IDS_NAME, CONTEXTS_TEXT_NAME),
+                 "slide": (SHARDS_NAME,), "export": (), "stats": (STATS_NAME,)}
 EMBED_BATCH_SIZE = 256  # web documents per provider call when retrieve builds its index
 SCORE_BLOCK_BYTES = 1 << 20  # retrieve scores articles in groups whose score block fits this
 
@@ -137,14 +141,15 @@ def context_to_dict(entry: ContextEntry) -> dict:
 
 def read_contexts_jsonl(path: str | Path) -> list[ContextEntry]:
     """Read the context index, refusing lines that are not index entries
-    (such as a contexts.jsonl written before the index format)."""
+    (such as a contexts.jsonl written before the index format, or a last line
+    cut off by a killed pack)."""
     entries = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            data = json.loads(line)
             try:
+                data = json.loads(line)
                 entries.append(ContextEntry(
                     pair=PairId(data["pair"][0], data["pair"][1]),
                     seq_index=data["seq_index"],
@@ -156,6 +161,9 @@ def read_contexts_jsonl(path: str | Path) -> list[ContextEntry]:
             except KeyError as e:
                 raise ValueError(f"{path}:{lineno}: not a context index line, "
                                  f"missing {e}; rerun pack") from None
+            except (ValueError, TypeError):
+                raise ValueError(f"{path}:{lineno}: not a context index line; "
+                                 "rerun pack") from None
     return entries
 
 
@@ -176,26 +184,33 @@ def _remove(path: Path) -> None:
 
 
 @contextmanager
-def _stage(report: RunReport, cfg: PipelineConfig, name: str, *outputs: str) -> Iterator[dict]:
+def _stage(report: RunReport, cfg: PipelineConfig, name: str) -> Iterator[dict]:
     """Run one stage body as the owner of its outputs, timed and reported.
 
-    Each named output (a file or a tree under paths.output_dir) is removed on
-    entry and again if the body raises, so a failed stage leaves none of its
-    outputs, whether this run or an earlier one wrote them. The body fills the
-    yielded dict with its counts; on success they go into the stage_complete
-    event with the stage's name and elapsed time.
+    Each of the stage's STAGE_OUTPUTS (a file or a tree under
+    paths.output_dir) is removed on entry and again if the body raises, so a
+    failed stage leaves none of its outputs, whether this run or an earlier
+    one wrote them. A missing output of another stage is reported with the
+    stage that writes it. The body fills the yielded dict with its
+    counts; on success they go into the stage_complete event with the stage's
+    name and elapsed time.
     """
     start = time.perf_counter()
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
+    outputs = STAGE_OUTPUTS[name]
     for output in outputs:
         _remove(out / output)
     counts: dict = {}
     try:
         yield counts
-    except BaseException:
+    except BaseException as e:
         for output in outputs:
             _remove(out / output)
+        if isinstance(e, FileNotFoundError) and Path(e.filename or "").parent == out:
+            for writer, names in STAGE_OUTPUTS.items():
+                if Path(e.filename).name in names:
+                    raise FileNotFoundError(f"{e.filename}: not found; run {writer} first") from None
         raise
     report.event("stage_complete", stage=name,
                  elapsed_s=round(time.perf_counter() - start, 3), **counts)
@@ -206,7 +221,7 @@ def _stage(report: RunReport, cfg: PipelineConfig, name: str, *outputs: str) -> 
 
 
 def stage_align(cfg: PipelineConfig, report: RunReport, dump_tsv: bool = False) -> Path:
-    with _stage(report, cfg, "align", PAIRS_NAME, DEBUG_NAME) as counts:
+    with _stage(report, cfg, "align") as counts:
         out = cfg.output_dir
         tallies = {name: ParseTally() for name in
                    ("langlinks_l_to_en", "pages_en", "langlinks_en_to_l", "pages_l")}
@@ -247,14 +262,12 @@ def make_embedding_provider(cfg: PipelineConfig):
         return MockEmbeddingProvider(dim=settings.dim, seed=settings.seed)
     if settings.provider == "file":
         return CachedEmbeddingProvider.from_file(settings.cache_path)
-    if settings.provider == "wire":
-        return WireEmbeddingProvider(
-            endpoint=settings.endpoint,
-            auth_token=settings.auth_token,
-            timeout_s=settings.timeout_s,
-            max_retries=settings.max_retries,
-        )
-    raise ValueError(f"unknown embedding provider {settings.provider!r}")
+    return WireEmbeddingProvider(
+        endpoint=settings.endpoint,
+        auth_token=settings.auth_token,
+        timeout_s=settings.timeout_s,
+        max_retries=settings.max_retries,
+    )
 
 
 def build_l_to_en_title_map(cfg: PipelineConfig) -> dict[str, str]:
@@ -275,7 +288,7 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
     # The one stage that loads numpy, on entry.
     from .retrieval import CandidateDoc, VectorIndex
 
-    with _stage(report, cfg, "retrieve", PSEUDO_PAIRS_NAME) as counts:
+    with _stage(report, cfg, "retrieve") as counts:
         if not cfg.retrieves:
             raise ValueError("retrieve needs a retrieval section and paths.web_corpus")
         provider = make_embedding_provider(cfg)
@@ -376,8 +389,7 @@ def _iter_source_pairs(cfg: PipelineConfig, align_tally: AlignTally) -> Iterator
 
 
 def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) -> Path:
-    with _stage(report, cfg, "pack", CONTEXTS_NAME, CONTEXT_IDS_NAME,
-                CONTEXTS_TEXT_NAME) as counts:
+    with _stage(report, cfg, "pack") as counts:
         out = cfg.output_dir
         tokenizer = make_tokenizer(cfg.tokenizer)
         align_tally = AlignTally()
@@ -448,7 +460,7 @@ def _context_ids(
 
 
 def stage_slide(cfg: PipelineConfig, report: RunReport) -> Path:
-    with _stage(report, cfg, "slide", SHARDS_NAME) as counts:
+    with _stage(report, cfg, "slide") as counts:
         out = cfg.output_dir
         entries = read_contexts_jsonl(out / CONTEXTS_NAME)
         train_idx, val_idx = split_validation(range(len(entries)), cfg.split)
@@ -501,7 +513,7 @@ def stage_export(cfg: PipelineConfig, report: RunReport) -> Path:
 
 
 def stage_stats(cfg: PipelineConfig, report: RunReport) -> Path:
-    with _stage(report, cfg, "stats", STATS_NAME) as counts:
+    with _stage(report, cfg, "stats") as counts:
         out = cfg.output_dir
         stats = compute_stats(read_contexts_jsonl(out / CONTEXTS_NAME))
         (out / STATS_NAME).write_text(

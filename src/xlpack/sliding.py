@@ -38,6 +38,10 @@ class SlidePolicy:
     n_budget: int = 4096
     keep_final_partial: bool = True  # standard policy only
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("optimized", "standard", "lossy"):
+            raise ValueError(f"kind: unknown kind {self.kind!r}")
+
 
 def check_context(ids: Sequence[int], n: int, split_token_id: int, index: int) -> None:
     """Refuse a context that is empty, over the budget, or not terminated by

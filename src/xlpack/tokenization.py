@@ -43,6 +43,20 @@ class TokenizerSpec:
     split_token_text: str = DEFAULT_SPLIT_TOKEN
     split_token_id: int = 0
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("whitespace", "byte", "external"):
+            raise TokenizerError(f"kind: unknown kind {self.kind!r}")
+        if self.kind == "external" and not self.vocab_source:
+            raise TokenizerError("vocab_source: required for the external kind")
+        if not self.split_token_text:
+            raise TokenizerError("split_token_text: must be non-empty")
+        if not 0 <= self.split_token_id < 2**32:
+            raise TokenizerError(f"split_token_id: {self.split_token_id!r} outside [0, {2**32})")
+        # Byte ids are fixed at b + 1 and external ids come from the vocab
+        # file; only id 0 is guaranteed collision-free for them.
+        if self.kind != "whitespace" and self.split_token_id != 0:
+            raise TokenizerError(f"split_token_id: the {self.kind} tokenizer requires 0")
+
 
 class Tokenizer:
     """Base class handling the reserved delimiter; subclasses define `ids`.
@@ -206,21 +220,10 @@ class ExternalVocabTokenizer(Tokenizer):
 
 
 def make_tokenizer(spec: TokenizerSpec) -> Tokenizer:
-    if not spec.split_token_text:
-        raise TokenizerError("split_token_text must be non-empty")
-    if spec.kind == "whitespace":
-        return WhitespaceTokenizer(spec.split_token_text, spec.split_token_id)
     if spec.kind == "byte":
-        # Byte ids are fixed at b + 1; only id 0 is guaranteed collision-free.
-        if spec.split_token_id != 0:
-            raise TokenizerError("byte tokenizer requires split_token_id 0")
         return ByteTokenizer(spec.split_token_text, spec.split_token_id)
     if spec.kind == "external":
-        if not spec.vocab_source:
-            raise TokenizerError("external tokenizer requires vocab_source")
-        if spec.split_token_id != 0:
-            raise TokenizerError("external tokenizer requires split_token_id 0")
         return ExternalVocabTokenizer.from_file(
             spec.vocab_source, spec.split_token_text, spec.split_token_id
         )
-    raise TokenizerError(f"unknown tokenizer kind {spec.kind!r}")
+    return WhitespaceTokenizer(spec.split_token_text, spec.split_token_id)

@@ -85,11 +85,16 @@ class RetrievalConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must be within [0, 1]")
-        if self.max_results < 1:
-            raise ValueError("max_results must be at least 1")
-        if self.candidate_pool_k < 1:
-            raise ValueError("candidate_pool_k must be at least 1")
+            raise ValueError(f"threshold: {self.threshold!r} outside [0.0, 1.0]")
+        for key in ("max_results", "candidate_pool_k", "dim"):
+            if not 1 <= getattr(self, key) <= 2**31:
+                raise ValueError(f"{key}: {getattr(self, key)!r} outside [1, {2**31}]")
+        if self.provider not in ("mock", "file", "wire"):
+            raise ValueError(f"provider: unknown provider {self.provider!r}")
+        if self.provider == "file" and not self.cache_path:
+            raise ValueError("cache_path: required for the file provider")
+        if self.provider == "wire" and not self.endpoint:
+            raise ValueError("endpoint: required for the wire provider")
 
 
 @dataclass

@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
 from xlpack.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_STAGE, run
-from xlpack.config import ConfigError, validate_config
+from xlpack.config import ConfigError, PipelineConfig, field_kinds, validate_config
 from xlpack.export import SplitConfig, config_digest, read_shards
 from xlpack.packing import PackConfig
 from xlpack.report import read_events
@@ -154,6 +155,24 @@ class TestExitCodes:
         assert run(["retrieve", "--config", str(cfg_path), *overrides]) == EXIT_CONFIG
         assert f"retrieval.dim: {dim} outside" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, field", [
+        (["tokenizer.kind=byte", "tokenizer.split_token_id=1"], "tokenizer.split_token_id"),
+        (["tokenizer.kind=external", "tokenizer.vocab_source=v.vocab",
+          "tokenizer.split_token_id=1"], "tokenizer.split_token_id"),
+        (["tokenizer.split_token_id=-1"], "tokenizer.split_token_id"),
+        ([f"tokenizer.split_token_id={2**32}"], "tokenizer.split_token_id"),
+        (["retrieval.provider=file"], "retrieval.cache_path"),
+        (["retrieval.provider=wire"], "retrieval.endpoint"),
+    ], ids=["byte_id_1", "external_id_1", "id_minus_1", "id_2_32", "file_no_cache_path",
+            "wire_no_endpoint"])
+    def test_config_time_refusals(self, small_run, capsys, overrides, field):
+        # Refused before any stage runs, not when pack first builds a tokenizer
+        # or retrieve its embedding provider.
+        _, _, cfg_path = small_run
+        args = [a for o in overrides for a in ("--set", o)]
+        assert run(["align", "--config", str(cfg_path), *args]) == EXIT_CONFIG
+        assert f"config error: {field}: " in capsys.readouterr().err
+
     def test_missing_input_path(self, small_run, capsys):
         tmp_path, _, cfg_path = small_run
         code = run(["align", "--config", str(cfg_path),
@@ -161,12 +180,17 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "paths.pages_en" in capsys.readouterr().err
 
-    def test_stage_failure_when_inputs_missing_for_stage(self, small_run):
+    def test_stage_failure_when_inputs_missing_for_stage(self, small_run, capsys):
         _, _, cfg_path = small_run
-        # slide requires contexts.jsonl which pack has not produced yet, and
-        # export the shard set which slide has not written yet
-        for sub in ("slide", "export"):
+        # pack requires pairs.tsv which align has not written yet, slide and
+        # stats contexts.jsonl which pack has not produced yet, and export the
+        # shard set which slide has not written yet
+        for sub, hint in (("pack", "pairs.tsv: not found; run align first"),
+                          ("slide", "contexts.jsonl: not found; run pack first"),
+                          ("stats", "contexts.jsonl: not found; run pack first"),
+                          ("export", "run slide first")):
             assert run([sub, "--config", str(cfg_path)]) == EXIT_INPUT, sub
+            assert hint in capsys.readouterr().err, sub
 
 
 class TestValidateConfig:
@@ -198,6 +222,22 @@ class TestValidateConfig:
             validate_config(cfg_path, ["slide.discard_tails=true", "pack.nbudget=3"])
         assert err.value.diagnostics == ["pack.nbudget: unknown field",
                                          "slide.discard_tails: unknown field"]
+
+    def test_every_field_has_a_readable_kind(self):
+        # _Section checks each value with isinstance against its field's
+        # kind, read from the annotation; a nested section is a dataclass.
+        schemas = [PipelineConfig]
+        for schema in schemas:
+            kinds = field_kinds(schema)
+            assert list(kinds) == [f.name for f in fields(schema)], schema
+            for name, kind in kinds.items():
+                if is_dataclass(kind):
+                    schemas.append(kind)
+                else:
+                    assert kind in (str, int, float, bool), (schema, name, kind)
+        assert {s.__name__ for s in schemas} == {
+            "PipelineConfig", "PipelinePaths", "TokenizerSpec", "PackConfig",
+            "SlidePolicy", "SplitConfig", "RetrievalConfig"}
 
 
 class TestStages:
@@ -604,6 +644,14 @@ class TestRetrieveStage:
         err = capsys.readouterr().err
         assert "pseudo_pairs.jsonl:2:" in err and expected in err
         assert not (out / "contexts.jsonl").exists()
+
+    def test_pack_before_retrieve_names_retrieve(self, tmp_path, capsys):
+        cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=2)
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["pack", "--config", str(cfg_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "pseudo_pairs.jsonl: not found; run retrieve first" in err
+        assert not (tmp_path / "out" / "contexts.jsonl").exists()
 
     def test_retrieve_requires_web_corpus(self, small_run):
         _, _, cfg_path = small_run

@@ -406,6 +406,16 @@ class TestTwoStepRetrieve:
             RetrievalConfig(candidate_pool_k=0)
         assert "candidate_pool_k" in str(err.value)
 
+    @pytest.mark.parametrize("settings, field", [
+        (dict(provider="file"), "cache_path"),
+        (dict(provider="wire"), "endpoint"),
+        (dict(provider="remote"), "provider"),
+    ], ids=["file", "wire", "unknown"])
+    def test_provider_settings_required(self, settings, field):
+        with pytest.raises(ValueError) as err:
+            RetrievalConfig(**settings)
+        assert str(err.value).startswith(f"{field}: ")
+
     def test_pool_monotonicity(self):
         rng = np.random.default_rng(11)
         docs = []

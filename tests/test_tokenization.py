@@ -111,6 +111,19 @@ class TestMakeTokenizer:
             make_tokenizer(TokenizerSpec(split_token_text=""))
 
 
+@pytest.mark.parametrize("spec, field", [
+    (dict(kind="byte", split_token_id=1), "split_token_id"),
+    (dict(kind="external", vocab_source="v.vocab", split_token_id=1), "split_token_id"),
+    (dict(split_token_id=-1), "split_token_id"),
+    (dict(split_token_id=2**32), "split_token_id"),
+    (dict(kind="external"), "vocab_source"),
+], ids=["byte_id_1", "external_id_1", "id_minus_1", "id_2_32", "external_no_vocab"])
+def test_spec_refuses_invalid_fields(spec, field):
+    with pytest.raises(TokenizerError) as err:
+        TokenizerSpec(**spec)
+    assert str(err.value).startswith(f"{field}: ")
+
+
 class TestWhitespace:
     def test_first_occurrence_ids(self, whitespace_tokenizer):
         assert whitespace_tokenizer.encode("a b a") == [1, 2, 1]

@@ -279,10 +279,11 @@ def test_slide_refuses_malformed_record(packed, capsys, args, damage):
     assert not (out / "shards").exists()
 
 
-def test_slide_missing_ids_file(packed):
+def test_slide_missing_ids_file(packed, capsys):
     out, cfg_path = packed
     (out / "contexts.bin").unlink()
     assert run(["slide", "--config", str(cfg_path)]) == EXIT_INPUT
+    assert "contexts.bin: not found; run pack first" in capsys.readouterr().err
     assert not (out / "shards").exists()
 
 
@@ -293,3 +294,15 @@ def test_slide_refuses_text_contexts_file(packed, capsys):
     (out / "contexts.jsonl").write_text(json.dumps(line) + "\n")
     assert run(["slide", "--config", str(cfg_path)]) == EXIT_STAGE
     assert "not a context index line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["slide", "stats"])
+def test_truncated_index_names_file_and_line(packed, capsys, sub):
+    # A killed pack can leave the index's last line cut off.
+    out, cfg_path = packed
+    text = (out / "contexts.jsonl").read_text()
+    lines = text.count("\n")
+    (out / "contexts.jsonl").write_text(text[:-20])
+    assert run([sub, "--config", str(cfg_path)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert f"contexts.jsonl:{lines}: not a context index line; rerun pack" in err
