@@ -17,6 +17,7 @@ first well-formed record of each page id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -184,6 +185,15 @@ class ArticleStore:
         self.close()
 
 
+def _ascending(pairs: set[PairId]) -> list[PairId]:
+    """The pair ids in (id_l, id_en) order. Two stable sorts on one int key
+    each give that order without a dataclass __lt__ call per comparison or a
+    key tuple per pair."""
+    order = sorted(pairs, key=attrgetter("id_en"))
+    order.sort(key=attrgetter("id_l"))
+    return order
+
+
 def join_articles(
     pair_ids: set[PairId],
     articles_en: ArticleStore,
@@ -197,7 +207,7 @@ def join_articles(
     pairs_missing_text and skipped.
     """
     tally = tally if tally is not None else AlignTally()
-    for pid in sorted(pair_ids):
+    for pid in _ascending(pair_ids):
         art_en = articles_en.get(pid.id_en)
         art_l = articles_l.get(pid.id_l)
         if (
@@ -223,7 +233,7 @@ def join_articles(
 def save_pair_map(pairs: set[PairId], path: str | Path) -> None:
     """Persist the pair map as ascending `id_l<TAB>id_en` lines."""
     with open(path, "w", encoding="utf-8") as f:
-        for pid in sorted(pairs):
+        for pid in _ascending(pairs):
             f.write(f"{pid.id_l}\t{pid.id_en}\n")
 
 

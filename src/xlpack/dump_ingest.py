@@ -7,6 +7,15 @@ fixed grammar, and the scanner runs in constant memory over arbitrarily large
 inputs. Malformed tuples are tallied and skipped; only a truncated file (ending
 mid-statement) raises, and only after every complete tuple has been yielded.
 
+The two parsers scan column-projected: between tuples, one compiled regex
+(`_PAGE_TUPLE`, `_LANGLINK_TUPLE`) matches a whole well-formed tuple and
+captures only the columns the parser reads, so the skipped columns cost no
+Python step. Escapes are resolved only in a captured string that holds a
+backslash or a doubled quote. A tuple the regex misses takes the
+per-character path, which yields all of its fields, and the regex is tried
+again after it; so the tallies and truncation errors are exactly those of the
+per-character scanner.
+
 The article side parses line-delimited JSON records (`id`, `title`, `text`)
 as produced by common wikitext extraction tools, one line at a time:
 `parse_article_line` is the one record rule, and `alignment.ArticleStore` is
@@ -48,6 +57,45 @@ _SQL_ESCAPES = {
 
 _UNQUOTED_END = re.compile(r"[,)]")
 _STRING_SPECIAL = re.compile(r"['\\]")
+
+# Whole-tuple patterns for the fast path: the separators before a tuple, then
+# `(`, every field with no spaces around it, and `)`. Each group is one column
+# a parser reads: digits for a number, the body of a quoted string for text.
+# Other columns are matched and dropped. The string body is unrolled (a run of
+# plain characters, then an escape or a doubled quote, ...), so a long value
+# or a miss costs time linear in its length.
+_RE_QUOTED_BODY = r"[^'\\]*(?:(?:\\.|'')[^'\\]*)*"
+_RE_NUMBER = r"([0-9]+)"
+_RE_STRING = r"'(" + _RE_QUOTED_BODY + r")'"
+_RE_SKIPPED = r"(?:,(?:'" + _RE_QUOTED_BODY + r"'|[^',)]*))*"
+_RE_TUPLE_START = r"[, \t\r\n]*\("
+
+# (page_id, page_namespace, page_title, page_is_redirect, ...)
+_PAGE_TUPLE = re.compile(
+    _RE_TUPLE_START + ",".join((_RE_NUMBER, _RE_NUMBER, _RE_STRING, _RE_NUMBER))
+    + _RE_SKIPPED + r"\)",
+    re.DOTALL,
+)
+# (ll_from, ll_lang, ll_title)
+_LANGLINK_TUPLE = re.compile(
+    _RE_TUPLE_START + ",".join((_RE_NUMBER, _RE_STRING, _RE_STRING)) + r"\)", re.DOTALL
+)
+_ESCAPE_OR_QUOTE = re.compile(r"\\(.)|''", re.DOTALL)
+
+
+def _resolve_escape(m: re.Match) -> str:
+    c = m.group(1)
+    return "'" if c is None else _SQL_ESCAPES.get(c, c)
+
+
+def _captured(m: re.Match) -> tuple[str, ...]:
+    """The groups of a whole-tuple match, with escapes resolved in each one
+    that holds a backslash or a doubled quote (numbers never do)."""
+    fields = m.groups()
+    for f in fields:
+        if "\\" in f or "''" in f:
+            return tuple(_ESCAPE_OR_QUOTE.sub(_resolve_escape, g) for g in fields)
+    return fields
 
 
 class TruncatedDumpError(ValueError):
@@ -94,7 +142,8 @@ class RawArticle:
 
 
 # Scanner modes.
-_SEEK, _HEADER, _BETWEEN, _FIELD, _STRING, _STR_ESCAPE, _QUOTE_PENDING, _AFTER_STRING = range(8)
+(_SEEK, _HEADER, _BETWEEN, _FIELD, _UNQUOTED, _STRING, _STR_ESCAPE, _QUOTE_PENDING,
+ _AFTER_STRING) = range(9)
 
 
 class _InsertTupleScanner:
@@ -103,10 +152,16 @@ class _InsertTupleScanner:
     Field values come back as str, with SQL string escapes resolved; an
     unquoted NULL comes back as None. State carried between chunks is bounded
     by the size of one field, never by the size of the input.
+
+    With a `projection` (`_PAGE_TUPLE` or `_LANGLINK_TUPLE`), a tuple it
+    matches between tuples comes back as just its groups. A tuple it misses
+    (malformed, NULL or a sign in a read column, spaces, or cut by the chunk
+    end) goes through the per-character states and comes back whole.
     """
 
-    def __init__(self, tally: ParseTally):
+    def __init__(self, tally: ParseTally, projection: re.Pattern | None = None):
         self._tally = tally
+        self._match = projection.match if projection is not None else None
         self._mode = _SEEK
         # Synthetic leading newline so a statement at offset 0 anchors the needle.
         self._pending = "\n"
@@ -119,6 +174,7 @@ class _InsertTupleScanner:
         self._pending = ""
         pos = 0
         n = len(work)
+        match = self._match
         while pos < n:
             mode = self._mode
             if mode == _SEEK:
@@ -144,6 +200,15 @@ class _InsertTupleScanner:
                     self._pending = work[max(pos, n - len(_VALUES_NEEDLE) + 1):]
                     return out
             elif mode == _BETWEEN:
+                if match is not None:
+                    m = match(work, pos)
+                    while m:
+                        self._tally.tuples_scanned += 1
+                        out.append(_captured(m))
+                        pos = m.end()
+                        m = match(work, pos)
+                    if pos == n:
+                        break
                 ch = work[pos]
                 if ch == "(":
                     self._fields = []
@@ -169,7 +234,11 @@ class _InsertTupleScanner:
                 if work[pos] == "'":
                     self._mode = _STRING
                     pos += 1
-                    continue
+                else:
+                    self._mode = _UNQUOTED
+            elif mode == _UNQUOTED:
+                # A value cut by the chunk end resumes here, so a space or a
+                # quote after the cut stays part of it.
                 m = _UNQUOTED_END.search(work, pos)
                 if not m:
                     self._buf.append(work[pos:])
@@ -179,7 +248,8 @@ class _InsertTupleScanner:
                 pos = m.start() + 1
                 if m.group() == ")":
                     out.append(self._end_tuple())
-                # "," keeps _FIELD mode for the next value
+                else:
+                    self._mode = _FIELD
             elif mode == _STRING:
                 m = _STRING_SPECIAL.search(work, pos)
                 if not m:
@@ -267,16 +337,22 @@ def _open_text(raw: IO[bytes]) -> IO[str]:
 
 
 def iter_insert_tuples(
-    source: str | Path | IO[bytes], tally: ParseTally | None = None
+    source: str | Path | IO[bytes],
+    tally: ParseTally | None = None,
+    projection: re.Pattern | None = None,
 ) -> Iterator[tuple]:
-    """Yield every value tuple from every INSERT statement in a SQL dump."""
+    """Yield every value tuple from every INSERT statement in a SQL dump.
+
+    With a `projection`, a tuple the pattern matches yields only its groups;
+    see `_InsertTupleScanner`.
+    """
     tally = tally if tally is not None else ParseTally()
     with ExitStack() as stack:
         raw = source
         if isinstance(source, (str, Path)):
             raw = stack.enter_context(open(source, "rb"))
         text = stack.enter_context(_open_text(raw))
-        scanner = _InsertTupleScanner(tally)
+        scanner = _InsertTupleScanner(tally, projection)
         while True:
             chunk = text.read(_CHUNK_CHARS)
             if not chunk:
@@ -297,7 +373,7 @@ def parse_langlinks_dump(
     are tallied and skipped.
     """
     tally = tally if tally is not None else ParseTally()
-    for fields in iter_insert_tuples(source, tally):
+    for fields in iter_insert_tuples(source, tally, _LANGLINK_TUPLE):
         if len(fields) != 3 or fields[0] is None or fields[1] is None or fields[2] is None:
             tally.malformed += 1
             continue
@@ -326,7 +402,7 @@ def parse_pages_dump(
     All namespaces and redirects pass through; alignment decides what to keep.
     """
     tally = tally if tally is not None else ParseTally()
-    for fields in iter_insert_tuples(source, tally):
+    for fields in iter_insert_tuples(source, tally, _PAGE_TUPLE):
         if len(fields) < 4:
             tally.malformed += 1
             continue

@@ -110,13 +110,20 @@ class Tokenizer:
 
 
 class _FirstSeenIds(dict):
-    """Word -> id; looking up a new word gives it the next id."""
+    """Word -> id; looking up a new word gives it the next id, which must fit
+    in u32."""
 
     def __init__(self, first_id: int):
         super().__init__()
         self.next_id = first_id
 
     def __missing__(self, word: str) -> int:
+        if self.next_id >= 2**32:
+            raise TokenizerError(
+                f"tokenizer.split_token_id: word ids count up from split_token_id + 1, so"
+                f" {self.next_id - len(self) - 1} leaves room for {len(self)} distinct words"
+                f" below 2^32, and the corpus has more"
+            )
         wid = self[word] = self.next_id
         self.next_id += 1
         return wid

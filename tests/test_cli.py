@@ -173,6 +173,18 @@ class TestExitCodes:
         assert run(["align", "--config", str(cfg_path), *args]) == EXIT_CONFIG
         assert f"config error: {field}: " in capsys.readouterr().err
 
+    def test_whitespace_ids_past_u32_name_the_setting(self, tmp_path, capsys):
+        # The config accepts any split id below 2^32, but whitespace word ids
+        # count up from it; pack refuses once a new word has no u32 id left.
+        corpus = build_corpus(tmp_path / "data", n_pairs=4, seed=5)
+        cfg_path = make_config(tmp_path, corpus)
+        code = run(["all", "--config", str(cfg_path),
+                    "--set", f"tokenizer.split_token_id={2**32 - 3}"])
+        assert code == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "stage failure: tokenizer.split_token_id: " in err
+        assert f"{2**32 - 3} leaves room for 2 distinct words" in err
+
     def test_missing_input_path(self, small_run, capsys):
         tmp_path, _, cfg_path = small_run
         code = run(["align", "--config", str(cfg_path),

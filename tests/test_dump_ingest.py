@@ -4,15 +4,18 @@ import gzip
 import io
 import json
 import os
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlpack import dump_ingest
 from xlpack.alignment import AlignTally, ArticleStore
 from xlpack.dump_ingest import (
     LangLink,
+    PageRecord,
     ParseTally,
     TruncatedDumpError,
     iter_insert_tuples,
@@ -192,6 +195,91 @@ class TestRoundTrip:
         assert first == second
 
 
+# Dumps mixing what the whole-tuple fast path takes (page and langlinks rows)
+# with what it must leave to the per-character path: every escape form, NULL
+# and negative numbers, spaces around fields, short and long tuples, and junk
+# that forces a resync.
+_sql_piece = st.sampled_from(
+    ["a", "Z", " ", "_", "(", ")", ",", ";", "\n", "\u00e9",
+     "\\'", "''", "\\\\", "\\\n", "\\n", "\\0", "\\%", "\\q"]
+)
+_sql_string = st.lists(_sql_piece, max_size=6).map(lambda ps: "'" + "".join(ps) + "'")
+_sql_number = st.integers(0, 10**6).map(str)
+_sql_field = st.tuples(
+    st.sampled_from(["", "", "", " "]),
+    st.one_of(_sql_number, st.integers(-9, -1).map(str), st.just("NULL"), _sql_string,
+              st.just("")),
+    st.sampled_from(["", "", "", " "]),
+).map("".join)
+_sql_tuple = st.one_of(
+    st.tuples(_sql_number, _sql_number, _sql_string, _sql_number,
+              st.lists(st.one_of(_sql_number, _sql_string, st.just("NULL")), max_size=5)
+              ).map(lambda r: "(" + ",".join([*r[:4], *r[4]]) + ")"),
+    st.tuples(_sql_number, _sql_string, _sql_string).map(lambda r: "(" + ",".join(r) + ")"),
+    st.lists(_sql_field, min_size=1, max_size=6).map(lambda fs: "(" + ",".join(fs) + ")"),
+    st.sampled_from(["x", ")", "(1,'a'b)", "('", "(1,2"]),
+)
+_sql_dump = st.lists(
+    st.tuples(st.lists(_sql_tuple, min_size=1, max_size=6),
+              st.sampled_from([",", ",\n", ", "])),
+    max_size=4,
+).map(lambda stmts: "-- dump\n" + "".join(
+    "INSERT INTO `t` VALUES " + sep.join(tuples) + ";\n" for tuples, sep in stmts))
+
+
+def _parse_all(parse, text):
+    """Records, tally and whether the dump was truncated."""
+    tally = ParseTally()
+    records = []
+    try:
+        for record in parse(_stream(text), tally=tally):
+            records.append(record)
+    except TruncatedDumpError:
+        return records, tally, True
+    return records, tally, False
+
+
+class TestProjectedFastPath:
+    @given(dump=_sql_dump, cut=st.integers(0, 40),
+           chunk=st.one_of(st.integers(1, 12), st.just(1 << 18)))
+    @settings(max_examples=300)
+    def test_matches_per_character_scanner(self, dump, cut, chunk):
+        text = dump[: max(len(dump) - cut, 0)]
+        for parse, pattern in ((parse_pages_dump, "_PAGE_TUPLE"),
+                               (parse_langlinks_dump, "_LANGLINK_TUPLE")):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dump_ingest, pattern, None)
+                expected = _parse_all(parse, text)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dump_ingest, "_CHUNK_CHARS", chunk)
+                assert _parse_all(parse, text) == expected
+
+    def test_unquoted_value_cut_by_chunk_end(self, monkeypatch):
+        # The part after the cut continues the value: its space or quote does
+        # not start a new field.
+        data = "INSERT INTO `t` VALUES (1 2,ab'c,x);\n"
+        for chunk in range(1, len(data) + 1):
+            monkeypatch.setattr(dump_ingest, "_CHUNK_CHARS", chunk)
+            assert list(iter_insert_tuples(_stream(data))) == [("1 2", "ab'c", "x")], chunk
+
+    def test_projection_yields_only_read_columns(self):
+        data = (
+            "INSERT INTO `page` VALUES (1,0,'O\\'Brien''s',0,0,0.5,'t',NULL),"
+            "(2,0,NULL,0,0,0.5,'t',NULL),(3, 0,'C',1);\n"
+        )
+        tally = ParseTally()
+        rows = list(iter_insert_tuples(_stream(data), tally, dump_ingest._PAGE_TUPLE))
+        assert rows == [
+            ("1", "0", "O'Brien's", "0"),
+            ("2", "0", None, "0", "0", "0.5", "t", None),  # NULL title: every field
+            ("3", "0", "C", "1"),  # a space: per-character path
+        ]
+        assert tally == ParseTally(tuples_scanned=3)
+        assert list(parse_pages_dump(_stream(data))) == [
+            PageRecord(1, 0, "O'Brien's", False), PageRecord(3, 0, "C", True)
+        ]
+
+
 class TestStreamingMemory:
     def _dump_of_size(self, path, target_bytes):
         title = "Some Reasonably Long Article Title With Words " * 3
@@ -213,11 +301,18 @@ class TestStreamingMemory:
         + ([1024 * 1024 * 1024] if os.environ.get("XLPACK_BIG_STREAM_TEST") else []),
     )
     def test_peak_memory_bounded(self, tmp_path, target_bytes):
+        self._assert_streams(tmp_path, target_bytes, iter_insert_tuples)
+
+    def test_parser_peak_memory_bounded(self, tmp_path):
+        # The projected fast path also holds no more than one chunk.
+        self._assert_streams(tmp_path, 64 * 1024 * 1024, parse_langlinks_dump)
+
+    def _assert_streams(self, tmp_path, target_bytes, reader):
         path = tmp_path / "big.sql"
         self._dump_of_size(path, target_bytes)
         tracemalloc.start()
         count = 0
-        for _ in iter_insert_tuples(path):
+        for _ in reader(path):
             count += 1
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
@@ -232,6 +327,23 @@ class TestStreamingMemory:
         write_langlinks_dump(path, [(1, "en", big.strip())])
         (link,) = parse_langlinks_dump(path)
         assert link.target_title == big.strip()
+
+    def test_long_values_in_one_chunk_scan_in_linear_time(self, tmp_path, monkeypatch):
+        # The whole-tuple pattern sees each 700 KB value at once: the first
+        # tuple matches, the second misses only at its last character (a space
+        # before `)`) and so backtracks over its whole value.
+        monkeypatch.setattr(dump_ingest, "_CHUNK_CHARS", 1 << 22)
+        body = "O\\'Brien''s \\\\ page " * 35_000
+        title = "O'Brien's \\ page " * 35_000
+        data = f"INSERT INTO `langlinks` VALUES (1,'en','{body}'),(2,'en','{body}' );\n"
+        tally = ParseTally()
+        start = time.perf_counter()
+        links = list(parse_langlinks_dump(_stream(data), tally=tally))
+        elapsed = time.perf_counter() - start
+        assert [(l.from_page_id, l.target_title) for l in links] == [(1, title)]
+        assert (tally.tuples_scanned, tally.resyncs) == (1, 1)
+        # Linear work takes a fraction of a second; quadratic would take hours.
+        assert elapsed < 10
 
 
 class TestExtractedArticles:
