@@ -16,7 +16,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from xlpack.packing import PackConfig, pack_corpus
+from xlpack.packing import PackConfig, direction_for, pack_pair
 from xlpack.sliding import slide_optimized, slide_optimized_lossy, slide_standard
 from xlpack.synth import build_corpus
 from xlpack.alignment import ArticleStore, join_articles, build_pair_map
@@ -67,7 +67,8 @@ def main() -> int:
         with ArticleStore(corpus.articles_en, "en") as store_en, \
                 ArticleStore(corpus.articles_l, corpus.lang) as store_l:
             pairs = join_articles(pair_ids, store_en, store_l)
-            lengths = [ctx.token_len for ctx in pack_corpus(pairs, tokenizer, cfg)]
+            lengths = [ctx.token_len for pair in pairs
+                       for ctx in pack_pair(pair, tokenizer, cfg, direction_for(pair.pair, cfg))]
         total = sum(lengths)
         print(f"{len(lengths)} contexts, {total} tokens, budget {args.n_budget}\n")
 

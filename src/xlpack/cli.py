@@ -9,16 +9,13 @@ import argparse
 import sys
 
 from . import pipeline
-from .config import ConfigError, InputError, check_input_paths, validate_config
+from .config import ConfigError, InputError, validate_config
 from .report import RunReport
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INPUT = 2
 EXIT_STAGE = 3
-
-# Which stages read the raw dumps (vs. earlier stages' artifacts).
-_NEEDS_DUMPS = {"align", "retrieve", "pack", "all"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +66,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
 
-    missing = check_input_paths(cfg, needs_dumps=args.subcommand in _NEEDS_DUMPS)
+    missing = pipeline.check_input_paths(cfg, args.subcommand)
     if missing:
         for diag in missing:
             print(f"input error: {diag}", file=sys.stderr)

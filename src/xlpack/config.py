@@ -213,30 +213,6 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
     return data
 
 
-def check_input_paths(cfg: PipelineConfig, needs_dumps: bool = True) -> list[str]:
-    """Missing-input diagnostics (does not touch the network)."""
-    missing = []
-    p = cfg.paths
-    wanted = []
-    if needs_dumps:
-        wanted += [
-            ("paths.langlinks_l_to_en", p.langlinks_l_to_en),
-            ("paths.langlinks_en_to_l", p.langlinks_en_to_l),
-            ("paths.pages_en", p.pages_en),
-            ("paths.pages_l", p.pages_l),
-            ("paths.articles_en", p.articles_en),
-            ("paths.articles_l", p.articles_l),
-        ]
-    if cfg.retrieves:
-        wanted.append(("paths.web_corpus", p.web_corpus))
-    if cfg.tokenizer.kind == "external":
-        wanted.append(("tokenizer.vocab_source", cfg.tokenizer.vocab_source))
-    for field_path, value in wanted:
-        if not Path(value).exists():
-            missing.append(f"{field_path}: path does not exist: {value}")
-    return missing
-
-
 def validate_config(
     config_path: str | Path, overrides: list[str] | None = None
 ) -> PipelineConfig:

@@ -11,10 +11,12 @@ The two parsers scan column-projected: between tuples, one compiled regex
 (`_PAGE_TUPLE`, `_LANGLINK_TUPLE`) matches a whole well-formed tuple and
 captures only the columns the parser reads, so the skipped columns cost no
 Python step. Escapes are resolved only in a captured string that holds a
-backslash or a doubled quote. A tuple the regex misses takes the
-per-character path, which yields all of its fields, and the regex is tried
+backslash or a doubled quote. A tuple the regex misses takes the per-field
+path, which parses one whole field per step with the same string rule and
+escape resolver and yields all of the tuple's fields, and the regex is tried
 again after it; so the tallies and truncation errors are exactly those of the
-per-character scanner.
+per-field path alone. A field cut by the end of a chunk is carried whole into
+the next one.
 
 The article side parses line-delimited JSON records (`id`, `title`, `text`)
 as produced by common wikitext extraction tools, one line at a time:
@@ -55,9 +57,6 @@ _SQL_ESCAPES = {
     "_": "\\_",
 }
 
-_UNQUOTED_END = re.compile(r"[,)]")
-_STRING_SPECIAL = re.compile(r"['\\]")
-
 # Whole-tuple patterns for the fast path: the separators before a tuple, then
 # `(`, every field with no spaces around it, and `)`. Each group is one column
 # a parser reads: digits for a number, the body of a quoted string for text.
@@ -82,6 +81,12 @@ _LANGLINK_TUPLE = re.compile(
 )
 _ESCAPE_OR_QUOTE = re.compile(r"\\(.)|''", re.DOTALL)
 
+# One field of a tuple the fast path missed: a quoted string and the character
+# after it (a closing quote must not be followed by a quote, or the two would
+# be a doubled quote), or an unquoted value up to the `,` or `)` that ends it.
+_QUOTED_FIELD = re.compile(_RE_STRING + r"[^']", re.DOTALL)
+_UNQUOTED_END = re.compile(r"[,)]")
+
 
 def _resolve_escape(m: re.Match) -> str:
     c = m.group(1)
@@ -99,7 +104,8 @@ def _captured(m: re.Match) -> tuple[str, ...]:
 
 
 class TruncatedDumpError(ValueError):
-    """The input ended in the middle of an INSERT statement."""
+    """The input ended in the middle of an INSERT statement; the message says
+    where: in its header, between tuples or inside a field."""
 
 
 @dataclass
@@ -142,8 +148,11 @@ class RawArticle:
 
 
 # Scanner modes.
-(_SEEK, _HEADER, _BETWEEN, _FIELD, _UNQUOTED, _STRING, _STR_ESCAPE, _QUOTE_PENDING,
- _AFTER_STRING) = range(9)
+_SEEK, _HEADER, _BETWEEN, _FIELD = range(4)
+
+# Where the input ended, for each mode a truncated dump can stop in.
+_TRUNCATED_AT = {_HEADER: "in its header", _BETWEEN: "between tuples",
+                 _FIELD: "inside a field"}
 
 
 class _InsertTupleScanner:
@@ -156,7 +165,10 @@ class _InsertTupleScanner:
     With a `projection` (`_PAGE_TUPLE` or `_LANGLINK_TUPLE`), a tuple it
     matches between tuples comes back as just its groups. A tuple it misses
     (malformed, NULL or a sign in a read column, spaces, or cut by the chunk
-    end) goes through the per-character states and comes back whole.
+    end) is parsed one whole field at a time and comes back whole: a quoted
+    field by `_QUOTED_FIELD`, which uses the fast path's string rule, and an
+    unquoted one up to the next `,` or `)`. A field the chunk end cuts is
+    carried whole, from its first non-blank character, into the next chunk.
     """
 
     def __init__(self, tally: ParseTally, projection: re.Pattern | None = None):
@@ -166,7 +178,6 @@ class _InsertTupleScanner:
         # Synthetic leading newline so a statement at offset 0 anchors the needle.
         self._pending = "\n"
         self._fields: list[str | None] = []
-        self._buf: list[str] = []
 
     def feed(self, chunk: str) -> list[tuple]:
         out: list[tuple] = []
@@ -212,7 +223,6 @@ class _InsertTupleScanner:
                 ch = work[pos]
                 if ch == "(":
                     self._fields = []
-                    self._buf = []
                     self._mode = _FIELD
                     pos += 1
                 elif ch == ";":
@@ -221,107 +231,49 @@ class _InsertTupleScanner:
                 elif ch in ", \t\r\n":
                     pos += 1
                 else:
-                    self._abandon()
-                    nl = work.find("\n", pos)
-                    if nl < 0:
-                        return out
-                    pos = nl
-            elif mode == _FIELD:
+                    pos = self._resync(work, pos)
+            else:  # _FIELD
                 while pos < n and work[pos] in " \t":
                     pos += 1
-                if pos >= n:
-                    return out
+                if pos == n:
+                    break
                 if work[pos] == "'":
-                    self._mode = _STRING
-                    pos += 1
+                    m = _QUOTED_FIELD.match(work, pos)
+                    if m:
+                        self._fields.append(_ESCAPE_OR_QUOTE.sub(_resolve_escape, m.group(1)))
                 else:
-                    self._mode = _UNQUOTED
-            elif mode == _UNQUOTED:
-                # A value cut by the chunk end resumes here, so a space or a
-                # quote after the cut stays part of it.
-                m = _UNQUOTED_END.search(work, pos)
+                    m = _UNQUOTED_END.search(work, pos)
+                    if m:
+                        value = work[pos:m.start()].strip()
+                        self._fields.append(None if value == "NULL" else value)
                 if not m:
-                    self._buf.append(work[pos:])
-                    return out
-                self._buf.append(work[pos:m.start()])
-                self._end_field(quoted=False)
-                pos = m.start() + 1
-                if m.group() == ")":
-                    out.append(self._end_tuple())
-                else:
-                    self._mode = _FIELD
-            elif mode == _STRING:
-                m = _STRING_SPECIAL.search(work, pos)
-                if not m:
-                    self._buf.append(work[pos:])
-                    return out
-                self._buf.append(work[pos:m.start()])
-                pos = m.start() + 1
-                if m.group() == "\\":
-                    if pos < n:
-                        self._buf.append(_SQL_ESCAPES.get(work[pos], work[pos]))
-                        pos += 1
-                    else:
-                        self._mode = _STR_ESCAPE
-                        return out
-                else:
-                    self._mode = _QUOTE_PENDING
-            elif mode == _QUOTE_PENDING:
-                # Just saw a quote inside a string: doubled quote means a
-                # literal quote, anything else closes the string.
-                if work[pos] == "'":
-                    self._buf.append("'")
-                    self._mode = _STRING
-                    pos += 1
-                else:
-                    self._end_field(quoted=True)
-                    self._mode = _AFTER_STRING
-            elif mode == _AFTER_STRING:
-                ch = work[pos]
-                pos += 1
-                if ch == ",":
-                    self._mode = _FIELD
-                elif ch == ")":
-                    out.append(self._end_tuple())
-                else:
-                    self._abandon()
-                    nl = work.find("\n", pos)
-                    if nl < 0:
-                        return out
-                    pos = nl
-            elif mode == _STR_ESCAPE:
-                self._buf.append(_SQL_ESCAPES.get(work[pos], work[pos]))
-                pos += 1
-                self._mode = _STRING
+                    # The field may go on in the next chunk.
+                    self._pending = work[pos:]
+                    break
+                pos = m.end()
+                end = work[pos - 1]
+                if end == ")":
+                    self._tally.tuples_scanned += 1
+                    out.append(tuple(self._fields))
+                    self._mode = _BETWEEN
+                elif end != ",":
+                    pos = self._resync(work, pos)
         return out
 
     def finish(self) -> None:
-        if self._mode not in (_SEEK,):
+        if self._mode != _SEEK:
             raise TruncatedDumpError(
-                "input ended inside an INSERT statement (mode %d)" % self._mode
+                "input ended inside an INSERT statement, " + _TRUNCATED_AT[self._mode]
             )
 
-    def _abandon(self) -> None:
+    def _resync(self, work: str, pos: int) -> int:
+        """Drop the statement at a character no tuple can hold; scanning goes
+        on from the next newline (the end of `work` if there is none)."""
         self._tally.resyncs += 1
         self._fields = []
-        self._buf = []
         self._mode = _SEEK
-
-    def _end_field(self, quoted: bool) -> None:
-        text = "".join(self._buf)
-        self._buf = []
-        if quoted:
-            self._fields.append(text)
-        else:
-            stripped = text.strip()
-            self._fields.append(None if stripped == "NULL" else stripped)
-
-    def _end_tuple(self) -> tuple:
-        self._tally.tuples_scanned += 1
-        fields = tuple(self._fields)
-        self._fields = []
-        self._mode = _BETWEEN
-        return fields
+        nl = work.find("\n", pos)
+        return nl if nl >= 0 else len(work)
 
 
 def _open_text(raw: IO[bytes]) -> IO[str]:
@@ -354,7 +306,9 @@ def iter_insert_tuples(
         text = stack.enter_context(_open_text(raw))
         scanner = _InsertTupleScanner(tally, projection)
         while True:
-            chunk = text.read(_CHUNK_CHARS)
+            # Read at least as much as the scanner carries: a field that spans
+            # k chunks is then rescanned about log2(k) times, not k times.
+            chunk = text.read(max(_CHUNK_CHARS, len(scanner._pending)))
             if not chunk:
                 break
             yield from scanner.feed(chunk)

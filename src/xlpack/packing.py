@@ -32,7 +32,7 @@ import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .alignment import ArticlePair, PairId
 from .tokenization import Tokenizer
@@ -284,16 +284,3 @@ def direction_for(pair_id: PairId, cfg: PackConfig) -> str:
     h = hashlib.blake2b(key, digest_size=8).digest()
     u = int.from_bytes(h, "little") / 2.0**64
     return EN_FIRST if u < cfg.mix_ratio else L_FIRST
-
-
-def pack_corpus(
-    pairs: Iterable[ArticlePair],
-    tokenizer: Tokenizer,
-    cfg: PackConfig,
-    tally: PackTally | None = None,
-) -> Iterator[PackedContext]:
-    """Pack a stream of pairs, emitting contexts in (pair order, seq_index)."""
-    tally = tally if tally is not None else PackTally()
-    for pair in pairs:
-        direction = direction_for(pair.pair, cfg)
-        yield from pack_pair(pair, tokenizer, cfg, direction, tally)

@@ -120,6 +120,17 @@ SPLITS = ("train", "validation")
 STAGE_OUTPUTS = {"align": (PAIRS_NAME, DEBUG_NAME), "retrieve": (PSEUDO_PAIRS_NAME,),
                  "pack": (CONTEXTS_NAME, CONTEXT_IDS_NAME, CONTEXTS_TEXT_NAME),
                  "slide": (SHARDS_NAME,), "export": (), "stats": (STATS_NAME,)}
+# The config fields naming the files each stage reads. The web corpus counts
+# only when the config retrieves, the vocabulary only for the external kind.
+STAGE_INPUTS = {
+    "align": ("paths.langlinks_l_to_en", "paths.langlinks_en_to_l", "paths.pages_en",
+              "paths.pages_l"),
+    "retrieve": ("paths.langlinks_l_to_en", "paths.pages_l", "paths.articles_l",
+                 "paths.web_corpus"),
+    "pack": ("paths.articles_en", "paths.articles_l", "paths.web_corpus",
+             "tokenizer.vocab_source"),
+    "slide": (), "export": (), "stats": (),
+}
 EMBED_BATCH_SIZE = 256  # web documents per provider call when retrieve builds its index
 SCORE_BLOCK_BYTES = 1 << 20  # retrieve scores articles in groups whose score block fits this
 
@@ -214,6 +225,21 @@ def _stage(report: RunReport, cfg: PipelineConfig, name: str) -> Iterator[dict]:
         raise
     report.event("stage_complete", stage=name,
                  elapsed_s=round(time.perf_counter() - start, 3), **counts)
+
+
+def check_input_paths(cfg: PipelineConfig, subcommand: str) -> list[str]:
+    """A diagnostic for each input of `subcommand` (every stage's, for `all`)
+    that does not exist. Does not touch the network."""
+    stages = STAGE_INPUTS if subcommand == "all" else (subcommand,)
+    used = {"paths.web_corpus": cfg.retrieves,
+            "tokenizer.vocab_source": cfg.tokenizer.kind == "external"}
+    missing = []
+    for field_path in dict.fromkeys(f for stage in stages for f in STAGE_INPUTS[stage]):
+        section, name = field_path.split(".")
+        value = getattr(getattr(cfg, section), name)
+        if used.get(field_path, True) and not Path(value).exists():
+            missing.append(f"{field_path}: path does not exist: {value}")
+    return missing
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,30 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "paths.pages_en" in capsys.readouterr().err
 
+    def test_pack_does_not_need_the_dumps(self, small_run, capsys):
+        # pack reads the pair map and the articles; only align and retrieve
+        # read the dumps, so `all` still needs them.
+        _, _, cfg_path = small_run
+        missing = ["--set", "paths.pages_en=/nonexistent/pages.sql"]
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["pack", "--config", str(cfg_path), *missing]) == EXIT_OK
+        assert run(["all", "--config", str(cfg_path), *missing]) == EXIT_INPUT
+        assert "paths.pages_en" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["slide", "stats"])
+    def test_stage_that_does_not_tokenize_needs_no_vocab(self, small_run, capsys, sub):
+        tmp_path, _, cfg_path = small_run
+        vocab = tmp_path / "v.vocab"
+        vocab.write_text("<unk>\t1\n", encoding="utf-8")
+        external = ["--set", "tokenizer.kind=external",
+                    "--set", f"tokenizer.vocab_source={vocab}"]
+        for stage in ("align", "pack"):
+            assert run([stage, "--config", str(cfg_path), *external]) == EXIT_OK, stage
+        vocab.unlink()
+        assert run([sub, "--config", str(cfg_path), *external]) == EXIT_OK
+        assert run(["pack", "--config", str(cfg_path), *external]) == EXIT_INPUT
+        assert "tokenizer.vocab_source" in capsys.readouterr().err
+
     def test_stage_failure_when_inputs_missing_for_stage(self, small_run, capsys):
         _, _, cfg_path = small_run
         # pack requires pairs.tsv which align has not written yet, slide and

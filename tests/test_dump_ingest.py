@@ -85,6 +85,16 @@ class TestLanglinks:
         with pytest.raises(TruncatedDumpError):
             list(stream)
 
+    @pytest.mark.parametrize("data, where", [
+        ("INSERT INTO `langlinks` VAL", "in its header"),
+        ("INSERT INTO `langlinks` VALUES (1,'en','A'),", "between tuples"),
+        ("INSERT INTO `langlinks` VALUES (1,'en','Bro", "inside a field"),
+        ("INSERT INTO `langlinks` VALUES (1,'en',", "inside a field"),
+    ], ids=["header", "between_tuples", "in_string", "before_field"])
+    def test_truncation_names_where_input_ended(self, data, where):
+        with pytest.raises(TruncatedDumpError, match=f"INSERT statement, {where}$"):
+            list(iter_insert_tuples(_stream(data)))
+
     def test_gzip_transparent(self, tmp_path):
         path = tmp_path / "ll.sql.gz"
         with gzip.open(path, "wt", encoding="utf-8") as f:
@@ -196,9 +206,9 @@ class TestRoundTrip:
 
 
 # Dumps mixing what the whole-tuple fast path takes (page and langlinks rows)
-# with what it must leave to the per-character path: every escape form, NULL
-# and negative numbers, spaces around fields, short and long tuples, and junk
-# that forces a resync.
+# with what it must leave to the per-field path: every escape form, NULL and
+# negative numbers, spaces around fields, short and long tuples, and junk that
+# forces a resync, also as free-form text right after VALUES.
 _sql_piece = st.sampled_from(
     ["a", "Z", " ", "_", "(", ")", ",", ";", "\n", "\u00e9",
      "\\'", "''", "\\\\", "\\\n", "\\n", "\\0", "\\%", "\\q"]
@@ -219,12 +229,14 @@ _sql_tuple = st.one_of(
     st.lists(_sql_field, min_size=1, max_size=6).map(lambda fs: "(" + ",".join(fs) + ")"),
     st.sampled_from(["x", ")", "(1,'a'b)", "('", "(1,2"]),
 )
+_sql_free_text = st.text(alphabet="'\\(),; \nNUL0123456789\t-", max_size=12)
 _sql_dump = st.lists(
-    st.tuples(st.lists(_sql_tuple, min_size=1, max_size=6),
+    st.tuples(_sql_free_text, st.lists(_sql_tuple, min_size=1, max_size=6),
               st.sampled_from([",", ",\n", ", "])),
     max_size=4,
 ).map(lambda stmts: "-- dump\n" + "".join(
-    "INSERT INTO `t` VALUES " + sep.join(tuples) + ";\n" for tuples, sep in stmts))
+    "INSERT INTO `t` VALUES " + free + sep.join(tuples) + ";\n"
+    for free, tuples, sep in stmts))
 
 
 def _parse_all(parse, text):
@@ -243,7 +255,7 @@ class TestProjectedFastPath:
     @given(dump=_sql_dump, cut=st.integers(0, 40),
            chunk=st.one_of(st.integers(1, 12), st.just(1 << 18)))
     @settings(max_examples=300)
-    def test_matches_per_character_scanner(self, dump, cut, chunk):
+    def test_matches_per_field_scanner(self, dump, cut, chunk):
         text = dump[: max(len(dump) - cut, 0)]
         for parse, pattern in ((parse_pages_dump, "_PAGE_TUPLE"),
                                (parse_langlinks_dump, "_LANGLINK_TUPLE")):
@@ -272,12 +284,19 @@ class TestProjectedFastPath:
         assert rows == [
             ("1", "0", "O'Brien's", "0"),
             ("2", "0", None, "0", "0", "0.5", "t", None),  # NULL title: every field
-            ("3", "0", "C", "1"),  # a space: per-character path
+            ("3", "0", "C", "1"),  # a space: per-field path
         ]
         assert tally == ParseTally(tuples_scanned=3)
         assert list(parse_pages_dump(_stream(data))) == [
             PageRecord(1, 0, "O'Brien's", False), PageRecord(3, 0, "C", True)
         ]
+
+
+# (id, dump bytes, _CHUNK_CHARS, peak bound). The small scale keeps the real
+# scale's 4:1 dump:bound and 64:1 bound:chunk ratios (64 MiB, 16 MiB, 256 KiB)
+# at an eighth of the size, so tier-1 runs it in seconds under tracemalloc.
+_SMALL_STREAM = ("8MiB", 8 << 20, 32 << 10, 2 << 20)
+_BIG_STREAM = ("1GiB", 1 << 30, dump_ingest._CHUNK_CHARS, 16 << 20)
 
 
 class TestStreamingMemory:
@@ -296,18 +315,20 @@ class TestStreamingMemory:
         return written
 
     @pytest.mark.parametrize(
-        "target_bytes",
-        [64 * 1024 * 1024]
-        + ([1024 * 1024 * 1024] if os.environ.get("XLPACK_BIG_STREAM_TEST") else []),
+        "scale",
+        [_SMALL_STREAM] + ([_BIG_STREAM] if os.environ.get("XLPACK_BIG_STREAM_TEST") else []),
+        ids=lambda scale: scale[0],
     )
-    def test_peak_memory_bounded(self, tmp_path, target_bytes):
-        self._assert_streams(tmp_path, target_bytes, iter_insert_tuples)
+    def test_peak_memory_bounded(self, tmp_path, monkeypatch, scale):
+        self._assert_streams(tmp_path, monkeypatch, scale, iter_insert_tuples)
 
-    def test_parser_peak_memory_bounded(self, tmp_path):
+    def test_parser_peak_memory_bounded(self, tmp_path, monkeypatch):
         # The projected fast path also holds no more than one chunk.
-        self._assert_streams(tmp_path, 64 * 1024 * 1024, parse_langlinks_dump)
+        self._assert_streams(tmp_path, monkeypatch, _SMALL_STREAM, parse_langlinks_dump)
 
-    def _assert_streams(self, tmp_path, target_bytes, reader):
+    def _assert_streams(self, tmp_path, monkeypatch, scale, reader):
+        _, target_bytes, chunk_chars, bound = scale
+        monkeypatch.setattr(dump_ingest, "_CHUNK_CHARS", chunk_chars)
         path = tmp_path / "big.sql"
         self._dump_of_size(path, target_bytes)
         tracemalloc.start()
@@ -318,7 +339,7 @@ class TestStreamingMemory:
         tracemalloc.stop()
         assert count >= 2000
         # Fixed-size buffer: peak stays far below the dump size.
-        assert peak < 16 * 1024 * 1024
+        assert peak < bound
 
     def test_value_spanning_chunks(self, tmp_path):
         # A single title larger than the scanner's chunk size.
@@ -343,6 +364,22 @@ class TestStreamingMemory:
         assert [(l.from_page_id, l.target_title) for l in links] == [(1, title)]
         assert (tally.tuples_scanned, tally.resyncs) == (1, 1)
         # Linear work takes a fraction of a second; quadratic would take hours.
+        assert elapsed < 10
+
+    def test_value_spanning_many_chunks_scans_in_linear_time(self, monkeypatch):
+        # A 4 MB value spans 256 chunks of 16 KiB. The scanner carries the cut
+        # field whole, and reads at least as much as it carries, so it rescans
+        # the field a few times, not once per chunk.
+        monkeypatch.setattr(dump_ingest, "_CHUNK_CHARS", 1 << 14)
+        body = "O\\'Brien''s \\\\ page " * 200_000
+        title = "O'Brien's \\ page " * 200_000
+        data = f"INSERT INTO `langlinks` VALUES (1,'en','{body}'),(2,'en','x');\n"
+        tally = ParseTally()
+        start = time.perf_counter()
+        rows = list(iter_insert_tuples(_stream(data), tally, dump_ingest._LANGLINK_TUPLE))
+        elapsed = time.perf_counter() - start
+        assert rows == [("1", "en", title), ("2", "en", "x")]
+        assert tally == ParseTally(tuples_scanned=2)
         assert elapsed < 10
 
 

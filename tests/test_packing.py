@@ -11,7 +11,6 @@ from xlpack.packing import (
     PackConfig,
     PackTally,
     direction_for,
-    pack_corpus,
     pack_pair,
     split_paragraphs,
 )
@@ -249,23 +248,27 @@ def test_span_encode_matches_rendered_text(kind, pair, n, direction, repeat_titl
 
 
 class TestPackCorpus:
-    def _pairs(self, count):
-        return [
+    def _pack(self, count, tokenizer, cfg):
+        """Contexts of `count` pairs in order, each pair in its configured
+        direction, as stage_pack packs them."""
+        pairs = [
             ArticlePair(PairId(k, 1000 + k), "T", "U", f"a{k} b\n\nc d", f"x{k}\n\ny", "xx")
             for k in range(count)
         ]
+        return [ctx for pair in pairs
+                for ctx in pack_pair(pair, tokenizer, cfg, direction_for(pair.pair, cfg))]
 
     def test_en_first_policy(self, whitespace_tokenizer):
         cfg = PackConfig(n_budget=64, direction_policy=EN_FIRST)
-        ctxs = list(pack_corpus(self._pairs(3), whitespace_tokenizer, cfg))
+        ctxs = self._pack(3, whitespace_tokenizer, cfg)
         assert ctxs and all(c.direction == EN_FIRST for c in ctxs)
 
     def test_mix_deterministic(self, whitespace_tokenizer):
         cfg = PackConfig(n_budget=64, direction_policy="mix", seed=5)
         first = [c.direction for c in
-                 pack_corpus(self._pairs(50), whitespace_tokenizer, cfg)]
+                 self._pack(50, whitespace_tokenizer, cfg)]
         second = [c.direction for c in
-                  pack_corpus(self._pairs(50), WhitespaceTokenizer(), cfg)]
+                  self._pack(50, WhitespaceTokenizer(), cfg)]
         assert first == second
         assert len(set(first)) == 2  # both directions appear
 
@@ -276,7 +279,7 @@ class TestPackCorpus:
 
     def test_emission_order(self, whitespace_tokenizer):
         cfg = PackConfig(n_budget=8)
-        ctxs = list(pack_corpus(self._pairs(3), whitespace_tokenizer, cfg))
+        ctxs = self._pack(3, whitespace_tokenizer, cfg)
         keys = [(c.pair.id_l, c.seq_index) for c in ctxs]
         assert keys == sorted(keys)
 
