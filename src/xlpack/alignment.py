@@ -7,9 +7,10 @@ are unioned. A link is dropped when its target title is blank, or does not
 resolve to a kept page. Pages outside the article namespace and redirects are
 excluded from resolution.
 
-Pair ids are joined against article texts through ArticleStores, on-disk
-byte-offset indexes over the extracted-article files that keep memory
-independent of corpus size. ArticleStore is the one reader of those files:
+Pair ids are joined against article texts through ArticleStores, byte-offset
+indexes over the extracted-article files. A store keeps the texts on disk, but
+its index holds one entry per article, so its memory grows with the article
+count. ArticleStore is the one reader of those files:
 retrieve iterates a store, pack joins through stores, and both see the same
 first well-formed record of each page id.
 """
@@ -17,15 +18,13 @@ first well-formed record of each page id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .dump_ingest import LangLink, PageRecord, RawArticle, article_files, parse_article_line
 
 
-@dataclass(frozen=True, order=True)
-class PairId:
+class PairId(NamedTuple):
     id_l: int
     id_en: int
 
@@ -185,15 +184,6 @@ class ArticleStore:
         self.close()
 
 
-def _ascending(pairs: set[PairId]) -> list[PairId]:
-    """The pair ids in (id_l, id_en) order. Two stable sorts on one int key
-    each give that order without a dataclass __lt__ call per comparison or a
-    key tuple per pair."""
-    order = sorted(pairs, key=attrgetter("id_en"))
-    order.sort(key=attrgetter("id_l"))
-    return order
-
-
 def join_articles(
     pair_ids: set[PairId],
     articles_en: ArticleStore,
@@ -207,7 +197,7 @@ def join_articles(
     pairs_missing_text and skipped.
     """
     tally = tally if tally is not None else AlignTally()
-    for pid in _ascending(pair_ids):
+    for pid in sorted(pair_ids):
         art_en = articles_en.get(pid.id_en)
         art_l = articles_l.get(pid.id_l)
         if (
@@ -233,7 +223,7 @@ def join_articles(
 def save_pair_map(pairs: set[PairId], path: str | Path) -> None:
     """Persist the pair map as ascending `id_l<TAB>id_en` lines."""
     with open(path, "w", encoding="utf-8") as f:
-        for pid in _ascending(pairs):
+        for pid in sorted(pairs):
             f.write(f"{pid.id_l}\t{pid.id_en}\n")
 
 

@@ -257,7 +257,7 @@ class _InsertTupleScanner:
                     out.append(tuple(self._fields))
                     self._mode = _BETWEEN
                 elif end != ",":
-                    pos = self._resync(work, pos)
+                    pos = self._resync(work, pos - 1)
         return out
 
     def finish(self) -> None:
@@ -267,8 +267,10 @@ class _InsertTupleScanner:
             )
 
     def _resync(self, work: str, pos: int) -> int:
-        """Drop the statement at a character no tuple can hold; scanning goes
-        on from the next newline (the end of `work` if there is none)."""
+        """Drop the statement at `work[pos]`, a character no tuple can hold;
+        scanning goes on from the first newline at or after it (the end of
+        `work` if there is none), so a newline that is itself that character
+        still anchors the next statement."""
         self._tally.resyncs += 1
         self._fields = []
         self._mode = _SEEK

@@ -6,11 +6,14 @@ budget, with a JSON manifest describing the shard set. Output bytes are a pure
 function of input and configuration; the manifest timestamp honors
 SOURCE_DATE_EPOCH so reproducible runs can pin it.
 
-The validation split selects floor(count * fraction) contexts through one
-seeded shuffle, and both halves keep their original relative order.
+The validation split is a set of context indices: floor(count * fraction) of
+them, the head of one seeded shuffle of range(count). The slide stage walks
+the index in order and sends each context to the split its index picks, so
+both splits keep the corpus order.
 
-Statistics are sums over the pack stage's context index, which carries each
-context's per-language token counts; no text is read or tokenized for them.
+Statistics and the manifests' per-language totals are one sum (`sum_tokens`)
+over the pack stage's context index, which carries each context's
+per-language token counts; no text is read or tokenized for them.
 """
 
 from __future__ import annotations
@@ -26,11 +29,7 @@ from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TypeVar
-
-from .alignment import PairId
-
-T = TypeVar("T")
+from typing import Iterable, Iterator, Sequence
 
 SHARD_PATTERN = "windows-{:05d}.bin"
 MANIFEST_NAME = "manifest.json"
@@ -89,20 +88,13 @@ def default_created_at() -> str:
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def split_validation(contexts: Sequence[T], cfg: SplitConfig) -> tuple[list[T], list[T]]:
-    """Deterministic (train, validation) split at context granularity.
-
-    Exactly floor(len * fraction) items go to validation; both lists preserve
-    the input's relative order.
-    """
-    count = len(contexts)
-    take = math.floor(count * cfg.validation_fraction)
+def validation_set(count: int, cfg: SplitConfig) -> set[int]:
+    """The indices, out of range(count), of the contexts that go to
+    validation: exactly floor(count * fraction) of them, picked by one seeded
+    shuffle."""
     indices = list(range(count))
     random.Random(cfg.seed).shuffle(indices)
-    chosen = set(indices[:take])
-    train = [c for i, c in enumerate(contexts) if i not in chosen]
-    validation = [c for i, c in enumerate(contexts) if i in chosen]
-    return train, validation
+    return set(indices[:math.floor(count * cfg.validation_fraction)])
 
 
 def encode_window_record(ids: Sequence[int]) -> bytes:
@@ -228,13 +220,11 @@ def read_shards(shard_dir: str | Path) -> Iterator[WindowShard]:
 
 @dataclass(slots=True)
 class ContextEntry:
-    """One context of the pack stage's index: where it came from and how many
-    tokens it holds. token_len counts the terminal split token; per_language
-    counts the segment tokens of each language and excludes it."""
+    """What slide and stats read of one context index line: the context's
+    data source and token counts. token_len counts the terminal split token;
+    per_language counts the segment tokens of each language and excludes it.
+    The line's pair, seq_index and direction are checked for but not kept."""
 
-    pair: PairId
-    seq_index: int
-    direction: str
     origin: str
     token_len: int
     per_language: dict[str, int]
@@ -247,17 +237,22 @@ class CorpusStats:
     sources: dict[str, dict[str, int]] = field(default_factory=dict)
     control_tokens: int = 0
 
-    def add(self, origin: str, lang: str, tokens: int) -> None:
-        row = self.sources.setdefault(origin, {})
-        row[lang] = row.get(lang, 0) + tokens
 
-
-def compute_stats(entries: Iterable[ContextEntry]) -> CorpusStats:
-    """Sum the index's per-language token counts per (source, language); the
-    terminal split token of each context lands in control_tokens instead."""
-    stats = CorpusStats()
+def sum_tokens(entries: Iterable[ContextEntry]) -> dict[str, int]:
+    """Per-language token totals over `entries`."""
+    totals: dict[str, int] = {}
     for entry in entries:
         for lang, tokens in entry.per_language.items():
-            stats.add(entry.origin, lang, tokens)
-        stats.control_tokens += 1
-    return stats
+            totals[lang] = totals.get(lang, 0) + tokens
+    return totals
+
+
+def compute_stats(entries: Sequence[ContextEntry]) -> CorpusStats:
+    """Sum the index's per-language token counts per (source, language); the
+    terminal split token of each context lands in control_tokens instead."""
+    origins = dict.fromkeys(entry.origin for entry in entries)
+    return CorpusStats(
+        sources={origin: sum_tokens(e for e in entries if e.origin == origin)
+                 for origin in origins},
+        control_tokens=len(entries),
+    )

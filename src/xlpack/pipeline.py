@@ -63,6 +63,7 @@ from array import array
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -70,7 +71,6 @@ from .alignment import (
     AlignTally,
     ArticlePair,
     ArticleStore,
-    PairId,
     build_pair_map,
     join_articles,
     load_pair_map,
@@ -86,10 +86,11 @@ from .export import (
     iter_shard_records,
     read_manifest,
     read_shards,
-    split_validation,
+    sum_tokens,
+    validation_set,
     write_shards,
 )
-from .packing import PackTally, direction_for, pack_pair
+from .packing import PackedContext, PackTally, direction_for, pack_pair
 from .report import RunReport
 from .sliding import (
     check_context,
@@ -139,36 +140,35 @@ SCORE_BLOCK_BYTES = 1 << 20  # retrieve scores articles in groups whose score bl
 # JSONL round-trips for intermediate artifacts
 
 
-def context_to_dict(entry: ContextEntry) -> dict:
+def context_to_dict(ctx: PackedContext, per_language: dict[str, int]) -> dict:
+    """The index line of one packed context, given its per-language counts."""
     return {
-        "pair": [entry.pair.id_l, entry.pair.id_en],
-        "seq_index": entry.seq_index,
-        "direction": entry.direction,
-        "origin": entry.origin,
-        "token_len": entry.token_len,
-        "per_language_tokens": entry.per_language,
+        "pair": [ctx.pair.id_l, ctx.pair.id_en],
+        "seq_index": ctx.seq_index,
+        "direction": ctx.direction,
+        "origin": ctx.origin,
+        "token_len": ctx.token_len,
+        "per_language_tokens": per_language,
     }
+
+
+_index_fields = itemgetter("pair", "seq_index", "direction", "origin", "token_len",
+                           "per_language_tokens")
 
 
 def read_contexts_jsonl(path: str | Path) -> list[ContextEntry]:
     """Read the context index, refusing lines that are not index entries
     (such as a contexts.jsonl written before the index format, or a last line
-    cut off by a killed pack)."""
+    cut off by a killed pack). Every line must carry all six keys; only the
+    three that slide and stats read are kept."""
     entries = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
-                entries.append(ContextEntry(
-                    pair=PairId(data["pair"][0], data["pair"][1]),
-                    seq_index=data["seq_index"],
-                    direction=data["direction"],
-                    origin=data["origin"],
-                    token_len=data["token_len"],
-                    per_language=data["per_language_tokens"],
-                ))
+                *_, origin, token_len, per_language = _index_fields(json.loads(line))
+                entries.append(ContextEntry(origin, token_len, per_language))
             except KeyError as e:
                 raise ValueError(f"{path}:{lineno}: not a context index line, "
                                  f"missing {e}; rerun pack") from None
@@ -272,6 +272,11 @@ def stage_align(cfg: PipelineConfig, report: RunReport, dump_tsv: bool = False) 
             streams["pages_l"],
             tally=align_tally,
         )
+        for name, tally in tallies.items():
+            if tally.tuples_scanned and tally.malformed == tally.tuples_scanned:
+                raise ValueError(f"{getattr(cfg.paths, name)}: all {tally.malformed} "
+                                 "tuples scanned are malformed; align cannot read "
+                                 "this dump's column layout")
         save_pair_map(pairs, out / PAIRS_NAME)
         counts.update(pair_count=len(pairs), alignment=asdict(align_tally),
                       parse_tallies={name: asdict(t) for name, t in tallies.items()})
@@ -437,10 +442,8 @@ def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) 
                             f"{ctx.seq_index}: {len(ids)} tokens, planned "
                             f"{ctx.token_len}, budget is {cfg.pack.n_budget}")
                     fb.write(encode_window_record(ids))
-                    entry = ContextEntry(ctx.pair, ctx.seq_index, ctx.direction,
-                                         ctx.origin, len(ids), per_language)
-                    f.write(json.dumps(context_to_dict(entry), ensure_ascii=False,
-                                       sort_keys=True))
+                    f.write(json.dumps(context_to_dict(ctx, per_language),
+                                       ensure_ascii=False, sort_keys=True))
                     f.write("\n")
                     context_count += 1
                     if text_file is not None:
@@ -448,7 +451,7 @@ def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) 
                             "pair": [ctx.pair.id_l, ctx.pair.id_en],
                             "seq_index": ctx.seq_index,
                             "direction": ctx.direction,
-                            "token_len": entry.token_len,
+                            "token_len": ctx.token_len,
                             "text": ctx.rendered_text(tokenizer.split_token_text),
                         }, ensure_ascii=False, sort_keys=True))
                         text_file.write("\n")
@@ -489,35 +492,32 @@ def stage_slide(cfg: PipelineConfig, report: RunReport) -> Path:
     with _stage(report, cfg, "slide") as counts:
         out = cfg.output_dir
         entries = read_contexts_jsonl(out / CONTEXTS_NAME)
-        train_idx, val_idx = split_validation(range(len(entries)), cfg.split)
+        validation = validation_set(len(entries), cfg.split)
         n = cfg.slide.n_budget
         held: list[array] = []
-        train_ids = _context_ids(out / CONTEXT_IDS_NAME, entries, set(val_idx), held,
+        train_ids = _context_ids(out / CONTEXT_IDS_NAME, entries, validation, held,
                                  n, cfg.tokenizer.split_token_id)
         digest = config_digest(cfg.effective_dict())
 
         # Train first: cutting it runs the record stream to its end, which
         # fills `held` before validation is cut.
-        for split_name, indices, ids_stream in (("train", train_idx, train_ids),
-                                                ("validation", val_idx, held)):
-            lengths = (entries[i].token_len for i in indices)
+        for split_name, ids_stream in (("train", train_ids), ("validation", held)):
+            held_out = split_name == "validation"
+            split = [e for i, e in enumerate(entries) if (i in validation) == held_out]
+            lengths = (e.token_len for e in split)
             if cfg.slide.kind == "standard":
                 ranges = slide_standard(lengths, n, cfg.slide.keep_final_partial)
             elif cfg.slide.kind == "lossy":
                 ranges = slide_optimized_lossy(lengths, n)
             else:
                 ranges = slide_optimized(lengths, n)
-            per_language: dict[str, int] = {}
-            for i in indices:
-                for lang, tokens in entries[i].per_language.items():
-                    per_language[lang] = per_language.get(lang, 0) + tokens
             manifest = write_shards(
                 cut_windows(ids_stream, ranges),
                 out / SHARDS_NAME / split_name,
                 config_digest=digest,
                 tokenizer_kind=cfg.tokenizer.kind,
                 n_budget=n,
-                per_language_tokens=per_language,
+                per_language_tokens=sum_tokens(split),
                 seed=cfg.split.seed,
                 split=split_name,
                 shard_max_bytes=cfg.shard_max_bytes,

@@ -13,7 +13,7 @@ import pytest
 
 from xlpack.alignment import ArticlePair, PairId, build_pair_map
 from xlpack.dump_ingest import LangLink, PageRecord, parse_langlinks_dump
-from xlpack.export import SplitConfig, split_validation
+from xlpack.export import SplitConfig, validation_set
 from xlpack.packing import EN_FIRST, PackConfig, PackTally, direction_for, pack_pair
 from xlpack.retrieval import CandidateDoc, VectorIndex
 from xlpack.sliding import cut_windows, slide_optimized
@@ -236,10 +236,11 @@ def test_criterion_5_alignment_oracle_and_roundtrip(tmp_path):
 
 def test_criterion_6_split_and_pipeline_determinism(tmp_path, monkeypatch):
     """Exactly 10 of 10,000 at 0.001/seed 32; byte-identical reruns and workers."""
-    train, val = split_validation(list(range(10_000)), SplitConfig(0.001, 32))
-    assert len(val) == 10 and len(train) == 9_990
-    _, val_again = split_validation(list(range(10_000)), SplitConfig(0.001, 32))
-    assert val == val_again
+    val = validation_set(10_000, SplitConfig(0.001, 32))
+    assert len(val) == 10 and val <= set(range(10_000))
+    assert validation_set(10_000, SplitConfig(0.001, 32)) == val
+    assert validation_set(10_000, SplitConfig(0.001, 33)) != val
+    assert validation_set(10_000, SplitConfig(0.0, 32)) == set()
 
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     from xlpack.cli import run

@@ -10,15 +10,24 @@ import pytest
 
 from xlpack.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_STAGE, run
 from xlpack.config import ConfigError, PipelineConfig, field_kinds, validate_config
-from xlpack.export import SplitConfig, config_digest, read_shards
+from xlpack.dump_ingest import parse_langlinks_dump, parse_pages_dump
+from xlpack.export import (
+    SplitConfig,
+    config_digest,
+    iter_shard_records,
+    read_shards,
+    validation_set,
+)
 from xlpack.packing import PackConfig
 from xlpack.report import read_events
 from xlpack.sliding import SlidePolicy
 from xlpack.synth import (
     build_corpus,
+    title_to_db,
     write_articles_jsonl,
     write_langlinks_dump,
     write_pages_dump,
+    write_sql_dump,
     write_web_corpus_jsonl,
 )
 from xlpack.tokenization import TokenizerSpec
@@ -216,6 +225,33 @@ class TestExitCodes:
         assert run(["pack", "--config", str(cfg_path), *external]) == EXIT_INPUT
         assert "tokenizer.vocab_source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub", ["align", "all"])
+    def test_dump_with_only_malformed_tuples_refused(self, small_run, capsys, sub):
+        # The older `page` layout carries page_restrictions ('') after the
+        # title, so align reads no tuple of it.
+        tmp_path, corpus, cfg_path = small_run
+        pages = list(parse_pages_dump(corpus.pages_en))
+        write_sql_dump(corpus.pages_en, "page", [
+            (p.page_id, p.namespace, title_to_db(p.title), "", int(p.is_redirect), 0)
+            for p in pages])
+        assert run([sub, "--config", str(cfg_path)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert f"{corpus.pages_en}: all {len(pages)} tuples scanned are malformed" in err
+        out = tmp_path / "out"
+        assert not (out / "pairs.tsv").exists() and not (out / "shards").exists()
+
+    def test_links_to_other_languages_only_not_refused(self, small_run):
+        tmp_path, corpus, cfg_path = small_run
+        links = [(link.from_page_id, "fr", link.target_title)
+                 for link in parse_langlinks_dump(corpus.langlinks_l_to_en)]
+        write_langlinks_dump(corpus.langlinks_l_to_en, links)
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        events = read_events(tmp_path / "out" / "run_report.jsonl")
+        (align,) = [e for e in events if e.get("stage") == "align"]
+        assert align["parse_tallies"]["langlinks_l_to_en"] == {
+            "tuples_scanned": len(links), "records_yielded": 0, "malformed": 0, "resyncs": 0}
+        assert align["pair_count"] > 0
+
     def test_stage_failure_when_inputs_missing_for_stage(self, small_run, capsys):
         _, _, cfg_path = small_run
         # pack requires pairs.tsv which align has not written yet, slide and
@@ -356,6 +392,21 @@ class TestStages:
         assert events[-1]["event"] == "run_complete"
         assert events[-1]["tokens_per_s"] > 0
         assert events[-1]["token_total"] == sum(m["token_total"] for m in manifests.values())
+
+    def test_splits_keep_corpus_order(self, small_run):
+        # Under the optimized policy each split's windows concatenate to its
+        # contexts.bin records, in index order.
+        tmp_path, _, cfg_path = small_run
+        assert run(["all", "--config", str(cfg_path),
+                    "--set", "split.validation_fraction=0.3"]) == EXIT_OK
+        out = tmp_path / "out"
+        records = [ids.tolist() for ids in iter_shard_records(out / "contexts.bin")]
+        validation = validation_set(len(records), SplitConfig(0.3, 32))
+        assert 0 < len(validation) < len(records)
+        for split in ("train", "validation"):
+            expected = [t for i, ids in enumerate(records)
+                        if (i in validation) == (split == "validation") for t in ids]
+            assert [t for w in read_shards(out / "shards" / split) for t in w.ids] == expected
 
     def test_stage_isolation(self, small_run, monkeypatch):
         """Each subcommand runs standalone given prior stage outputs on disk."""

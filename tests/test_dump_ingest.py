@@ -95,6 +95,18 @@ class TestLanglinks:
         with pytest.raises(TruncatedDumpError, match=f"INSERT statement, {where}$"):
             list(iter_insert_tuples(_stream(data)))
 
+    @pytest.mark.parametrize("sep", ["\n", " \n"], ids=["newline", "space_newline"])
+    def test_resync_keeps_the_next_statement(self, sep, monkeypatch):
+        # A newline right after a string breaks the tuple and also anchors the
+        # next INSERT, so only the broken statement is dropped.
+        data = ("INSERT INTO t VALUES (1,'a'" + sep + "INSERT INTO t VALUES (2,'b');\n"
+                "INSERT INTO t VALUES (3,'c');\n")
+        for chunk in (1, 7, len(data)):
+            monkeypatch.setattr(dump_ingest, "_CHUNK_CHARS", chunk)
+            tally = ParseTally()
+            assert list(iter_insert_tuples(_stream(data), tally)) == [("2", "b"), ("3", "c")]
+            assert tally == ParseTally(tuples_scanned=2, resyncs=1), chunk
+
     def test_gzip_transparent(self, tmp_path):
         path = tmp_path / "ll.sql.gz"
         with gzip.open(path, "wt", encoding="utf-8") as f:

@@ -20,7 +20,8 @@ from xlpack.export import (
     encode_window_record,
     iter_shard_records,
     read_shards,
-    split_validation,
+    sum_tokens,
+    validation_set,
     write_shards,
 )
 from xlpack.packing import EN_FIRST, PackConfig, pack_pair
@@ -29,38 +30,35 @@ from xlpack.tokenization import WhitespaceTokenizer
 
 class TestSplitValidation:
     def test_exact_count_fraction_seed(self):
-        contexts = list(range(10_000))
-        train, val = split_validation(contexts, SplitConfig(0.001, 32))
+        val = validation_set(10_000, SplitConfig(0.001, 32))
         assert len(val) == 10
-        assert len(train) == 9990
+        assert val <= set(range(10_000))
+
+    def test_pinned_choice(self):
+        # A changed shuffle would move contexts between the splits of every
+        # shard set made before it.
+        assert validation_set(10_000, SplitConfig(0.001, 32)) == {
+            530, 3630, 4150, 4630, 5103, 5470, 7124, 7390, 7829, 7983}
 
     def test_fraction_zero(self):
-        items = list(range(50))
-        train, val = split_validation(items, SplitConfig(0.0, 32))
-        assert train == items and val == []
+        assert validation_set(50, SplitConfig(0.0, 32)) == set()
 
     def test_same_seed_same_membership(self):
-        items = list(range(1000))
-        _, val1 = split_validation(items, SplitConfig(0.01, 32))
-        _, val2 = split_validation(items, SplitConfig(0.01, 32))
+        val1 = validation_set(1000, SplitConfig(0.01, 32))
+        val2 = validation_set(1000, SplitConfig(0.01, 32))
         assert val1 == val2
-        _, val3 = split_validation(items, SplitConfig(0.01, 33))
+        val3 = validation_set(1000, SplitConfig(0.01, 33))
         assert val1 != val3
 
     @given(st.integers(0, 5000), st.floats(0.0, 0.999), st.integers(0, 999))
     @settings(max_examples=60, deadline=None)
     def test_sizes_and_partition(self, count, fraction, seed):
-        items = list(range(count))
-        train, val = split_validation(items, SplitConfig(fraction, seed))
+        val = validation_set(count, SplitConfig(fraction, seed))
         assert len(val) == int(count * fraction)
-        assert sorted(train + val) == items
-        # Original relative order preserved in both halves.
-        assert train == sorted(train)
-        assert val == sorted(val)
+        assert val <= set(range(count))
 
     def test_small_corpus_yields_empty_validation(self):
-        train, val = split_validation(list(range(100)), SplitConfig(0.001, 32))
-        assert val == [] and len(train) == 100
+        assert validation_set(100, SplitConfig(0.001, 32)) == set()
 
     def test_fraction_range_validated(self):
         with pytest.raises(ValueError):
@@ -190,8 +188,7 @@ def _entry(title_en, text_en, title_l, text_l, origin="wiki", tok=None):
     pair = ArticlePair(PairId(1, 2), title_en, title_l, text_en, text_l, "xx", origin)
     (ctx,) = pack_pair(pair, tok, PackConfig(n_budget=64), EN_FIRST)
     ids, per_language = ctx.encode(tok)
-    return ContextEntry(ctx.pair, ctx.seq_index, ctx.direction, ctx.origin, len(ids),
-                        per_language)
+    return ContextEntry(ctx.origin, len(ids), per_language)
 
 
 class TestComputeStats:
@@ -216,3 +213,14 @@ class TestComputeStats:
         assert set(data["sources"]) == {"wiki", "web"}
         assert set(data["sources"]["wiki"]) == {"en", "xx"}
         assert data["control_tokens"] == 2
+
+    def test_sum_tokens_totals_every_language(self):
+        tok = WhitespaceTokenizer()
+        entries = [
+            _entry("T", "a b", "U", "c", origin="wiki", tok=tok),
+            _entry("T", "d", "U", "e f g", origin="web", tok=tok),
+        ]
+        assert sum_tokens(entries) == {"en": 5, "xx": 6}
+        assert sum_tokens([]) == {}
+        assert compute_stats(entries).sources == {
+            "wiki": sum_tokens(entries[:1]), "web": sum_tokens(entries[1:])}
