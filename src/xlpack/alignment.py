@@ -3,16 +3,14 @@
 The pair map is built in two directions: interlanguage links of the target
 wiki are resolved against the English `page` table (forward), links of the
 English wiki against the target `page` table (reverse), and the two pair sets
-are unioned. A link is dropped when its target title is blank, or does not
-resolve to a kept page. Pages outside the article namespace and redirects are
-excluded from resolution.
+are unioned, one direction and one title index at a time. A link is dropped
+when its target title is blank, or does not resolve to a kept page. Pages
+outside the article namespace and redirects are excluded from resolution.
 
-Pair ids are joined against article texts through ArticleStores, byte-offset
-indexes over the extracted-article files. A store keeps the texts on disk, but
-its index holds one entry per article, so its memory grows with the article
-count. ArticleStore is the one reader of those files:
-retrieve iterates a store, pack joins through stores, and both see the same
-first well-formed record of each page id.
+scan_articles is the one reader of the extracted-article files. retrieve
+streams its records; pack joins pair ids through ArticleStores, byte-offset
+indexes filled by a scan, so both see the same record of each page id. A
+store keeps the texts on disk, but its index holds one entry per article.
 """
 
 from __future__ import annotations
@@ -71,6 +69,20 @@ def build_title_index(pages: Iterable[PageRecord], tally: AlignTally) -> dict[st
     return index
 
 
+def _resolve_links(links: Iterable[LangLink], pages: Iterable[PageRecord],
+                   tally: AlignTally) -> Iterator[tuple[int, int]]:
+    """(source page id, resolved page id) of each link whose target title names
+    one of `pages`; the title index lives only while the generator runs."""
+    index = build_title_index(pages, tally)
+    for link in links:
+        tally.links_seen += 1
+        page_id = index.get(link.target_title)
+        if page_id is None:
+            tally.links_dropped += 1
+        else:
+            yield link.from_page_id, page_id
+
+
 def build_pair_map(
     langlinks_l_to_en: Iterable[LangLink],
     pages_en: Iterable[PageRecord],
@@ -86,39 +98,44 @@ def build_pair_map(
     resolves, since build_title_index skips blank titles.
     """
     tally = tally if tally is not None else AlignTally()
-    pairs: set[PairId] = set()
-
-    index_en = build_title_index(pages_en, tally)
-    for link in langlinks_l_to_en:
-        tally.links_seen += 1
-        id_en = index_en.get(link.target_title)
-        if id_en is None:
-            tally.links_dropped += 1
-            continue
-        pairs.add(PairId(id_l=link.from_page_id, id_en=id_en))
-
-    index_l = build_title_index(pages_l, tally)
-    for link in langlinks_en_to_l:
-        tally.links_seen += 1
-        id_l = index_l.get(link.target_title)
-        if id_l is None:
-            tally.links_dropped += 1
-            continue
-        pairs.add(PairId(id_l=id_l, id_en=link.from_page_id))
-
+    pairs = set(map(PairId._make, _resolve_links(langlinks_l_to_en, pages_en, tally)))
+    pairs.update(PairId(id_l, id_en)
+                 for id_en, id_l in _resolve_links(langlinks_en_to_l, pages_l, tally))
     return pairs
+
+
+def scan_articles(path: str | Path, lang: str, tally: AlignTally | None = None,
+                  index: dict[int, tuple[Path, int]] | None = None) -> Iterator[RawArticle]:
+    """The first well-formed record (`parse_article_line`) of each page id in
+    the extracted-article files under `path`, in file order, decoding each line
+    once. Later duplicates of a page id are tallied under duplicate_articles,
+    every other non-blank line that is not a record under malformed_articles.
+    `index`, when given, receives each yielded record's (file, byte offset).
+    """
+    tally = tally if tally is not None else AlignTally()
+    index = index if index is not None else {}
+    for file in article_files(path):
+        with open(file, "rb") as f:
+            offset = 0
+            for line in f:
+                if line.strip():
+                    article = parse_article_line(line, lang)
+                    if article is None:
+                        tally.malformed_articles += 1
+                    elif article.page_id in index:
+                        tally.duplicate_articles += 1
+                    else:
+                        index[article.page_id] = (file, offset)
+                        yield article
+                offset += len(line)
 
 
 class ArticleStore:
     """Random access to extracted-article JSONL files by page id.
 
-    The only reader of those files. Indexing scans every file once, recording
-    the byte offset of the first well-formed record (`parse_article_line`) of
-    each page id; texts are read back on demand, so memory stays proportional
-    to the article count, not the corpus size. Later duplicates of a page id
-    are tallied under duplicate_articles, and every other non-blank line that
-    is not a record under malformed_articles. Iterating the store yields the
-    indexed records in file order, in one more sequential scan.
+    The store runs scan_articles to its end, with its tallies, and keeps the
+    (file, byte offset) of each record the scan yields. Texts are read back on
+    demand, so memory grows with the article count, not the corpus size.
 
     `get` keeps the read handle of the last file it read from open, and
     reopens only when a record lies in another file, until `close()`; use the
@@ -127,47 +144,19 @@ class ArticleStore:
 
     def __init__(self, path: str | Path, lang: str, tally: AlignTally | None = None):
         self.lang = lang
-        tally = tally if tally is not None else AlignTally()
-        self._index: dict[int, tuple[int, int]] = {}
-        self._files = article_files(path)
-        self._handle: tuple[int, BinaryIO] | None = None  # (file index, open file)
-        for loc, article in self._scan():
-            if article is None:
-                tally.malformed_articles += 1
-            elif article.page_id in self._index:
-                tally.duplicate_articles += 1
-            else:
-                self._index[article.page_id] = loc
-
-    def _scan(self) -> Iterator[tuple[tuple[int, int], RawArticle | None]]:
-        """(file index, byte offset) and parsed record of every non-blank line."""
-        for fidx, file in enumerate(self._files):
-            with open(file, "rb") as f:
-                offset = 0
-                for line in f:
-                    if line.strip():
-                        yield (fidx, offset), parse_article_line(line, self.lang)
-                    offset += len(line)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, page_id: int) -> bool:
-        return page_id in self._index
-
-    def __iter__(self) -> Iterator[RawArticle]:
-        for loc, article in self._scan():
-            if article is not None and self._index.get(article.page_id) == loc:
-                yield article
+        self._index: dict[int, tuple[Path, int]] = {}
+        self._handle: tuple[Path, BinaryIO] | None = None  # (file, open file)
+        for _ in scan_articles(path, lang, tally, self._index):
+            pass
 
     def get(self, page_id: int) -> RawArticle | None:
         loc = self._index.get(page_id)
         if loc is None:
             return None
-        fidx, offset = loc
-        if self._handle is None or self._handle[0] != fidx:
+        file, offset = loc
+        if self._handle is None or self._handle[0] != file:
             self.close()
-            self._handle = (fidx, open(self._files[fidx], "rb"))
+            self._handle = (file, open(file, "rb"))
         f = self._handle[1]
         f.seek(offset)
         return parse_article_line(f.readline(), self.lang)

@@ -136,6 +136,8 @@ class PackConfig:
 
 @dataclass
 class PackTally:
+    # pairs_in = pairs_packed + degenerate_pairs + the join's pairs_missing_text
+    pairs_in: int = 0
     pairs_packed: int = 0
     contexts_emitted: int = 0
     degenerate_pairs: int = 0

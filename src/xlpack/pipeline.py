@@ -27,7 +27,8 @@ body inside _stage: the outputs are removed when the stage starts and again
 when it fails, so a failed stage leaves none of them, and a debug output not
 asked for in this run does not outlive it. A stage that finds another stage's
 output missing names that stage. Only a stage that completes reports its
-stage_complete event.
+stage_complete event. `all` removes every stage's outputs before it starts, so
+a failed `all` leaves none of an earlier run's.
 
 Output layout under paths.output_dir:
     pairs.tsv                 aligned pair map (align)
@@ -62,7 +63,7 @@ import time
 from array import array
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -75,6 +76,7 @@ from .alignment import (
     join_articles,
     load_pair_map,
     save_pair_map,
+    scan_articles,
 )
 from .config import PipelineConfig
 from .dump_ingest import ParseTally, parse_langlinks_dump, parse_pages_dump
@@ -342,13 +344,12 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
         title_map = build_l_to_en_title_map(cfg)
         tally = RetrievalTally()
         pseudo_count = 0
-        # Pack joins id_l through an ArticleStore too, so it joins the record
-        # retrieve queried.
+        # Pack's ArticleStore indexes the records this scan yields.
         article_tally = AlignTally()
+        articles = scan_articles(cfg.paths.articles_l, cfg.language_l, article_tally)
         pseudo_path = cfg.output_dir / PSEUDO_PAIRS_NAME
-        with (ArticleStore(cfg.paths.articles_l, cfg.language_l, article_tally) as store_l,
-              open(pseudo_path, "w", encoding="utf-8") as f):
-            articles = (article for article in store_l if article.text.strip())
+        with open(pseudo_path, "w", encoding="utf-8") as f:
+            articles = (article for article in articles if article.text.strip())
             while group := list(islice(articles, group_size)):
                 keyword_sets = [extract_keywords(a, title_map, tally) for a in group]
                 found = two_step_retrieve(keyword_sets, index, provider, cfg.retrieval, tally)
@@ -368,13 +369,14 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
     return pseudo_path
 
 
-def _join_pseudo_pairs(cfg: PipelineConfig, path: Path,
-                       store_l: ArticleStore) -> Iterator[ArticlePair]:
+def _join_pseudo_pairs(cfg: PipelineConfig, path: Path, store_l: ArticleStore,
+                       tally: PackTally) -> Iterator[ArticlePair]:
     """Join each pseudo pair reference to its two texts, in file order.
 
     The target-language side comes from `store_l`, the web side from one scan
     of paths.web_corpus that keeps only the referenced documents. A line that
     is not a reference, or whose doc_id or id_l has no text, is refused.
+    Every reference counts under the tally's pairs_in.
     """
     refs: list[tuple[str, str, int]] = []
     with open(path, "r", encoding="utf-8") as f:
@@ -388,6 +390,7 @@ def _join_pseudo_pairs(cfg: PipelineConfig, path: Path,
             except (ValueError, KeyError, TypeError):
                 raise ValueError(f"{where}: not a pseudo pair reference with doc_id and "
                                  "id_l; rerun retrieve") from None
+    tally.pairs_in += len(refs)
     if not refs:
         return
     wanted = {doc_id for _, doc_id, _ in refs}
@@ -405,18 +408,16 @@ def _join_pseudo_pairs(cfg: PipelineConfig, path: Path,
         yield pseudo_pair(article, doc_id, text)
 
 
-def _iter_source_pairs(cfg: PipelineConfig, align_tally: AlignTally) -> Iterator[ArticlePair]:
+def _iter_source_pairs(cfg: PipelineConfig, align_tally: AlignTally,
+                       tally: PackTally) -> Iterator[ArticlePair]:
     out = cfg.output_dir
     pair_ids = load_pair_map(out / PAIRS_NAME)
-    store_en = ArticleStore(cfg.paths.articles_en, "en", align_tally)
-    store_l = ArticleStore(cfg.paths.articles_l, cfg.language_l, align_tally)
-    try:
+    tally.pairs_in += len(pair_ids)
+    with (ArticleStore(cfg.paths.articles_en, "en", align_tally) as store_en,
+          ArticleStore(cfg.paths.articles_l, cfg.language_l, align_tally) as store_l):
         yield from join_articles(pair_ids, store_en, store_l, align_tally)
         if cfg.retrieves:
-            yield from _join_pseudo_pairs(cfg, out / PSEUDO_PAIRS_NAME, store_l)
-    finally:
-        store_en.close()
-        store_l.close()
+            yield from _join_pseudo_pairs(cfg, out / PSEUDO_PAIRS_NAME, store_l, tally)
 
 
 def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) -> Path:
@@ -430,7 +431,7 @@ def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) 
               open(out / CONTEXT_IDS_NAME, "wb") as fb,
               (open(out / CONTEXTS_TEXT_NAME, "w", encoding="utf-8")
                if emit_text else nullcontext()) as text_file):
-            for pair in _iter_source_pairs(cfg, align_tally):
+            for pair in _iter_source_pairs(cfg, align_tally, tally):
                 direction = direction_for(pair.pair, cfg.pack)
                 for ctx in pack_pair(pair, tokenizer, cfg.pack, direction, tally):
                     # The one ids mapping of this context; whitespace ids
@@ -455,6 +456,10 @@ def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) 
                             "text": ctx.rendered_text(tokenizer.split_token_text),
                         }, ensure_ascii=False, sort_keys=True))
                         text_file.write("\n")
+        out_counts = (tally.pairs_packed, tally.degenerate_pairs, align_tally.pairs_missing_text)
+        if tally.pairs_in != sum(out_counts):
+            raise ValueError("pack tallies do not add up: {} pairs read, {} packed, {} "
+                             "degenerate, {} missing text".format(tally.pairs_in, *out_counts))
         counts.update(context_count=context_count, packing=asdict(tally),
                       join=asdict(align_tally))
     return out / CONTEXTS_NAME
@@ -557,6 +562,9 @@ def run_all(
     dump_tsv: bool = False,
 ) -> None:
     start = time.perf_counter()
+    # A failed stage removes only its own outputs; leave no other stage's stale.
+    for output in chain.from_iterable(STAGE_OUTPUTS.values()):
+        _remove(cfg.output_dir / output)
     stage_align(cfg, report, dump_tsv=dump_tsv)
     if cfg.retrieves:
         stage_retrieve(cfg, report)

@@ -1,6 +1,8 @@
 """Pair-map construction and article joining."""
 
+import gc
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from xlpack.alignment import (
     join_articles,
     load_pair_map,
     save_pair_map,
+    scan_articles,
 )
 from xlpack.dump_ingest import LangLink, PageRecord
 from xlpack.synth import write_articles_jsonl
@@ -98,6 +101,28 @@ class TestBuildPairMap:
         if not (f_only & r_only):
             assert f_only | r_only == combined
 
+    def test_first_title_index_released_before_second_is_built(self, monkeypatch):
+        class Index(dict):  # a plain dict takes no weak reference
+            pass
+
+        built = []
+        released_before_second = []
+
+        def tracked(pages, tally):
+            if built:
+                gc.collect()
+                released_before_second.append(built[0]() is None)
+            index = Index(build_title_index(pages, tally))
+            built.append(weakref.ref(index))
+            return index
+
+        build_title_index = alignment.build_title_index
+        monkeypatch.setattr(alignment, "build_title_index", tracked)
+        pairs = build_pair_map([_link(10, "en", "A")], [_page(100, "A")],
+                               [_link(200, "l", "B")], [_page(20, "B")])
+        assert pairs == {PairId(10, 100), PairId(20, 200)}
+        assert len(built) == 2 and released_before_second == [True]
+
     def test_symmetry(self):
         """Swapping language roles and inverting every pair gives the same set."""
         links_f = [_link(1, "en", "A"), _link(2, "en", "B")]
@@ -178,9 +203,10 @@ class TestArticleStore:
         write_articles_jsonl(
             tmp_path / "l" / "wiki_00.jsonl", [(10, "A-l", "target")]
         )
+        assert [a.page_id for a in scan_articles(tmp_path / "en", "en")] == [100, 101]
         with ArticleStore(tmp_path / "en", "en") as store_en, \
                 ArticleStore(tmp_path / "l", "xx") as store_l:
-            assert len(store_en) == 2
+            assert store_en.get(101).text == "more"
             assert store_en.get(100).text == "english"
             assert store_en.get(999) is None
             (pair,) = join_articles({PairId(10, 100)}, store_en, store_l)

@@ -575,6 +575,10 @@ class TestRetrieveStage:
         origins = {json.loads(l)["origin"] for l in
                    (out / "contexts.jsonl").read_text().splitlines()}
         assert origins == {"web", "wiki"}
+        (packed,) = [e for e in read_events(out / "run_report.jsonl")
+                     if e.get("stage") == "pack"]
+        pair_count = len((out / "pairs.tsv").read_text().splitlines())
+        assert packed["packing"]["pairs_in"] == pair_count + len(pseudo)
 
     def test_query_embed_calls_one_per_group(self, tmp_path, monkeypatch):
         import xlpack.pipeline as pipeline
@@ -686,6 +690,24 @@ class TestRetrieveStage:
         (done,) = [e for e in events if e.get("stage") == "retrieve"]
         assert done["malformed_articles"] == 1 and done["duplicate_articles"] == 0
 
+    def test_retrieve_decodes_each_article_line_once(self, tmp_path, monkeypatch):
+        from xlpack import alignment
+
+        cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=4)
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        calls = []
+
+        def counting(line, lang):
+            calls.append(line)
+            return parse_article_line(line, lang)
+
+        parse_article_line = alignment.parse_article_line
+        monkeypatch.setattr(alignment, "parse_article_line", counting)
+        assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_OK
+        lines = [line for line in _articles_l_file(cfg_path).read_bytes().splitlines()
+                 if line.strip()]
+        assert len(lines) == 4 and len(calls) == len(lines)
+
     def test_invalid_utf8_article_line_counted(self, tmp_path):
         cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=2)
         with open(_articles_l_file(cfg_path), "ab") as f:
@@ -778,9 +800,9 @@ _STAGE_EVENT_KEYS = {
     "pack": {
         "context_count": None,
         "join": _ALIGN_TALLY,
-        "packing": dict.fromkeys(("pairs_packed", "contexts_emitted", "degenerate_pairs",
-                                  "truncated_paragraphs", "oversize_skipped",
-                                  "split_markers_scrubbed")),
+        "packing": dict.fromkeys(("pairs_in", "pairs_packed", "contexts_emitted",
+                                  "degenerate_pairs", "truncated_paragraphs",
+                                  "oversize_skipped", "split_markers_scrubbed")),
     },
     "slide": dict.fromkeys(("train", "validation")),
     "export": dict.fromkeys(("train", "validation")),
@@ -863,6 +885,46 @@ class TestStageShell:
         assert run([stage, "--config", str(cfg_path)]) == code
         assert not output.exists()
 
+    def test_failed_all_leaves_no_earlier_outputs(self, small_run, capsys):
+        # A stage removes only its own outputs when it fails, so `all` clears
+        # every stage's before align: no later stage reads a stale file.
+        tmp_path, corpus, cfg_path = small_run
+        out = tmp_path / "out"
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        pages = list(parse_pages_dump(corpus.pages_en))
+        write_sql_dump(corpus.pages_en, "page", [
+            (p.page_id, p.namespace, title_to_db(p.title), "", int(p.is_redirect), 0)
+            for p in pages])
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_STAGE
+        assert sorted(p.name for p in out.iterdir()) == ["run_report.jsonl"]
+        capsys.readouterr()
+        assert run(["export", "--config", str(cfg_path)]) == EXIT_INPUT
+        assert "run slide first" in capsys.readouterr().err
+        assert run(["stats", "--config", str(cfg_path)]) == EXIT_INPUT
+        assert "run pack first" in capsys.readouterr().err
+
+    def test_pack_refuses_tallies_that_do_not_add_up(self, small_run, monkeypatch, capsys):
+        import xlpack.pipeline as pipeline
+
+        tmp_path, _, cfg_path = small_run
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        pair_count = len((tmp_path / "out" / "pairs.tsv").read_text().splitlines())
+        pack_pair = pipeline.pack_pair
+        dropped = []
+
+        def dropping(pair, tokenizer, cfg, direction, tally=None):
+            if not dropped:  # the first pair vanishes without a tally
+                dropped.append(pair)
+                return []
+            return pack_pair(pair, tokenizer, cfg, direction, tally)
+
+        monkeypatch.setattr(pipeline, "pack_pair", dropping)
+        assert run(["pack", "--config", str(cfg_path)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert (f"pack tallies do not add up: {pair_count} pairs read, {pair_count - 1} "
+                "packed, 0 degenerate, 0 missing text") in err
+        assert not (tmp_path / "out" / "contexts.jsonl").exists()
+
     def test_failed_slide_leaves_no_partial_shard(self, small_run):
         tmp_path, _, cfg_path = small_run
         out = tmp_path / "out"
@@ -902,14 +964,17 @@ class TestStageShell:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=4)
         out = tmp_path / "out"
-        off = ["all", "--config", str(cfg_path), "--set", "retrieval=null"]
+        off = ["--config", str(cfg_path), "--set", "retrieval=null"]
         skip = ("run_report.jsonl", "pseudo_pairs.jsonl")
         assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        # `all` removes every stage's outputs first, so run the stages one by
+        # one: pack then reads past the leftover.
+        for sub in ("align", "pack", "slide", "export", "stats"):
+            assert run([sub, *off]) == EXIT_OK, sub
         assert (out / "pseudo_pairs.jsonl").read_text()
-        assert run(off) == EXIT_OK
         reused = _tree_bytes(out, skip)
         shutil.rmtree(out)
-        assert run(off) == EXIT_OK
+        assert run(["all", *off]) == EXIT_OK
         assert _tree_bytes(out, skip) == reused
         assert list(json.loads(reused["stats.json"])["sources"]) == ["wiki"]
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlpack import dump_ingest
-from xlpack.alignment import AlignTally, ArticleStore
+from xlpack.alignment import AlignTally, ArticleStore, scan_articles
 from xlpack.dump_ingest import (
     LangLink,
     PageRecord,
@@ -399,17 +399,18 @@ class TestExtractedArticles:
     def test_basic_record(self, tmp_path):
         f = tmp_path / "a.jsonl"
         f.write_text('{"id":"5","title":"Cat","text":"a b\\n\\nc"}\n', encoding="utf-8")
+        (art,) = scan_articles(f, "en")
+        assert (art.page_id, art.title, art.text, art.lang) == (5, "Cat", "a b\n\nc", "en")
         with ArticleStore(f, "en") as store:
-            (art,) = store
-            assert (art.page_id, art.title, art.text, art.lang) == (5, "Cat", "a b\n\nc", "en")
             assert store.get(5) == art
-            assert 5 in store and 6 not in store
+            assert store.get(6) is None
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "a.jsonl"
         f.write_text("", encoding="utf-8")
-        store = ArticleStore(f, "en")
-        assert len(store) == 0 and list(store) == []
+        assert list(scan_articles(f, "en")) == []
+        with ArticleStore(f, "en") as store:
+            assert store.get(0) is None
 
     def test_directory_order_is_lexicographic(self, tmp_path):
         (tmp_path / "b.jsonl").write_text(
@@ -418,7 +419,7 @@ class TestExtractedArticles:
         (tmp_path / "a.jsonl").write_text(
             '{"id":"1","title":"A","text":"a"}\n', encoding="utf-8"
         )
-        arts = list(ArticleStore(tmp_path, "en"))
+        arts = list(scan_articles(tmp_path, "en"))
         assert [a.page_id for a in arts] == [1, 2]
 
     def test_bad_lines_tallied(self, tmp_path):
@@ -432,11 +433,13 @@ class TestExtractedArticles:
             encoding="utf-8",
         )
         tally = AlignTally()
-        with ArticleStore(f, "en", tally) as store:
-            assert [a.page_id for a in store] == [2]
-            assert store.get(2).text == ""
+        assert [a.page_id for a in scan_articles(f, "en", tally)] == [2]
         assert tally.malformed_articles == 3
         assert tally.duplicate_articles == 0
+        store_tally = AlignTally()
+        with ArticleStore(f, "en", store_tally) as store:
+            assert store.get(2).text == ""
+        assert store_tally == tally
 
     @pytest.mark.parametrize("line", [
         b'["5", "T", "x"]',
@@ -453,8 +456,21 @@ class TestExtractedArticles:
     def test_empty_text_yielded(self, tmp_path):
         f = tmp_path / "a.jsonl"
         f.write_text('{"id":"9","title":"T","text":""}\n', encoding="utf-8")
-        (art,) = ArticleStore(f, "xx")
+        (art,) = scan_articles(f, "xx")
         assert art.text == ""
+
+    def test_first_well_formed_record_of_each_id(self, tmp_path):
+        f = tmp_path / "a.jsonl"
+        f.write_text('{"id":"1","title":"A"}\n'  # malformed: yields to the next
+                     '{"id":"1","title":"A","text":"first"}\n'
+                     '{"id":"2","title":"B","text":"b"}\n'
+                     '{"id":"1","title":"A","text":"second"}\n', encoding="utf-8")
+        tally, index = AlignTally(), {}
+        arts = list(scan_articles(f, "en", tally, index))
+        assert [(a.page_id, a.text) for a in arts] == [(1, "first"), (2, "b")]
+        assert (tally.malformed_articles, tally.duplicate_articles) == (1, 1)
+        lines = f.read_bytes().splitlines(keepends=True)
+        assert index == {1: (f, len(lines[0])), 2: (f, len(lines[0]) + len(lines[1]))}
 
 
 def test_generic_dump_writer_values(tmp_path):
