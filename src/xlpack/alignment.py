@@ -9,8 +9,11 @@ outside the article namespace and redirects are excluded from resolution.
 
 scan_articles is the one reader of the extracted-article files. retrieve
 streams its records; pack joins pair ids through ArticleStores, byte-offset
-indexes filled by a scan, so both see the same record of each page id. A
-store keeps the texts on disk, but its index holds one entry per article.
+indexes filled by a scan that each store advances only as far as its lookups
+need, so both see the same record of each page id. On files in page-id order,
+the order of pack's lookups, every line is decoded once. A store keeps the
+texts on disk, but its index holds one entry per article. Its tallies are
+complete once it is closed, which runs the scan to its end.
 """
 
 from __future__ import annotations
@@ -133,43 +136,57 @@ def scan_articles(path: str | Path, lang: str, tally: AlignTally | None = None,
 class ArticleStore:
     """Random access to extracted-article JSONL files by page id.
 
-    The store runs scan_articles to its end, with its tallies, and keeps the
-    (file, byte offset) of each record the scan yields. Texts are read back on
-    demand, so memory grows with the article count, not the corpus size.
+    The store runs scan_articles lazily, with its tallies, and keeps the
+    (file, byte offset) of each record the scan yields. A `get` for an id the
+    scan has not reached advances the scan and returns the record it yields,
+    so on files in the order of the lookups each line is decoded once; an id
+    the scan has passed is read back by offset, and an id with no record runs
+    the scan to its end. Texts stay on disk, so memory
+    grows with the article count, not the corpus size.
 
     `get` keeps the read handle of the last file it read from open, and
-    reopens only when a record lies in another file, until `close()`; use the
+    reopens only when a record lies in another file. `close()` runs the scan
+    to its end, so the tallies are complete once the store is closed; use the
     store as a context manager.
     """
 
     def __init__(self, path: str | Path, lang: str, tally: AlignTally | None = None):
         self.lang = lang
         self._index: dict[int, tuple[Path, int]] = {}
+        self._scan = scan_articles(path, lang, tally, self._index)
         self._handle: tuple[Path, BinaryIO] | None = None  # (file, open file)
-        for _ in scan_articles(path, lang, tally, self._index):
-            pass
 
     def get(self, page_id: int) -> RawArticle | None:
         loc = self._index.get(page_id)
         if loc is None:
+            for article in self._scan:
+                if article.page_id == page_id:
+                    return article
             return None
         file, offset = loc
         if self._handle is None or self._handle[0] != file:
-            self.close()
+            self._close_handle()
             self._handle = (file, open(file, "rb"))
         f = self._handle[1]
         f.seek(offset)
         return parse_article_line(f.readline(), self.lang)
 
-    def close(self) -> None:
+    def _close_handle(self) -> None:
         if self._handle is not None:
             self._handle[1].close()
             self._handle = None
 
+    def close(self) -> None:
+        for _ in self._scan:
+            pass
+        self._close_handle()
+
     def __enter__(self) -> "ArticleStore":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None:
+            self._scan.close()  # a failed join needs no tallies
         self.close()
 
 

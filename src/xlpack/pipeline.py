@@ -20,15 +20,18 @@ the budget. Later stages work from the ids and counts it wrote.
 
 slide plans each split's windows as token ranges from the index's token_len
 values alone, then cuts the ranges out of the contexts.bin records, which it
-streams once and checks against the index and the context rules.
+streams once and checks against the index and the context rules. contexts.bin
+is consumed: once both splits are written, slide removes it, so each token id
+rests on disk once, in the shards. Another slide setting then needs a re-pack.
 
 Each stage owns the outputs named after it below (STAGE_OUTPUTS) and runs its
 body inside _stage: the outputs are removed when the stage starts and again
 when it fails, so a failed stage leaves none of them, and a debug output not
-asked for in this run does not outlive it. A stage that finds another stage's
-output missing names that stage. Only a stage that completes reports its
-stage_complete event. `all` removes every stage's outputs before it starts, so
-a failed `all` leaves none of an earlier run's.
+asked for in this run does not outlive it. A failed slide leaves contexts.bin
+in place, so a mended slide can rerun without a re-pack. A stage that finds
+another stage's output missing names that stage. Only a stage that completes
+reports its stage_complete event. `all` removes every stage's outputs before
+it starts, so a failed `all` leaves none of an earlier run's.
 
 Output layout under paths.output_dir:
     pairs.tsv                 aligned pair map (align)
@@ -38,7 +41,8 @@ Output layout under paths.output_dir:
     contexts.jsonl            context index: pair, seq_index, direction, origin,
                               token_len, per-language token counts (pack)
     contexts.bin              context token ids, one u32 record per index
-                              line, in the shard record format (pack)
+                              line, in the shard record format (pack;
+                              removed by a slide that completes)
     contexts_text.jsonl       rendered context debug dump (pack --emit-text)
     shards/<split>/           rolled window shard files + manifest.json (slide):
                               the split's window_count, token_total and
@@ -528,6 +532,9 @@ def stage_slide(cfg: PipelineConfig, report: RunReport) -> Path:
                 shard_max_bytes=cfg.shard_max_bytes,
             )
             counts[split_name] = manifest.window_count
+        # Both splits are written and every record checked: the shards now
+        # hold each id, so slide consumes pack's copy.
+        (out / CONTEXT_IDS_NAME).unlink()
     return out / SHARDS_NAME
 
 

@@ -1,6 +1,7 @@
 """Pair-map construction and article joining."""
 
 import gc
+import json
 import tempfile
 import weakref
 from pathlib import Path
@@ -221,6 +222,35 @@ class TestArticleStore:
             assert store.get(1).text == "x"
         assert tally.duplicate_articles == 1
 
+    def test_join_does_not_depend_on_file_order(self, tmp_path):
+        # The lazy scan reaches each id in page-id order on the first files
+        # and only by offset on the reversed ones; a duplicate id follows its
+        # first record in both, and pair (40, 400) has no English article.
+        en = [(100 + k, f"E{k}", f"english {k}") for k in range(6)]
+        target = [(10 + k, f"L{k}", f"target {k}") for k in range(6)] + [(40, "L40", "t")]
+        pairs = {PairId(10 + k, 100 + k) for k in range(6)} | {PairId(40, 400)}
+        joined = {}
+        for order in ("ascending", "reversed"):
+            root = tmp_path / order
+            for lang, records in (("en", en), ("l", target)):
+                records = records if order == "ascending" else records[::-1]
+                path = write_articles_jsonl(root / lang / "wiki_00.jsonl", records)
+                with open(path, "a", encoding="utf-8") as f:
+                    f.write('{"id": "x"}\n')  # malformed
+                    f.write(json.dumps({"id": str(records[2][0]), "title": "Dup",
+                                        "text": "later"}) + "\n")
+            tally = AlignTally()
+            with ArticleStore(root / "en", "en", tally) as store_en, \
+                    ArticleStore(root / "l", "xx", tally) as store_l:
+                got = list(join_articles(pairs, store_en, store_l, tally))
+            joined[order] = (got, tally)
+        assert joined["ascending"] == joined["reversed"]
+        got, tally = joined["ascending"]
+        assert [(p.pair, p.text_en, p.text_l) for p in got] == [
+            (PairId(10 + k, 100 + k), f"english {k}", f"target {k}") for k in range(6)]
+        assert tally == AlignTally(pairs_missing_text=1, duplicate_articles=2,
+                                   malformed_articles=2)
+
     @pytest.fixture
     def opened(self, monkeypatch):
         """(file name, handle) of every open() that xlpack.alignment makes."""
@@ -238,6 +268,7 @@ class TestArticleStore:
         write_articles_jsonl(tmp_path / "a" / "wiki_00.jsonl",
                              [(k, f"A{k}", f"text {k}") for k in range(5)])
         store = ArticleStore(tmp_path / "a", "en")
+        assert store.get(99) is None  # an absent id runs the scan to its end
         opened.clear()  # indexing scans the file once
         for _ in range(3):
             for k in (0, 3, 4, 1, 2):
@@ -253,6 +284,7 @@ class TestArticleStore:
             write_articles_jsonl(tmp_path / "a" / f"wiki_0{k}.jsonl",
                                  [(10 * k + j, f"T{k}{j}", "t") for j in range(3)])
         with ArticleStore(tmp_path / "a", "en") as store:
+            assert store.get(99) is None  # an absent id runs the scan to its end
             opened.clear()
             for k in (0, 1, 2, 10, 11, 12, 0):
                 store.get(k)

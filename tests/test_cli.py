@@ -396,11 +396,14 @@ class TestStages:
     def test_splits_keep_corpus_order(self, small_run):
         # Under the optimized policy each split's windows concatenate to its
         # contexts.bin records, in index order.
+        # slide consumes contexts.bin, so the records are read before it runs.
         tmp_path, _, cfg_path = small_run
-        assert run(["all", "--config", str(cfg_path),
-                    "--set", "split.validation_fraction=0.3"]) == EXIT_OK
+        fraction = ["--set", "split.validation_fraction=0.3"]
+        for sub in ("align", "pack"):
+            assert run([sub, "--config", str(cfg_path), *fraction]) == EXIT_OK, sub
         out = tmp_path / "out"
         records = [ids.tolist() for ids in iter_shard_records(out / "contexts.bin")]
+        assert run(["slide", "--config", str(cfg_path), *fraction]) == EXIT_OK
         validation = validation_set(len(records), SplitConfig(0.3, 32))
         assert 0 < len(validation) < len(records)
         for split in ("train", "validation"):
@@ -415,6 +418,59 @@ class TestStages:
         for sub in ("align", "pack", "slide", "export", "stats"):
             assert run([sub, "--config", str(cfg_path)]) == EXIT_OK, sub
         assert (tmp_path / "out" / "shards" / "train" / "manifest.json").exists()
+
+    def test_slide_consumes_context_ids(self, small_run, tmp_path, monkeypatch):
+        # `all` and the stages run one by one leave the same files, and
+        # neither leaves contexts.bin: the shards hold each id.
+        _, _, cfg_path = small_run
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        staged = ["--set", f"paths.output_dir={tmp_path / 'staged'}"]
+        for sub in ("align", "pack", "slide", "export", "stats"):
+            assert run([sub, "--config", str(cfg_path), *staged]) == EXIT_OK, sub
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        files = {name: sorted(_tree_bytes(tmp_path / name, skip=()))
+                 for name in ("out", "staged")}
+        assert files["out"] == files["staged"]
+        assert "contexts.bin" not in files["out"]
+        assert {"pairs.tsv", "contexts.jsonl", "stats.json", "run_report.jsonl",
+                "shards/train/manifest.json"} <= set(files["out"])
+
+    def test_slide_after_all_needs_a_repack(self, small_run, capsys):
+        tmp_path, _, cfg_path = small_run
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["slide", "--config", str(cfg_path)]) == EXIT_INPUT
+        assert "contexts.bin: not found; run pack first" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "shards").exists()
+
+    def test_pack_then_slide_with_another_kind(self, small_run):
+        tmp_path, _, cfg_path = small_run
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["pack", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["slide", "--config", str(cfg_path),
+                    "--set", "slide.kind=lossy"]) == EXIT_OK
+        out = tmp_path / "out"
+        assert _manifests(out)["train"]["window_count"] > 0
+        assert not (out / "contexts.bin").exists()
+
+    def test_pack_decodes_each_article_line_once(self, small_run, monkeypatch):
+        # The article files are in page-id order, the order of pack's lookups.
+        from xlpack import alignment
+
+        _, corpus, cfg_path = small_run
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        calls = []
+
+        def counting(line, lang):
+            calls.append(line)
+            return parse_article_line(line, lang)
+
+        parse_article_line = alignment.parse_article_line
+        monkeypatch.setattr(alignment, "parse_article_line", counting)
+        assert run(["pack", "--config", str(cfg_path)]) == EXIT_OK
+        lines = [line for path in (corpus.articles_en, corpus.articles_l)
+                 for line in path.read_bytes().splitlines(keepends=True) if line.strip()]
+        assert len(lines) == 50 and sorted(calls) == sorted(lines)
 
     def test_export_verifies_and_writes_nothing(self, small_run, monkeypatch):
         tmp_path, _, cfg_path = small_run
@@ -939,6 +995,7 @@ class TestStageShell:
         assert run(["slide", "--config", str(cfg_path),
                     "--set", "shard_max_bytes=2000"]) == EXIT_STAGE
         assert not (out / "shards").exists()
+        assert (out / "contexts.bin").exists()  # a mended slide needs no re-pack
 
     def test_debug_outputs_do_not_outlive_their_run(self, small_run):
         tmp_path, corpus, cfg_path = small_run
