@@ -10,8 +10,11 @@ outside the article namespace and redirects are excluded from resolution.
 scan_articles is the one reader of the extracted-article files. retrieve
 streams its records; pack joins pair ids through ArticleStores, byte-offset
 indexes filled by a scan that each store advances only as far as its lookups
-need, so both see the same record of each page id. On files in page-id order,
-the order of pack's lookups, every line is decoded once. A store keeps the
+need, so both see the same record of each page id. Pack looks pairs up in
+ascending (target id, English id) order: a target-language file in page-id
+order is decoded once per line, and an English file only when its ids also
+rise with the target ids; otherwise the English scan runs ahead and a later
+lookup decodes its line a second time, from its offset. A store keeps the
 texts on disk, but its index holds one entry per article. Its tallies are
 complete once it is closed, which runs the scan to its end.
 """

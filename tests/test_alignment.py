@@ -269,7 +269,7 @@ class TestArticleStore:
                              [(k, f"A{k}", f"text {k}") for k in range(5)])
         store = ArticleStore(tmp_path / "a", "en")
         assert store.get(99) is None  # an absent id runs the scan to its end
-        opened.clear()  # indexing scans the file once
+        opened.clear()
         for _ in range(3):
             for k in (0, 3, 4, 1, 2):
                 assert store.get(k).text == f"text {k}"
