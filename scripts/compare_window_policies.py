@@ -1,36 +1,25 @@
 #!/usr/bin/env python3
-"""Compare the optimized window policy against the fixed-stride baseline.
+"""Compare the window policies over the contexts of a run that has packed.
 
-Packs a synthetic bilingual corpus once, then plans windows over the same
-context lengths under both policies (plus the lossy variant) and reports
-window counts, fill rates, and how many contexts the baseline cuts
-mid-sequence. The optimized policy never cuts a context, at the price of
-partially filled windows.
+Reads the run's context index (contexts.jsonl, left by `xlpack all` or
+`xlpack pack`), splits it as slide does, and plans each split's windows under
+the optimized, standard and lossy policies with the config's slide settings:
+each count is the window_count slide writes under that slide.kind. Also
+reports fill rates and the contexts that standard cuts mid-sequence; optimized
+never cuts one, at the price of partially filled windows.
 
 Example:
-    python scripts/compare_window_policies.py --pairs 2000 --n-budget 1024
+    xlpack all --config config.json
+    python scripts/compare_window_policies.py --config config.json
 """
 
 import argparse
 import sys
-import tempfile
-from pathlib import Path
+from dataclasses import replace
 
-from xlpack.packing import PackConfig, direction_for, pack_pair
-from xlpack.sliding import slide_optimized, slide_optimized_lossy, slide_standard
-from xlpack.synth import build_corpus
-from xlpack.alignment import ArticleStore, join_articles, build_pair_map
-from xlpack.dump_ingest import parse_langlinks_dump, parse_pages_dump
-from xlpack.tokenization import WhitespaceTokenizer
-
-
-def summarize(name, ranges, n, total_tokens):
-    ranges = list(ranges)
-    kept = sum(end - start for start, end in ranges)
-    fill = kept / (len(ranges) * n) if ranges else 0.0
-    share = kept / total_tokens if total_tokens else 0.0
-    print(f"{name:>10}: {len(ranges):6d} windows  fill {fill:6.1%}  "
-          f"tokens kept {kept}/{total_tokens} ({share:.1%})")
+from xlpack.config import ConfigError, InputError, validate_config
+from xlpack.export import validation_set
+from xlpack.pipeline import CONTEXTS_NAME, SPLITS, plan_windows, read_contexts_jsonl
 
 
 def count_cut_contexts(lengths, n):
@@ -44,40 +33,39 @@ def count_cut_contexts(lengths, n):
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--pairs", type=int, default=2000)
-    ap.add_argument("--paragraphs", type=int, default=10)
-    ap.add_argument("--n-budget", type=int, default=1024)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--config", required=True, help="the JSON config of a run that has packed")
+    try:
+        cfg = validate_config(ap.parse_args().config)
+        index = cfg.output_dir / CONTEXTS_NAME
+        entries = read_contexts_jsonl(index)
+    except ConfigError as e:
+        sys.exit("\n".join(f"config error: {diag}" for diag in e.diagnostics))
+    except FileNotFoundError:
+        print(f"input error: {index}: not found; run pack first", file=sys.stderr)
+        return 2
+    except (InputError, ValueError) as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return 2
 
-    with tempfile.TemporaryDirectory() as tmp:
-        corpus = build_corpus(
-            Path(tmp), n_pairs=args.pairs, paragraphs_per_side=args.paragraphs,
-            seed=args.seed,
-        )
-        pair_ids = build_pair_map(
-            parse_langlinks_dump(corpus.langlinks_l_to_en, "en"),
-            parse_pages_dump(corpus.pages_en),
-            parse_langlinks_dump(corpus.langlinks_en_to_l, corpus.lang),
-            parse_pages_dump(corpus.pages_l),
-        )
-        tokenizer = WhitespaceTokenizer()
-        cfg = PackConfig(n_budget=args.n_budget)
-        with ArticleStore(corpus.articles_en, "en") as store_en, \
-                ArticleStore(corpus.articles_l, corpus.lang) as store_l:
-            pairs = join_articles(pair_ids, store_en, store_l)
-            lengths = [ctx.token_len for pair in pairs
-                       for ctx in pack_pair(pair, tokenizer, cfg, direction_for(pair.pair, cfg))]
+    validation = validation_set(len(entries), cfg.split)
+    n = cfg.slide.n_budget
+    print(f"{len(entries)} contexts in {index}, budget {n}, "
+          f"keep_final_partial {cfg.slide.keep_final_partial}")
+    for split in SPLITS:
+        lengths = [e.token_len for i, e in enumerate(entries)
+                   if (i in validation) == (split == "validation")]
         total = sum(lengths)
-        print(f"{len(lengths)} contexts, {total} tokens, budget {args.n_budget}\n")
-
-        for name, planner in (("optimized", slide_optimized), ("standard", slide_standard),
-                              ("lossy", slide_optimized_lossy)):
-            summarize(name, planner(lengths, args.n_budget), args.n_budget, total)
-        cut = count_cut_contexts(lengths, args.n_budget)
-        print(f"\nstandard policy cuts {cut}/{len(lengths)} contexts mid-sequence; "
-              "the optimized policy cuts none.")
+        print(f"\n{split}: {len(lengths)} contexts, {total} tokens")
+        for kind in ("optimized", "standard", "lossy"):
+            ranges = list(plan_windows(lengths, replace(cfg.slide, kind=kind)))
+            kept = sum(end - start for start, end in ranges)
+            fill = kept / (len(ranges) * n) if ranges else 0.0
+            print(f"{kind:>11}: {len(ranges):6d} windows  fill {fill:6.1%}  "
+                  f"tokens kept {kept}/{total} ({kept / total if total else 0.0:.1%})")
+        print(f"  standard cuts {count_cut_contexts(lengths, n)}/{len(lengths)} contexts "
+              "mid-sequence; optimized cuts none")
     return 0
 
 

@@ -243,8 +243,9 @@ def load_pair_map(path: str | Path) -> set[PairId]:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected id_l<TAB>id_en, got {line!r}")
-            pairs.add(PairId(int(parts[0]), int(parts[1])))
+            try:
+                pairs.add(PairId(*map(int, line.split("\t"))))
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}:{lineno}: expected integer id_l<TAB>id_en, got "
+                                 f"{line!r}; rerun align") from None
     return pairs

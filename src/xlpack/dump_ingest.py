@@ -20,8 +20,8 @@ the next one.
 
 The article side parses line-delimited JSON records (`id`, `title`, `text`)
 as produced by common wikitext extraction tools, one line at a time:
-`parse_article_line` is the one record rule, and `alignment.ArticleStore` is
-the one reader of those files.
+`parse_article_line` is the one record rule, and `alignment.scan_articles`
+(streamed by retrieve, indexed by pack's ArticleStores) the one reader.
 """
 
 from __future__ import annotations

@@ -99,6 +99,7 @@ from .export import (
 from .packing import PackedContext, PackTally, direction_for, pack_pair
 from .report import RunReport
 from .sliding import (
+    SlidePolicy,
     check_context,
     cut_windows,
     slide_optimized,
@@ -400,12 +401,14 @@ def _join_pseudo_pairs(cfg: PipelineConfig, path: Path, store_l: ArticleStore,
     wanted = {doc_id for _, doc_id, _ in refs}
     texts = {doc_id: text for doc_id, text in read_candidate_corpus(cfg.paths.web_corpus)
              if doc_id in wanted}
+    article = None
     for where, doc_id, id_l in refs:
         text = texts.get(doc_id, "")
         if not text.strip():
             raise ValueError(f"{where}: doc_id {doc_id!r} has no text in "
                              f"{cfg.paths.web_corpus}; rerun retrieve")
-        article = store_l.get(id_l)
+        if article is None or article.page_id != id_l:  # an article's refs are adjacent
+            article = store_l.get(id_l)
         if article is None or not article.text.strip():
             raise ValueError(f"{where}: id_l {id_l} has no text in "
                              f"{cfg.paths.articles_l}; rerun retrieve")
@@ -497,6 +500,16 @@ def _context_ids(
                          f"{len(entries)} lines")
 
 
+def plan_windows(lengths: Iterable[int], policy: SlidePolicy) -> Iterator[tuple[int, int]]:
+    """The (start, end) token ranges `policy` plans over contexts of these
+    lengths: slide's windows, so a caller can count them without cutting any."""
+    if policy.kind == "standard":
+        return slide_standard(lengths, policy.n_budget, policy.keep_final_partial)
+    if policy.kind == "lossy":
+        return slide_optimized_lossy(lengths, policy.n_budget)
+    return slide_optimized(lengths, policy.n_budget)
+
+
 def stage_slide(cfg: PipelineConfig, report: RunReport) -> Path:
     with _stage(report, cfg, "slide") as counts:
         out = cfg.output_dir
@@ -513,13 +526,7 @@ def stage_slide(cfg: PipelineConfig, report: RunReport) -> Path:
         for split_name, ids_stream in (("train", train_ids), ("validation", held)):
             held_out = split_name == "validation"
             split = [e for i, e in enumerate(entries) if (i in validation) == held_out]
-            lengths = (e.token_len for e in split)
-            if cfg.slide.kind == "standard":
-                ranges = slide_standard(lengths, n, cfg.slide.keep_final_partial)
-            elif cfg.slide.kind == "lossy":
-                ranges = slide_optimized_lossy(lengths, n)
-            else:
-                ranges = slide_optimized(lengths, n)
+            ranges = plan_windows((e.token_len for e in split), cfg.slide)
             manifest = write_shards(
                 cut_windows(ids_stream, ranges),
                 out / SHARDS_NAME / split_name,

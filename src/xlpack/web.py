@@ -222,5 +222,5 @@ def read_candidate_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
             try:
                 rec = json.loads(line)
                 yield str(rec["id"]), str(rec["text"])
-            except (json.JSONDecodeError, KeyError) as e:
+            except (json.JSONDecodeError, KeyError, TypeError) as e:  # TypeError: not an object
                 raise RetrievalError(f"{path}:{lineno}: bad corpus record: {e}") from e

@@ -472,6 +472,18 @@ class TestStages:
                  for line in path.read_bytes().splitlines(keepends=True) if line.strip()]
         assert len(lines) == 50 and sorted(calls) == sorted(lines)
 
+    def test_pack_names_non_integer_pair_id(self, small_run, capsys):
+        tmp_path, _, cfg_path = small_run
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        pairs = tmp_path / "out" / "pairs.tsv"
+        first, *rest = pairs.read_text().splitlines(keepends=True)
+        pairs.write_text(first + "x\t50000\n" + "".join(rest))
+        capsys.readouterr()
+        assert run(["pack", "--config", str(cfg_path)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert f"{pairs}:2: " in err and "'x\\t50000'" in err and "rerun align" in err
+        assert not (tmp_path / "out" / "contexts.jsonl").exists()
+
     def test_export_verifies_and_writes_nothing(self, small_run, monkeypatch):
         tmp_path, _, cfg_path = small_run
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
@@ -763,6 +775,34 @@ class TestRetrieveStage:
         lines = [line for line in _articles_l_file(cfg_path).read_bytes().splitlines()
                  if line.strip()]
         assert len(lines) == 4 and len(calls) == len(lines)
+
+    def test_pack_decodes_an_article_once_for_its_pseudo_pairs(self, tmp_path, monkeypatch):
+        # Every text embeds alike, so each article retrieves all three docs.
+        from collections import Counter
+
+        from xlpack import alignment
+
+        docs = [(f"web{c}", f"Web {c}\n{c.lower()} words") for c in "ABC"]
+        cfg_path = _retrieve_run(tmp_path, docs, {}, default=(1.0, 0.0, 0.0), n_pairs=3)
+        out = tmp_path / "out"
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_OK
+        refs = [json.loads(l) for l in (out / "pseudo_pairs.jsonl").read_text().splitlines()]
+        assert sorted(Counter(r["id_l"] for r in refs).values()) == [3, 3, 3]
+        calls = []
+
+        def counting(line, lang):
+            calls.append(line)
+            return parse_article_line(line, lang)
+
+        parse_article_line = alignment.parse_article_line
+        monkeypatch.setattr(alignment, "parse_article_line", counting)
+        assert run(["pack", "--config", str(cfg_path)]) == EXIT_OK
+        # Once by the aligned join's scan, once for the article's three pseudo pairs.
+        decoded = Counter(calls)
+        lines = [line for line in _articles_l_file(cfg_path).read_bytes()
+                 .splitlines(keepends=True) if line.strip()]
+        assert len(lines) == 3 and [decoded[line] for line in lines] == [2, 2, 2]
 
     def test_invalid_utf8_article_line_counted(self, tmp_path):
         cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=2)

@@ -29,6 +29,7 @@ from xlpack.web import (
     RetrievalTally,
     extract_keywords,
     pseudo_pair,
+    read_candidate_corpus,
     two_step_retrieve,
 )
 
@@ -487,3 +488,15 @@ class TestPseudoPair:
     def test_title_is_first_nonblank_line_else_doc_id(self):
         assert pseudo_pair(_article("t"), "docA", "\n  Heading \nbody").title_en == "Heading"
         assert pseudo_pair(_article("t"), "docA", "   ").title_en == "docA"
+
+
+class TestCandidateCorpus:
+    @pytest.mark.parametrize("bad", ['[1, 2]', '"text"', 'null', '{"id": "b"}', '{"id":'])
+    def test_bad_line_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "web.jsonl"
+        path.write_text('{"id": "a", "text": "alpha"}\n' + bad + "\n")
+        docs = read_candidate_corpus(path)
+        assert next(docs) == ("a", "alpha")
+        with pytest.raises(RetrievalError) as err:
+            next(docs)
+        assert str(err.value).startswith(f"{path}:2: bad corpus record")

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -34,9 +36,63 @@ def test_synthetic_corpus_runs_through_all(tmp_path):
     assert set(stats["sources"]) == {"web", "wiki"}
 
 
-def test_compare_window_policies_prints_each_policy(tmp_path):
-    proc = _run([str(SCRIPTS / "compare_window_policies.py"), "--pairs", "20",
-                 "--n-budget", "256"], tmp_path)
+def _window_counts(stdout):
+    """{(split, policy): window count} from compare_window_policies.py's output."""
+    counts, split = {}, None
+    for line in stdout.splitlines():
+        head, _, rest = line.partition(":")
+        if head in ("train", "validation"):
+            split = head
+        elif head.strip() in ("optimized", "standard", "lossy"):
+            counts[split, head.strip()] = int(rest.split()[0])
+    return counts
+
+
+@pytest.fixture
+def packed_corpus(tmp_path):
+    """A synthetic corpus whose config splits off enough contexts that both
+    splits get several windows."""
+    proc = _run([str(SCRIPTS / "make_synthetic_corpus.py"), "--out", str(tmp_path),
+                 "--pairs", "40", "--n-budget", "256"], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    rows = {line.split(":")[0].strip() for line in proc.stdout.splitlines() if ":" in line}
-    assert {"optimized", "standard", "lossy"} <= rows
+    cfg_path = tmp_path / "config.json"
+    cfg = json.loads(cfg_path.read_text())
+    cfg["split"]["validation_fraction"] = 0.25
+    cfg_path.write_text(json.dumps(cfg))
+    return tmp_path, cfg_path
+
+
+def test_compare_window_policies_prints_each_policy(packed_corpus):
+    tmp_path, cfg_path = packed_corpus
+    script = [str(SCRIPTS / "compare_window_policies.py"), "--config", str(cfg_path)]
+    proc = _run(script, tmp_path)
+    assert proc.returncode == 2 and "contexts.jsonl: not found; run pack first" in proc.stderr
+    proc = _run(["-m", "xlpack.cli", "all", "--config", str(cfg_path)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    proc = _run(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert set(_window_counts(proc.stdout)) == {
+        (split, kind) for split in ("train", "validation")
+        for kind in ("optimized", "standard", "lossy")}
+
+
+@pytest.mark.parametrize("kind, keep_final_partial", [
+    ("optimized", True), ("standard", True), ("standard", False), ("lossy", True)])
+def test_compare_window_policies_counts_equal_slide_manifests(
+        packed_corpus, kind, keep_final_partial):
+    tmp_path, cfg_path = packed_corpus
+    cfg = json.loads(cfg_path.read_text())
+    cfg["slide"]["keep_final_partial"] = keep_final_partial
+    cfg_path.write_text(json.dumps(cfg))
+    proc = _run(["-m", "xlpack.cli", "all", "--config", str(cfg_path),
+                 "--set", f"slide.kind={kind}"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    proc = _run([str(SCRIPTS / "compare_window_policies.py"), "--config", str(cfg_path)],
+                tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    counts = _window_counts(proc.stdout)
+    for split in ("train", "validation"):
+        manifest = json.loads((tmp_path / "out" / "shards" / split / "manifest.json")
+                              .read_text())
+        assert manifest["window_count"] > 1
+        assert counts[split, kind] == manifest["window_count"]
