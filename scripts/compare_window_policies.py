@@ -2,24 +2,29 @@
 """Compare the window policies over the contexts of a run that has packed.
 
 Reads the run's context index (contexts.jsonl, left by `xlpack all` or
-`xlpack pack`), splits it as slide does, and plans each split's windows under
-the optimized, standard and lossy policies with the config's slide settings:
-each count is the window_count slide writes under that slide.kind. Also
-reports fill rates and the contexts that standard cuts mid-sequence; optimized
-never cuts one, at the price of partially filled windows.
+`xlpack pack`), splits it as slide does (export.split_names), and plans each
+split's windows under the optimized, standard and lossy policies with the
+config's slide settings: each count is the window_count slide writes under
+that slide.kind. Also reports fill rates and the contexts that standard cuts
+mid-sequence; optimized never cuts one, at the price of partially filled
+windows.
+
+Takes the CLI's --config, --seed and --set, so pass the ones the run was made
+with; exits 1 on a config error and 2 on an input error, as the CLI does.
 
 Example:
-    xlpack all --config config.json
-    python scripts/compare_window_policies.py --config config.json
+    xlpack all --config config.json --seed 5
+    python scripts/compare_window_policies.py --config config.json --seed 5
 """
 
 import argparse
 import sys
 from dataclasses import replace
 
-from xlpack.config import ConfigError, InputError, validate_config
-from xlpack.export import validation_set
-from xlpack.pipeline import CONTEXTS_NAME, SPLITS, plan_windows, read_contexts_jsonl
+from xlpack.cli import config_options, load_config, refuse
+from xlpack.config import ConfigError, InputError
+from xlpack.export import split_names
+from xlpack.pipeline import CONTEXTS_NAME, SPLITS, plan_windows, read_contexts_jsonl, require
 
 
 def count_cut_contexts(lengths, n):
@@ -33,29 +38,22 @@ def count_cut_contexts(lengths, n):
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__,
+    ap = argparse.ArgumentParser(description=__doc__, parents=[config_options()],
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--config", required=True, help="the JSON config of a run that has packed")
     try:
-        cfg = validate_config(ap.parse_args().config)
+        cfg = load_config(ap.parse_args())
+        require(cfg, (CONTEXTS_NAME,))
         index = cfg.output_dir / CONTEXTS_NAME
         entries = read_contexts_jsonl(index)
-    except ConfigError as e:
-        sys.exit("\n".join(f"config error: {diag}" for diag in e.diagnostics))
-    except FileNotFoundError:
-        print(f"input error: {index}: not found; run pack first", file=sys.stderr)
-        return 2
-    except (InputError, ValueError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
+    except (ConfigError, InputError, FileNotFoundError, ValueError) as e:
+        return refuse(e)
 
-    validation = validation_set(len(entries), cfg.split)
+    splits = split_names(len(entries), cfg.split)
     n = cfg.slide.n_budget
     print(f"{len(entries)} contexts in {index}, budget {n}, "
           f"keep_final_partial {cfg.slide.keep_final_partial}")
     for split in SPLITS:
-        lengths = [e.token_len for i, e in enumerate(entries)
-                   if (i in validation) == (split == "validation")]
+        lengths = [e.token_len for e, s in zip(entries, splits) if s == split]
         total = sum(lengths)
         print(f"\n{split}: {len(lengths)} contexts, {total} tokens")
         for kind in ("optimized", "standard", "lossy"):

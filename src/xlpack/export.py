@@ -97,6 +97,15 @@ def validation_set(count: int, cfg: SplitConfig) -> set[int]:
     return set(indices[:math.floor(count * cfg.validation_fraction)])
 
 
+def split_names(count: int, cfg: SplitConfig) -> list[str]:
+    """The split of each of `count` contexts in index order: validation at
+    validation_set's positions, train elsewhere."""
+    names = ["train"] * count
+    for i in validation_set(count, cfg):
+        names[i] = "validation"
+    return names
+
+
 def encode_window_record(ids: Sequence[int]) -> bytes:
     try:
         arr = array("I", ids)

@@ -24,14 +24,15 @@ streams once and checks against the index and the context rules. contexts.bin
 is consumed: once both splits are written, slide removes it, so each token id
 rests on disk once, in the shards. Another slide setting then needs a re-pack.
 
-Each stage owns the outputs named after it below (STAGE_OUTPUTS) and runs its
-body inside _stage: the outputs are removed when the stage starts and again
-when it fails, so a failed stage leaves none of them, and a debug output not
-asked for in this run does not outlive it. A failed slide leaves contexts.bin
-in place, so a mended slide can rerun without a re-pack. A stage that finds
-another stage's output missing names that stage. Only a stage that completes
-reports its stage_complete event. `all` removes every stage's outputs before
-it starts, so a failed `all` leaves none of an earlier run's.
+STAGES lists the stages in the order `all` runs them, with the files each reads
+and the outputs it owns; the CLI, `all` and the input checks read it. A stage
+runs inside _stage: its outputs are removed when it starts and again when it
+fails, so a failed stage leaves none of them, and a debug output not asked for
+in this run does not outlive it (a failed slide leaves contexts.bin, so a
+mended slide needs no re-pack). Before any work, a stage checks the earlier
+stages' outputs it reads and names the writer of a missing one. `all` removes
+every stage's outputs before it starts, so a failed `all` leaves none of an
+earlier run's.
 
 Output layout under paths.output_dir:
     pairs.tsv                 aligned pair map (align)
@@ -54,9 +55,6 @@ Output layout under paths.output_dir:
                               keep_final_partial)
     stats.json                per-language token totals (stats)
     run_report.jsonl          event log (every stage appends; none owns it)
-
-export owns nothing: it reads both shard sets back and checks them against
-their manifests.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from dataclasses import asdict
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .alignment import (
     AlignTally,
@@ -82,7 +80,7 @@ from .alignment import (
     save_pair_map,
     scan_articles,
 )
-from .config import PipelineConfig
+from .config import ConfigError, InputError, PipelineConfig
 from .dump_ingest import ParseTally, parse_langlinks_dump, parse_pages_dump
 from .export import (
     ContextEntry,
@@ -92,8 +90,8 @@ from .export import (
     iter_shard_records,
     read_manifest,
     read_shards,
+    split_names,
     sum_tokens,
-    validation_set,
     write_shards,
 )
 from .packing import PackedContext, PackTally, direction_for, pack_pair
@@ -125,20 +123,39 @@ SHARDS_NAME = "shards"
 STATS_NAME = "stats.json"
 REPORT_NAME = "run_report.jsonl"
 SPLITS = ("train", "validation")
-STAGE_OUTPUTS = {"align": (PAIRS_NAME, DEBUG_NAME), "retrieve": (PSEUDO_PAIRS_NAME,),
-                 "pack": (CONTEXTS_NAME, CONTEXT_IDS_NAME, CONTEXTS_TEXT_NAME),
-                 "slide": (SHARDS_NAME,), "export": (), "stats": (STATS_NAME,)}
-# The config fields naming the files each stage reads. The web corpus counts
-# only when the config retrieves, the vocabulary only for the external kind.
-STAGE_INPUTS = {
-    "align": ("paths.langlinks_l_to_en", "paths.langlinks_en_to_l", "paths.pages_en",
-              "paths.pages_l"),
-    "retrieve": ("paths.langlinks_l_to_en", "paths.pages_l", "paths.articles_l",
-                 "paths.web_corpus"),
-    "pack": ("paths.articles_en", "paths.articles_l", "paths.web_corpus",
-             "tokenizer.vocab_source"),
-    "slide": (), "export": (), "stats": (),
-}
+ALL = "all"  # the subcommand that runs every stage of STAGES in order
+
+
+class Stage(NamedTuple):
+    name: str  # the subcommand; stage_<name> runs it
+    help: str
+    paths: tuple[str, ...] = ()  # config fields naming the files it reads
+    reads: tuple[str, ...] = ()  # earlier stages' outputs it reads
+    outputs: tuple[str, ...] = ()  # files and trees under paths.output_dir it owns
+    flag: str = ""  # a debug keyword of stage_<name>, offered as --<flag>
+    flag_help: str = ""
+
+
+STAGES = (
+    Stage("align", "build and persist the bilingual pair map",
+          ("paths.langlinks_l_to_en", "paths.langlinks_en_to_l", "paths.pages_en",
+           "paths.pages_l"), outputs=(PAIRS_NAME, DEBUG_NAME),
+          flag="dump_tsv", flag_help="write parsed dump records as TSV for inspection"),
+    Stage("retrieve", "build pseudo pairs from a web corpus via semantic retrieval",
+          ("paths.langlinks_l_to_en", "paths.pages_l", "paths.articles_l",
+           "paths.web_corpus"), outputs=(PSEUDO_PAIRS_NAME,)),
+    Stage("pack", "pack aligned pairs into delimiter-terminated contexts",
+          ("paths.articles_en", "paths.articles_l", "paths.web_corpus",
+           "tokenizer.vocab_source"), reads=(PAIRS_NAME, PSEUDO_PAIRS_NAME),
+          outputs=(CONTEXTS_NAME, CONTEXT_IDS_NAME, CONTEXTS_TEXT_NAME),
+          flag="emit_text", flag_help="also write rendered context text"),
+    Stage("slide", "split and batch contexts into window shards and manifests",
+          reads=(CONTEXTS_NAME, CONTEXT_IDS_NAME), outputs=(SHARDS_NAME,)),
+    Stage("export", "verify window shards against their manifests", reads=(SHARDS_NAME,)),
+    Stage("stats", "write per-language token statistics", reads=(CONTEXTS_NAME,),
+          outputs=(STATS_NAME,)),
+)
+_STAGE_NAMED = {stage.name: stage for stage in STAGES}
 EMBED_BATCH_SIZE = 256  # web documents per provider call when retrieve builds its index
 SCORE_BLOCK_BYTES = 1 << 20  # retrieve scores articles in groups whose score block fits this
 
@@ -201,59 +218,85 @@ def _remove(path: Path) -> None:
         path.unlink(missing_ok=True)
 
 
+def _in_use(cfg: PipelineConfig, name: str) -> bool:
+    """Whether a run under `cfg` uses `name`, a config path or a stage output:
+    retrieval's files only when the config retrieves, the vocabulary only for
+    the external tokenizer kind."""
+    if name in ("paths.web_corpus", PSEUDO_PAIRS_NAME):
+        return cfg.retrieves
+    return name != "tokenizer.vocab_source" or cfg.tokenizer.kind == "external"
+
+
+def stages_for(cfg: PipelineConfig, subcommand: str) -> list[Stage]:
+    """The stages `subcommand` runs under `cfg`: those whose outputs it uses,
+    so `all` leaves retrieve out unless the config retrieves, and `retrieve`
+    then raises ConfigError. Raises InputError, one line per path, when a
+    config path they read does not exist; does not touch the network."""
+    stages = STAGES if subcommand == ALL else (_STAGE_NAMED[subcommand],)
+    runs = [s for s in stages if all(_in_use(cfg, output) for output in s.outputs)]
+    if not runs:
+        raise ConfigError([f"retrieval, paths.web_corpus: {subcommand} runs only when the "
+                           "config has both a retrieval section and paths.web_corpus"])
+    missing = []
+    for field_path in dict.fromkeys(f for stage in runs for f in stage.paths):
+        section, name = field_path.split(".")
+        value = getattr(getattr(cfg, section), name)
+        if _in_use(cfg, field_path) and not Path(value).exists():
+            missing.append(f"{field_path}: path does not exist: {value}")
+    if missing:
+        raise InputError("\n".join(missing))
+    return runs
+
+
+def require(cfg: PipelineConfig, names: Iterable[str]) -> None:
+    """Raise FileNotFoundError for the first of these stage outputs that a
+    run under `cfg` reads and paths.output_dir lacks, naming its writer."""
+    for name in names:
+        path = cfg.output_dir / name
+        if _in_use(cfg, name) and not path.exists():
+            writer = next(stage.name for stage in STAGES if name in stage.outputs)
+            raise FileNotFoundError(f"{path}: not found; run {writer} first")
+
+
 @contextmanager
 def _stage(report: RunReport, cfg: PipelineConfig, name: str) -> Iterator[dict]:
     """Run one stage body as the owner of its outputs, timed and reported.
 
-    Each of the stage's STAGE_OUTPUTS (a file or a tree under
-    paths.output_dir) is removed on entry and again if the body raises, so a
-    failed stage leaves none of its outputs, whether this run or an earlier
-    one wrote them. A missing output of another stage is reported with the
-    stage that writes it. The body fills the yielded dict with its
-    counts; on success they go into the stage_complete event with the stage's
-    name and elapsed time.
+    The stage's outputs are removed on entry, whichever run wrote them, and
+    again if the body raises; then the earlier stages' outputs it reads must
+    exist (`require`). The body fills the yielded dict with its counts; on
+    success they go into the stage_complete event with its elapsed time.
     """
     start = time.perf_counter()
+    stage = _STAGE_NAMED[name]
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    outputs = STAGE_OUTPUTS[name]
-    for output in outputs:
+    for output in stage.outputs:
         _remove(out / output)
+    require(cfg, stage.reads)
     counts: dict = {}
     try:
         yield counts
-    except BaseException as e:
-        for output in outputs:
+    except BaseException:
+        for output in stage.outputs:
             _remove(out / output)
-        if isinstance(e, FileNotFoundError) and Path(e.filename or "").parent == out:
-            for writer, names in STAGE_OUTPUTS.items():
-                if Path(e.filename).name in names:
-                    raise FileNotFoundError(f"{e.filename}: not found; run {writer} first") from None
         raise
     report.event("stage_complete", stage=name,
                  elapsed_s=round(time.perf_counter() - start, 3), **counts)
 
 
-def check_input_paths(cfg: PipelineConfig, subcommand: str) -> list[str]:
-    """A diagnostic for each input of `subcommand` (every stage's, for `all`)
-    that does not exist. Does not touch the network."""
-    stages = STAGE_INPUTS if subcommand == "all" else (subcommand,)
-    used = {"paths.web_corpus": cfg.retrieves,
-            "tokenizer.vocab_source": cfg.tokenizer.kind == "external"}
-    missing = []
-    for field_path in dict.fromkeys(f for stage in stages for f in STAGE_INPUTS[stage]):
-        section, name = field_path.split(".")
-        value = getattr(getattr(cfg, section), name)
-        if used.get(field_path, True) and not Path(value).exists():
-            missing.append(f"{field_path}: path does not exist: {value}")
-    return missing
+def call_stage(cfg: PipelineConfig, report: RunReport, stage: Stage, **flags: bool) -> None:
+    """Run stage_<name>, looked up at call time (the benchmark's tracer wraps
+    it there), with its flag if `flags` holds it."""
+    run_stage = globals()[f"stage_{stage.name}"]
+    run_stage(cfg, report, **({stage.flag: flags[stage.flag]} if stage.flag in flags else {}))
 
 
 # ---------------------------------------------------------------------------
 # Stages
 
 
-def stage_align(cfg: PipelineConfig, report: RunReport, dump_tsv: bool = False) -> Path:
+def stage_align(cfg: PipelineConfig, report: RunReport, dump_tsv: bool = False) -> None:
     with _stage(report, cfg, "align") as counts:
         out = cfg.output_dir
         tallies = {name: ParseTally() for name in
@@ -287,15 +330,12 @@ def stage_align(cfg: PipelineConfig, report: RunReport, dump_tsv: bool = False) 
         save_pair_map(pairs, out / PAIRS_NAME)
         counts.update(pair_count=len(pairs), alignment=asdict(align_tally),
                       parse_tallies={name: asdict(t) for name, t in tallies.items()})
-    return out / PAIRS_NAME
 
 
 def make_embedding_provider(cfg: PipelineConfig):
     from .retrieval import CachedEmbeddingProvider, MockEmbeddingProvider, WireEmbeddingProvider
 
     settings = cfg.retrieval
-    if settings is None:
-        raise ValueError("retrieval section is not configured")
     if settings.provider == "mock":
         return MockEmbeddingProvider(dim=settings.dim, seed=settings.seed)
     if settings.provider == "file":
@@ -322,13 +362,11 @@ def build_l_to_en_title_map(cfg: PipelineConfig) -> dict[str, str]:
     return title_map
 
 
-def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
+def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> None:
     # The one stage that loads numpy, on entry.
     from .retrieval import CandidateDoc, VectorIndex
 
     with _stage(report, cfg, "retrieve") as counts:
-        if not cfg.retrieves:
-            raise ValueError("retrieve needs a retrieval section and paths.web_corpus")
         provider = make_embedding_provider(cfg)
 
         # Web texts are held one batch at a time; a blank one is kept only as an id.
@@ -371,7 +409,6 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> Path:
                       retrieval=asdict(tally),
                       duplicate_articles=article_tally.duplicate_articles,
                       malformed_articles=article_tally.malformed_articles)
-    return pseudo_path
 
 
 def _join_pseudo_pairs(cfg: PipelineConfig, path: Path, store_l: ArticleStore,
@@ -423,11 +460,11 @@ def _iter_source_pairs(cfg: PipelineConfig, align_tally: AlignTally,
     with (ArticleStore(cfg.paths.articles_en, "en", align_tally) as store_en,
           ArticleStore(cfg.paths.articles_l, cfg.language_l, align_tally) as store_l):
         yield from join_articles(pair_ids, store_en, store_l, align_tally)
-        if cfg.retrieves:
+        if _in_use(cfg, PSEUDO_PAIRS_NAME):
             yield from _join_pseudo_pairs(cfg, out / PSEUDO_PAIRS_NAME, store_l, tally)
 
 
-def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) -> Path:
+def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) -> None:
     with _stage(report, cfg, "pack") as counts:
         out = cfg.output_dir
         tokenizer = make_tokenizer(cfg.tokenizer)
@@ -469,11 +506,10 @@ def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) 
                              "degenerate, {} missing text".format(tally.pairs_in, *out_counts))
         counts.update(context_count=context_count, packing=asdict(tally),
                       join=asdict(align_tally))
-    return out / CONTEXTS_NAME
 
 
 def _context_ids(
-    path: Path, entries: list[ContextEntry], validation: set[int], held: list[array],
+    path: Path, entries: list[ContextEntry], splits: list[str], held: list[array],
     n: int, split_token_id: int,
 ) -> Iterator[array]:
     """Stream the train contexts' ids from contexts.bin in corpus order.
@@ -491,7 +527,7 @@ def _context_ids(
             raise ValueError(f"{path}: record {i} holds {len(ids)} tokens, "
                              f"the index's token_len is {entries[i].token_len}")
         check_context(ids, n, split_token_id, i)
-        if i in validation:
+        if splits[i] == "validation":
             held.append(ids)
         else:
             yield ids
@@ -510,22 +546,21 @@ def plan_windows(lengths: Iterable[int], policy: SlidePolicy) -> Iterator[tuple[
     return slide_optimized(lengths, policy.n_budget)
 
 
-def stage_slide(cfg: PipelineConfig, report: RunReport) -> Path:
+def stage_slide(cfg: PipelineConfig, report: RunReport) -> None:
     with _stage(report, cfg, "slide") as counts:
         out = cfg.output_dir
         entries = read_contexts_jsonl(out / CONTEXTS_NAME)
-        validation = validation_set(len(entries), cfg.split)
+        splits = split_names(len(entries), cfg.split)
         n = cfg.slide.n_budget
         held: list[array] = []
-        train_ids = _context_ids(out / CONTEXT_IDS_NAME, entries, validation, held,
+        train_ids = _context_ids(out / CONTEXT_IDS_NAME, entries, splits, held,
                                  n, cfg.tokenizer.split_token_id)
         digest = config_digest(cfg.effective_dict())
 
         # Train first: cutting it runs the record stream to its end, which
         # fills `held` before validation is cut.
         for split_name, ids_stream in (("train", train_ids), ("validation", held)):
-            held_out = split_name == "validation"
-            split = [e for i, e in enumerate(entries) if (i in validation) == held_out]
+            split = [e for e, s in zip(entries, splits) if s == split_name]
             ranges = plan_windows((e.token_len for e in split), cfg.slide)
             manifest = write_shards(
                 cut_windows(ids_stream, ranges),
@@ -542,22 +577,17 @@ def stage_slide(cfg: PipelineConfig, report: RunReport) -> Path:
         # Both splits are written and every record checked: the shards now
         # hold each id, so slide consumes pack's copy.
         (out / CONTEXT_IDS_NAME).unlink()
-    return out / SHARDS_NAME
 
 
-def stage_export(cfg: PipelineConfig, report: RunReport) -> Path:
+def stage_export(cfg: PipelineConfig, report: RunReport) -> None:
     """Verify the shards slide wrote: read every record of each split back
     and check its window and token counts against the split's manifest."""
     with _stage(report, cfg, "export") as counts:
-        shards_root = cfg.output_dir / SHARDS_NAME
-        if not shards_root.is_dir():
-            raise FileNotFoundError(f"{shards_root}: no shard set; run slide first")
         for name in SPLITS:
-            counts[name] = sum(1 for _ in read_shards(shards_root / name))
-    return shards_root
+            counts[name] = sum(1 for _ in read_shards(cfg.output_dir / SHARDS_NAME / name))
 
 
-def stage_stats(cfg: PipelineConfig, report: RunReport) -> Path:
+def stage_stats(cfg: PipelineConfig, report: RunReport) -> None:
     with _stage(report, cfg, "stats") as counts:
         out = cfg.output_dir
         stats = compute_stats(read_contexts_jsonl(out / CONTEXTS_NAME))
@@ -566,26 +596,15 @@ def stage_stats(cfg: PipelineConfig, report: RunReport) -> Path:
             encoding="utf-8",
         )
         counts["sources"] = stats.sources
-    return out / STATS_NAME
 
 
-def run_all(
-    cfg: PipelineConfig,
-    report: RunReport,
-    emit_text: bool = False,
-    dump_tsv: bool = False,
-) -> None:
+def run_all(cfg: PipelineConfig, report: RunReport, **flags: bool) -> None:
     start = time.perf_counter()
     # A failed stage removes only its own outputs; leave no other stage's stale.
-    for output in chain.from_iterable(STAGE_OUTPUTS.values()):
+    for output in chain.from_iterable(stage.outputs for stage in STAGES):
         _remove(cfg.output_dir / output)
-    stage_align(cfg, report, dump_tsv=dump_tsv)
-    if cfg.retrieves:
-        stage_retrieve(cfg, report)
-    stage_pack(cfg, report, emit_text=emit_text)
-    stage_slide(cfg, report)
-    stage_export(cfg, report)
-    stage_stats(cfg, report)
+    for stage in stages_for(cfg, ALL):
+        call_stage(cfg, report, stage, **flags)
     elapsed = time.perf_counter() - start
     shards_root = cfg.output_dir / SHARDS_NAME
     token_total = sum(read_manifest(shards_root / name).token_total for name in SPLITS)

@@ -252,17 +252,37 @@ class TestExitCodes:
             "tuples_scanned": len(links), "records_yielded": 0, "malformed": 0, "resyncs": 0}
         assert align["pair_count"] > 0
 
-    def test_stage_failure_when_inputs_missing_for_stage(self, small_run, capsys):
-        _, _, cfg_path = small_run
+    def test_stage_failure_when_inputs_missing_for_stage(self, small_run, capsys,
+                                                         monkeypatch):
+        tmp_path, _, cfg_path = small_run
         # pack requires pairs.tsv which align has not written yet, slide and
         # stats contexts.jsonl which pack has not produced yet, and export the
         # shard set which slide has not written yet
         for sub, hint in (("pack", "pairs.tsv: not found; run align first"),
                           ("slide", "contexts.jsonl: not found; run pack first"),
                           ("stats", "contexts.jsonl: not found; run pack first"),
-                          ("export", "run slide first")):
+                          ("export", "shards: not found; run slide first")):
             assert run([sub, "--config", str(cfg_path)]) == EXIT_INPUT, sub
             assert hint in capsys.readouterr().err, sub
+        # An output dir given as "." names each missing file relative to it.
+        monkeypatch.chdir(tmp_path / "out")
+        here = ["--config", str(cfg_path), "--set", "paths.output_dir=."]
+        assert run(["export", *here]) == EXIT_INPUT
+        assert "input error: shards: not found; run slide first" in capsys.readouterr().err
+
+    def test_debug_flag_only_on_its_stage_and_all(self, small_run, capsys):
+        # --dump-tsv belongs to align and --emit-text to pack; `all` takes both.
+        tmp_path, _, cfg_path = small_run
+        for sub, flag in (("slide", "--emit-text"), ("stats", "--dump-tsv"),
+                          ("export", "--emit-text"), ("align", "--emit-text"),
+                          ("pack", "--dump-tsv"), ("retrieve", "--dump-tsv")):
+            with pytest.raises(SystemExit) as exc:
+                run([sub, "--config", str(cfg_path), flag])
+            assert exc.value.code == 2, sub  # argparse's usage error
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, sub
+        assert run(["all", "--config", str(cfg_path), "--dump-tsv", "--emit-text"]) == EXIT_OK
+        out = tmp_path / "out"
+        assert (out / "debug" / "pages_l.tsv").exists() and (out / "contexts_text.jsonl").exists()
 
 
 class TestValidateConfig:
@@ -850,19 +870,41 @@ class TestRetrieveStage:
         assert "pseudo_pairs.jsonl:2:" in err and expected in err
         assert not (out / "contexts.jsonl").exists()
 
-    def test_pack_before_retrieve_names_retrieve(self, tmp_path, capsys):
+    def test_pack_before_retrieve_names_retrieve(self, tmp_path, capsys, monkeypatch):
+        # pack checks for the pseudo pairs on entry, before it packs any pair.
+        import xlpack.pipeline as pipeline
+
         cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=2)
         assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        packed = []
+        pack_pair = pipeline.pack_pair
+        monkeypatch.setattr(pipeline, "pack_pair",
+                            lambda *args: packed.append(args) or pack_pair(*args))
         assert run(["pack", "--config", str(cfg_path)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "pseudo_pairs.jsonl: not found; run retrieve first" in err
+        assert packed == []
         assert not (tmp_path / "out" / "contexts.jsonl").exists()
 
-    def test_retrieve_requires_web_corpus(self, small_run):
+    def test_retrieve_requires_web_corpus(self, small_run, capsys):
         _, _, cfg_path = small_run
         code = run(["retrieve", "--config", str(cfg_path),
                     "--set", "retrieval.provider=mock"])
-        assert code == EXIT_STAGE
+        assert code == EXIT_CONFIG
+        assert "config error: retrieval, paths.web_corpus: " in capsys.readouterr().err
+
+    def test_retrieve_with_retrieval_off_is_a_config_error(self, tmp_path, capsys):
+        # Refused before any stage runs: the earlier run's pseudo pairs and
+        # report stay as they were.
+        cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=2)
+        out = tmp_path / "out"
+        assert run(["all", "--config", str(cfg_path)]) == EXIT_OK
+        before = _tree_bytes(out, skip=())
+        assert "pseudo_pairs.jsonl" in before
+        code = run(["retrieve", "--config", str(cfg_path), "--set", "retrieval=null"])
+        assert code == EXIT_CONFIG
+        assert "config error: retrieval, paths.web_corpus: " in capsys.readouterr().err
+        assert _tree_bytes(out, skip=()) == before
 
 
 def _keys(value):

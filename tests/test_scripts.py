@@ -96,3 +96,28 @@ def test_compare_window_policies_counts_equal_slide_manifests(
                               .read_text())
         assert manifest["window_count"] > 1
         assert counts[split, kind] == manifest["window_count"]
+
+
+def test_compare_window_policies_reads_flags_as_the_cli_does(tmp_path):
+    # The split fraction, split seed and output dir come from the command
+    # line, not the config file, so the script must apply the same flags.
+    proc = _run([str(SCRIPTS / "make_synthetic_corpus.py"), "--out", str(tmp_path),
+                 "--pairs", "40", "--n-budget", "256"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "flagged"
+    flags = ["--config", str(tmp_path / "config.json"), "--seed", "5",
+             "--set", "split.validation_fraction=0.25", "--set", f"paths.output_dir={out}"]
+    proc = _run(["-m", "xlpack.cli", "all", *flags], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    script = [str(SCRIPTS / "compare_window_policies.py")]
+    proc = _run([*script, *flags], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    counts = _window_counts(proc.stdout)
+    kind = json.loads((tmp_path / "config.json").read_text())["slide"]["kind"]
+    for split in ("train", "validation"):
+        manifest = json.loads((out / "shards" / split / "manifest.json").read_text())
+        assert manifest["seed"] == 5 and manifest["window_count"] > 1
+        assert counts[split, kind] == manifest["window_count"]
+    proc = _run([*script, *flags, "--set", "split.validation_fraction=2"], tmp_path)
+    assert proc.returncode == 1
+    assert "config error: split.validation_fraction" in proc.stderr
