@@ -229,14 +229,15 @@ def read_shards(shard_dir: str | Path) -> Iterator[WindowShard]:
 
 @dataclass(slots=True)
 class ContextEntry:
-    """What slide and stats read of one context index line: the context's
-    data source and token counts. token_len counts the terminal split token;
-    per_language counts the segment tokens of each language and excludes it.
-    The line's pair, seq_index and direction are checked for but not kept."""
+    """One line of the context index, contexts.jsonl, which pack writes and
+    slide and stats read: the context's data source and token counts.
+    token_len counts the terminal split token; per_language_tokens counts the
+    segment tokens of each language and excludes it. These fields are the
+    line's keys, no more and no fewer."""
 
     origin: str
     token_len: int
-    per_language: dict[str, int]
+    per_language_tokens: dict[str, int]
 
 
 @dataclass
@@ -251,7 +252,7 @@ def sum_tokens(entries: Iterable[ContextEntry]) -> dict[str, int]:
     """Per-language token totals over `entries`."""
     totals: dict[str, int] = {}
     for entry in entries:
-        for lang, tokens in entry.per_language.items():
+        for lang, tokens in entry.per_language_tokens.items():
             totals[lang] = totals.get(lang, 0) + tokens
     return totals
 

@@ -139,7 +139,6 @@ class PackTally:
     # pairs_in = pairs_packed + degenerate_pairs + the join's pairs_missing_text
     pairs_in: int = 0
     pairs_packed: int = 0
-    contexts_emitted: int = 0
     degenerate_pairs: int = 0
     truncated_paragraphs: int = 0
     oversize_skipped: int = 0
@@ -216,7 +215,6 @@ def pack_pair(
              r1: tuple[int, int], r2: tuple[int, int], token_len: int) -> None:
         contexts.append(PackedContext(a1, a2, with_titles, r1, r2, token_len, direction,
                                       pair.pair, len(contexts), pair.origin))
-        tally.contexts_emitted += 1
 
     def emit_single(is_first: bool, k: int) -> None:
         art = first if is_first else second

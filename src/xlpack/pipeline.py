@@ -39,8 +39,8 @@ Output layout under paths.output_dir:
     debug/<stream>.tsv        parsed dump records (align --dump-tsv)
     pseudo_pairs.jsonl        retrieval-built pairs as references, one
                               {"doc_id", "id_l"} line each (retrieve, optional)
-    contexts.jsonl            context index: pair, seq_index, direction, origin,
-                              token_len, per-language token counts (pack)
+    contexts.jsonl            context index, one ContextEntry per line:
+                              origin, token_len and per_language_tokens (pack)
     contexts.bin              context token ids, one u32 record per index
                               line, in the shard record format (pack;
                               removed by a slide that completes)
@@ -66,7 +66,6 @@ from array import array
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from itertools import chain, islice
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -165,37 +164,27 @@ SCORE_BLOCK_BYTES = 1 << 20  # retrieve scores articles in groups whose score bl
 
 
 def context_to_dict(ctx: PackedContext, per_language: dict[str, int]) -> dict:
-    """The index line of one packed context, given its per-language counts."""
+    """The index line of one packed context: a ContextEntry's fields. A dict
+    literal, since dataclasses.asdict would cost far more on every context."""
     return {
-        "pair": [ctx.pair.id_l, ctx.pair.id_en],
-        "seq_index": ctx.seq_index,
-        "direction": ctx.direction,
         "origin": ctx.origin,
         "token_len": ctx.token_len,
         "per_language_tokens": per_language,
     }
 
 
-_index_fields = itemgetter("pair", "seq_index", "direction", "origin", "token_len",
-                           "per_language_tokens")
-
-
 def read_contexts_jsonl(path: str | Path) -> list[ContextEntry]:
-    """Read the context index, refusing lines that are not index entries
-    (such as a contexts.jsonl written before the index format, or a last line
-    cut off by a killed pack). Every line must carry all six keys; only the
-    three that slide and stats read are kept."""
+    """Read the context index, refusing any line that is not exactly a
+    ContextEntry's fields: a cut-off last line left by a killed pack, a key
+    missing or extra (as in an index written by an older pack), or a line
+    that is not a JSON object."""
     entries = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
             try:
-                *_, origin, token_len, per_language = _index_fields(json.loads(line))
-                entries.append(ContextEntry(origin, token_len, per_language))
-            except KeyError as e:
-                raise ValueError(f"{path}:{lineno}: not a context index line, "
-                                 f"missing {e}; rerun pack") from None
+                entries.append(ContextEntry(**json.loads(line)))
             except (ValueError, TypeError):
                 raise ValueError(f"{path}:{lineno}: not a context index line; "
                                  "rerun pack") from None

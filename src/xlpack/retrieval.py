@@ -207,6 +207,8 @@ class VectorIndex:
 
     @classmethod
     def build(cls, docs: Iterable[CandidateDoc]) -> "VectorIndex":
+        """Index `docs`, whose vectors must be unit vectors, as every
+        provider's embed_batch returns them; they are not normalized again."""
         # Rows are appended to one buffer as they arrive, so no vector is held
         # twice; they are reordered only if the docs did not arrive by id.
         doc_ids: list[str] = []
@@ -216,7 +218,7 @@ class VectorIndex:
         for doc in docs:
             if doc.doc_id in seen:
                 raise RetrievalError(f"duplicate doc_id {doc.doc_id!r}")
-            vec = _normalize(doc.vector, doc.doc_id)
+            vec = np.asarray(doc.vector, dtype=np.float64)
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:

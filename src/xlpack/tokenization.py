@@ -10,7 +10,10 @@ ordinary text ever produces it. Three kinds are provided:
 - external: word-to-id vocabulary loaded from a file (``token<TAB>id`` lines;
   an optional ``#merges`` section of two-field rules is accepted and skipped).
   Ids are shifted by +1 at load time if the vocabulary already uses the
-  reserved id.
+  reserved id. The merge rules are unused, since words map whole, but each
+  line after ``#merges`` must still have two fields: the file is outside
+  input, and any other line there shows a file in another format than this
+  reader assumes, which is refused rather than read in part.
 
 Each kind tokenizes in two steps: `pieces(text)` splits delimiter-free text
 into the units that become tokens (words, or UTF-8 byte values for byte), and

@@ -938,9 +938,9 @@ _STAGE_EVENT_KEYS = {
     "pack": {
         "context_count": None,
         "join": _ALIGN_TALLY,
-        "packing": dict.fromkeys(("pairs_in", "pairs_packed", "contexts_emitted",
-                                  "degenerate_pairs", "truncated_paragraphs",
-                                  "oversize_skipped", "split_markers_scrubbed")),
+        "packing": dict.fromkeys(("pairs_in", "pairs_packed", "degenerate_pairs",
+                                  "truncated_paragraphs", "oversize_skipped",
+                                  "split_markers_scrubbed")),
     },
     "slide": dict.fromkeys(("train", "validation")),
     "export": dict.fromkeys(("train", "validation")),

@@ -106,6 +106,15 @@ class TestProviders:
             provider.embed_batch(["a", "missing-key"])
         assert "missing-key" in str(err.value)
 
+    def test_zero_vector_in_cache_names_its_text(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, {"a": np.array([1.0, 0.0]),
+                                     "blank text": np.array([0.0, 0.0])})
+        provider = CachedEmbeddingProvider.from_file(path)
+        with pytest.raises(EmbeddingError) as err:
+            provider.embed_batch(["a", "blank text"])
+        assert str(err.value) == "zero-norm embedding for 'blank text'"
+
     def test_truncated_cache_raises(self, tmp_path):
         path = tmp_path / "emb.bin"
         write_embedding_cache(path, {"a": np.array([1.0, 0.0])})

@@ -171,14 +171,19 @@ def test_pack_refuses_context_over_budget(tmp_path, monkeypatch, capsys):
 # tokens. The byte digests changed, on purpose, when truncation began to
 # count the delimiter: before, those contexts held 65 or 66 tokens, slide
 # refused them, and only those contexts' records and index lines differ.
+#
+# The contexts.jsonl digests changed when the index dropped the pair,
+# seq_index and direction keys: each is the digest of the earlier six-key
+# file with every line cut down to origin, per_language_tokens and token_len
+# and dumped again with ensure_ascii=False and sort_keys=True.
 PACK_DIGESTS = {
     "byte": (64, 64, {
         "contexts.bin": "30402b2ebca00405a780c28964d280ff627acfc7295023190574090a2168c1e2",
-        "contexts.jsonl": "d257ecdcb0ba5c8cb2877588c0ecff758b7453ee1c3dc9663d68d809c466524b",
+        "contexts.jsonl": "1dddcdf50c7fd353b942b298d62d9a3d04b181c0a47e22590d30bd79dec77fa2",
     }),
     "external": (10, 10, {
         "contexts.bin": "5eb9b3bb75a99cd49932a9917016b8d239d94a49d84fd65e5f64db07f771a121",
-        "contexts.jsonl": "7f693136161b00781778dd5936fe0448fd405002b5067dc842936bbaa1e5f6ee",
+        "contexts.jsonl": "677e3830fb05d8b0e141531fd9cace5ce759a85021d7c64628d107e278638f85",
     }),
 }
 
@@ -308,3 +313,17 @@ def test_truncated_index_names_file_and_line(packed, capsys, sub):
     assert run([sub, "--config", str(cfg_path)]) == EXIT_STAGE
     err = capsys.readouterr().err
     assert f"contexts.jsonl:{lines}: not a context index line; rerun pack" in err
+
+
+@pytest.mark.parametrize("sub", ["slide", "stats"])
+def test_six_key_index_names_file_and_line(packed, capsys, sub):
+    # An index written by an older pack also carries each context's pair,
+    # seq_index and direction; its lines are not ContextEntry fields.
+    out, cfg_path = packed
+    path = out / "contexts.jsonl"
+    lines = [{"pair": [1, 2], "seq_index": 0, "direction": "en_first", **json.loads(line)}
+             for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+    assert run([sub, "--config", str(cfg_path)]) == EXIT_STAGE
+    assert "contexts.jsonl:1: not a context index line; rerun pack" in capsys.readouterr().err
+    assert not (out / "shards").exists() and not (out / "stats.json").exists()
