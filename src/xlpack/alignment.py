@@ -49,6 +49,10 @@ class AlignTally:
     links_seen: int = 0
     links_dropped: int = 0
     title_collisions: int = 0
+
+
+@dataclass
+class ArticleTally:
     pairs_missing_text: int = 0
     duplicate_articles: int = 0
     malformed_articles: int = 0
@@ -110,7 +114,7 @@ def build_pair_map(
     return pairs
 
 
-def scan_articles(path: str | Path, lang: str, tally: AlignTally | None = None,
+def scan_articles(path: str | Path, lang: str, tally: ArticleTally | None = None,
                   index: dict[int, tuple[Path, int]] | None = None) -> Iterator[RawArticle]:
     """The first well-formed record (`parse_article_line`) of each page id in
     the extracted-article files under `path`, in file order, decoding each line
@@ -118,7 +122,7 @@ def scan_articles(path: str | Path, lang: str, tally: AlignTally | None = None,
     every other non-blank line that is not a record under malformed_articles.
     `index`, when given, receives each yielded record's (file, byte offset).
     """
-    tally = tally if tally is not None else AlignTally()
+    tally = tally if tally is not None else ArticleTally()
     index = index if index is not None else {}
     for file in article_files(path):
         with open(file, "rb") as f:
@@ -153,7 +157,7 @@ class ArticleStore:
     store as a context manager.
     """
 
-    def __init__(self, path: str | Path, lang: str, tally: AlignTally | None = None):
+    def __init__(self, path: str | Path, lang: str, tally: ArticleTally | None = None):
         self.lang = lang
         self._index: dict[int, tuple[Path, int]] = {}
         self._scan = scan_articles(path, lang, tally, self._index)
@@ -197,7 +201,7 @@ def join_articles(
     pair_ids: set[PairId],
     articles_en: ArticleStore,
     articles_l: ArticleStore,
-    tally: AlignTally | None = None,
+    tally: ArticleTally | None = None,
 ) -> Iterator[ArticlePair]:
     """Emit one ArticlePair per pair id whose two texts exist and are non-empty.
 
@@ -205,7 +209,7 @@ def join_articles(
     Pairs missing either side, or with blank text or title, are tallied under
     pairs_missing_text and skipped.
     """
-    tally = tally if tally is not None else AlignTally()
+    tally = tally if tally is not None else ArticleTally()
     for pid in sorted(pair_ids):
         art_en = articles_en.get(pid.id_en)
         art_l = articles_l.get(pid.id_l)

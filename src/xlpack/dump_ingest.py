@@ -4,8 +4,9 @@ The SQL side handles the machine-generated `INSERT INTO ... VALUES (...),(...);`
 statements found in `*-langlinks.sql(.gz)` and `*-page.sql(.gz)` dumps. A
 hand-rolled tuple scanner is used instead of a SQL parser: these files have a
 fixed grammar, and the scanner runs in constant memory over arbitrarily large
-inputs. Malformed tuples are tallied and skipped; only a truncated file (ending
-mid-statement) raises, and only after every complete tuple has been yielded.
+inputs. Malformed tuples are tallied and skipped; a truncated file (ending
+mid-statement) or one of malformed tuples only raises, after every complete
+tuple has been yielded.
 
 The two parsers scan column-projected: between tuples, one compiled regex
 (`_PAGE_TUPLE`, `_LANGLINK_TUPLE`) matches a whole well-formed tuple and
@@ -298,7 +299,8 @@ def iter_insert_tuples(
     """Yield every value tuple from every INSERT statement in a SQL dump.
 
     With a `projection`, a tuple the pattern matches yields only its groups;
-    see `_InsertTupleScanner`.
+    see `_InsertTupleScanner`. A dump whose every tuple the caller tallies
+    malformed raises at its end.
     """
     tally = tally if tally is not None else ParseTally()
     with ExitStack() as stack:
@@ -315,6 +317,9 @@ def iter_insert_tuples(
                 break
             yield from scanner.feed(chunk)
         scanner.finish()
+    if tally.tuples_scanned and tally.malformed == tally.tuples_scanned:
+        raise ValueError(f"{source}: all {tally.malformed} tuples scanned are malformed; "
+                         "this dump's column layout cannot be read")
 
 
 def parse_langlinks_dump(
@@ -330,7 +335,7 @@ def parse_langlinks_dump(
     """
     tally = tally if tally is not None else ParseTally()
     for fields in iter_insert_tuples(source, tally, _LANGLINK_TUPLE):
-        if len(fields) != 3 or fields[0] is None or fields[1] is None or fields[2] is None:
+        if len(fields) != 3 or None in fields:
             tally.malformed += 1
             continue
         try:
@@ -359,13 +364,10 @@ def parse_pages_dump(
     """
     tally = tally if tally is not None else ParseTally()
     for fields in iter_insert_tuples(source, tally, _PAGE_TUPLE):
-        if len(fields) < 4:
+        if len(fields) < 4 or None in fields[:4]:
             tally.malformed += 1
             continue
         raw_id, raw_ns, raw_title, raw_redirect = fields[:4]
-        if raw_id is None or raw_ns is None or raw_title is None or raw_redirect is None:
-            tally.malformed += 1
-            continue
         try:
             page_id = int(raw_id)
             namespace = int(raw_ns)

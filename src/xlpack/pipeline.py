@@ -73,6 +73,7 @@ from .alignment import (
     AlignTally,
     ArticlePair,
     ArticleStore,
+    ArticleTally,
     build_pair_map,
     join_articles,
     load_pair_map,
@@ -176,18 +177,25 @@ def context_to_dict(ctx: PackedContext, per_language: dict[str, int]) -> dict:
 def read_contexts_jsonl(path: str | Path) -> list[ContextEntry]:
     """Read the context index, refusing any line that is not exactly a
     ContextEntry's fields: a cut-off last line left by a killed pack, a key
-    missing or extra (as in an index written by an older pack), or a line
-    that is not a JSON object."""
+    missing or extra (as in an index written by an older pack), a line that
+    is not a JSON object, or a value of the wrong type (a bool is no int, and
+    token_len is at least 1)."""
     entries = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
             try:
-                entries.append(ContextEntry(**json.loads(line)))
+                entry = ContextEntry(**json.loads(line))
+                counts = entry.per_language_tokens  # JSON keys are str; its values are checked
+                if not (type(entry.origin) is str and type(entry.token_len) is int
+                        and entry.token_len >= 1 and type(counts) is dict
+                        and all(type(v) is int for v in counts.values())):
+                    raise TypeError
             except (ValueError, TypeError):
                 raise ValueError(f"{path}:{lineno}: not a context index line; "
                                  "rerun pack") from None
+            entries.append(entry)
     return entries
 
 
@@ -311,11 +319,6 @@ def stage_align(cfg: PipelineConfig, report: RunReport, dump_tsv: bool = False) 
             streams["pages_l"],
             tally=align_tally,
         )
-        for name, tally in tallies.items():
-            if tally.tuples_scanned and tally.malformed == tally.tuples_scanned:
-                raise ValueError(f"{getattr(cfg.paths, name)}: all {tally.malformed} "
-                                 "tuples scanned are malformed; align cannot read "
-                                 "this dump's column layout")
         save_pair_map(pairs, out / PAIRS_NAME)
         counts.update(pair_count=len(pairs), alignment=asdict(align_tally),
                       parse_tallies={name: asdict(t) for name, t in tallies.items()})
@@ -353,31 +356,31 @@ def build_l_to_en_title_map(cfg: PipelineConfig) -> dict[str, str]:
 
 def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> None:
     # The one stage that loads numpy, on entry.
-    from .retrieval import CandidateDoc, VectorIndex
+    from .retrieval import VectorIndex
 
     with _stage(report, cfg, "retrieve") as counts:
         provider = make_embedding_provider(cfg)
+        # Read both dumps before any embedding, so an unreadable one fails first.
+        title_map = build_l_to_en_title_map(cfg)
 
         # Web texts are held one batch at a time; a blank one is kept only as an id.
         blank_docs: set[str] = set()
 
-        def embedded_docs() -> Iterator[CandidateDoc]:
+        def embedded_batches() -> Iterator[tuple]:
             corpus = read_candidate_corpus(cfg.paths.web_corpus)
             while batch := list(islice(corpus, EMBED_BATCH_SIZE)):
-                vectors = provider.embed_batch([text for _, text in batch])
                 blank_docs.update(doc_id for doc_id, text in batch if not text.strip())
-                yield from (CandidateDoc(doc_id, vec)
-                            for (doc_id, _), vec in zip(batch, vectors))
+                doc_ids, texts = zip(*batch)
+                yield doc_ids, provider.embed_batch(texts)
 
-        index = VectorIndex.build(embedded_docs())
+        index = VectorIndex.build(embedded_batches())
         # Two float64 scores per corpus doc per article in the group's score block.
         group_size = max(1, SCORE_BLOCK_BYTES // (16 * max(1, len(index))))
 
-        title_map = build_l_to_en_title_map(cfg)
         tally = RetrievalTally()
         pseudo_count = 0
         # Pack's ArticleStore indexes the records this scan yields.
-        article_tally = AlignTally()
+        article_tally = ArticleTally()
         articles = scan_articles(cfg.paths.articles_l, cfg.language_l, article_tally)
         pseudo_path = cfg.output_dir / PSEUDO_PAIRS_NAME
         with open(pseudo_path, "w", encoding="utf-8") as f:
@@ -441,14 +444,14 @@ def _join_pseudo_pairs(cfg: PipelineConfig, path: Path, store_l: ArticleStore,
         yield pseudo_pair(article, doc_id, text)
 
 
-def _iter_source_pairs(cfg: PipelineConfig, align_tally: AlignTally,
+def _iter_source_pairs(cfg: PipelineConfig, article_tally: ArticleTally,
                        tally: PackTally) -> Iterator[ArticlePair]:
     out = cfg.output_dir
     pair_ids = load_pair_map(out / PAIRS_NAME)
     tally.pairs_in += len(pair_ids)
-    with (ArticleStore(cfg.paths.articles_en, "en", align_tally) as store_en,
-          ArticleStore(cfg.paths.articles_l, cfg.language_l, align_tally) as store_l):
-        yield from join_articles(pair_ids, store_en, store_l, align_tally)
+    with (ArticleStore(cfg.paths.articles_en, "en", article_tally) as store_en,
+          ArticleStore(cfg.paths.articles_l, cfg.language_l, article_tally) as store_l):
+        yield from join_articles(pair_ids, store_en, store_l, article_tally)
         if _in_use(cfg, PSEUDO_PAIRS_NAME):
             yield from _join_pseudo_pairs(cfg, out / PSEUDO_PAIRS_NAME, store_l, tally)
 
@@ -457,14 +460,14 @@ def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) 
     with _stage(report, cfg, "pack") as counts:
         out = cfg.output_dir
         tokenizer = make_tokenizer(cfg.tokenizer)
-        align_tally = AlignTally()
+        article_tally = ArticleTally()
         tally = PackTally()
         context_count = 0
         with (open(out / CONTEXTS_NAME, "w", encoding="utf-8") as f,
               open(out / CONTEXT_IDS_NAME, "wb") as fb,
               (open(out / CONTEXTS_TEXT_NAME, "w", encoding="utf-8")
                if emit_text else nullcontext()) as text_file):
-            for pair in _iter_source_pairs(cfg, align_tally, tally):
+            for pair in _iter_source_pairs(cfg, article_tally, tally):
                 direction = direction_for(pair.pair, cfg.pack)
                 for ctx in pack_pair(pair, tokenizer, cfg.pack, direction, tally):
                     # The one ids mapping of this context; whitespace ids
@@ -489,12 +492,13 @@ def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) 
                             "text": ctx.rendered_text(tokenizer.split_token_text),
                         }, ensure_ascii=False, sort_keys=True))
                         text_file.write("\n")
-        out_counts = (tally.pairs_packed, tally.degenerate_pairs, align_tally.pairs_missing_text)
+        out_counts = (tally.pairs_packed, tally.degenerate_pairs,
+                      article_tally.pairs_missing_text)
         if tally.pairs_in != sum(out_counts):
             raise ValueError("pack tallies do not add up: {} pairs read, {} packed, {} "
                              "degenerate, {} missing text".format(tally.pairs_in, *out_counts))
         counts.update(context_count=context_count, packing=asdict(tally),
-                      join=asdict(align_tally))
+                      join=asdict(article_tally))
 
 
 def _context_ids(

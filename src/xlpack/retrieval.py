@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import struct
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -26,20 +25,27 @@ from .web import EmbeddingError, RetrievalConfig, RetrievalError
 _NORM_TOLERANCE = 1e-6
 
 
-@dataclass
-class CandidateDoc:
-    doc_id: str
-    vector: np.ndarray
+def _unit_rows(rows, texts: Sequence[str]) -> np.ndarray:
+    """`rows`, one embedding per text, as a float64 matrix of unit rows.
 
-
-def _normalize(vec: np.ndarray, label: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=np.float64)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise EmbeddingError(f"zero-norm embedding for {label}")
-    if abs(norm - 1.0) > _NORM_TOLERANCE:
-        vec = vec / norm
-    return vec
+    The rows are widened to float64 in one step (exact from float32). A row's
+    norm is sqrt(row @ row), as np.linalg.norm computes it for one float64
+    vector; a row within _NORM_TOLERANCE of 1 is kept as it is, any other is
+    divided by its norm (in place), and a zero row raises, naming its text.
+    """
+    try:
+        rows = np.asarray(rows).astype(np.float64, copy=False)
+        if rows.ndim != 2 or len(rows) != len(texts):
+            raise ValueError(f"rows of shape {rows.shape}")
+    except (TypeError, ValueError) as e:  # rows of different lengths, or not numbers
+        raise EmbeddingError(f"embedding batch of {len(texts)} texts: {e}") from None
+    norms = np.sqrt([row @ row for row in rows])
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise EmbeddingError(f"zero-norm embedding for {texts[zero[0]][:40]!r}")
+    off = np.abs(norms - 1.0) > _NORM_TOLERANCE
+    rows[off] /= norms[off, None]
+    return rows
 
 
 class MockEmbeddingProvider:
@@ -49,15 +55,14 @@ class MockEmbeddingProvider:
         self.dim = dim
         self.seed = seed
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        out = []
-        for text in texts:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        rows = np.empty((len(texts), self.dim))
+        for row, text in zip(rows, texts):
             digest = hashlib.blake2b(
                 f"{self.seed}:{text}".encode(), digest_size=8
             ).digest()
-            rng = np.random.default_rng(int.from_bytes(digest, "little"))
-            out.append(_normalize(rng.standard_normal(self.dim), repr(text[:40])))
-        return out
+            np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(out=row)
+        return _unit_rows(rows, texts)
 
 
 class CachedEmbeddingProvider:
@@ -70,18 +75,19 @@ class CachedEmbeddingProvider:
     def from_file(cls, path: str | Path) -> "CachedEmbeddingProvider":
         return cls(read_embedding_cache(path))
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         missing = [t for t in texts if t not in self._table]
         if missing:
             raise EmbeddingError(f"embedding cache is missing keys: {missing!r}")
-        return [_normalize(self._table[t], repr(t[:40])) for t in texts]
+        return _unit_rows([self._table[t] for t in texts], texts)
 
 
 class WireEmbeddingProvider:
     """POSTs {"texts": [...]} to one endpoint, expects {"vectors": [[...]]}.
 
     Failures are retried with exponential backoff up to max_retries, then an
-    error naming the batch is raised.
+    error naming the batch is raised. A response that is not one vector per
+    text, all of one length, raises at once.
     """
 
     def __init__(
@@ -98,7 +104,7 @@ class WireEmbeddingProvider:
         self.max_retries = max_retries
         self.backoff_s = backoff_s
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         import requests  # imported here so that runs without this provider never load it
 
         headers = {}
@@ -116,15 +122,7 @@ class WireEmbeddingProvider:
                     timeout=self.timeout_s,
                 )
                 resp.raise_for_status()
-                vectors = resp.json()["vectors"]
-                if len(vectors) != len(texts):
-                    raise EmbeddingError(
-                        f"endpoint returned {len(vectors)} vectors for {len(texts)} texts"
-                    )
-                return [
-                    _normalize(np.asarray(v, dtype=np.float64), repr(t[:40]))
-                    for v, t in zip(vectors, texts)
-                ]
+                return _unit_rows(resp.json()["vectors"], texts)
             except (requests.RequestException, KeyError, ValueError) as e:
                 last_error = e
         raise EmbeddingError(
@@ -148,8 +146,8 @@ def write_embedding_cache(path: str | Path, table: Mapping[str, np.ndarray]) -> 
 class EmbeddingCache(Mapping[str, np.ndarray]):
     """The text -> vector table of a cache file, held as the file's bytes.
 
-    Each value is a float32 view into those bytes; `_normalize` widens it to
-    float64, which is exact.
+    Each value is a float32 view into those bytes; `_unit_rows` widens a
+    provider call's rows to float64 in one step, which is exact.
     """
 
     def __init__(self, data: bytes, spans: dict[str, tuple[int, int]]):
@@ -206,35 +204,34 @@ class VectorIndex:
         self.matrix = matrix
 
     @classmethod
-    def build(cls, docs: Iterable[CandidateDoc]) -> "VectorIndex":
-        """Index `docs`, whose vectors must be unit vectors, as every
-        provider's embed_batch returns them; they are not normalized again."""
-        # Rows are appended to one buffer as they arrive, so no vector is held
-        # twice; they are reordered only if the docs did not arrive by id.
+    def build(cls, batches: Iterable[tuple[Sequence[str], np.ndarray]]) -> "VectorIndex":
+        """Index `batches` of (doc ids, rows), one row per id. The rows must
+        be unit rows, as every provider's embed_batch returns them; they are
+        not normalized again."""
+        # Batches are appended to one buffer as they arrive, so no row is held
+        # twice; rows are reordered only if the docs did not arrive by id.
         doc_ids: list[str] = []
-        seen: set[str] = set()
-        rows = bytearray()
+        buffer = bytearray()
         dim: int | None = None
-        for doc in docs:
-            if doc.doc_id in seen:
-                raise RetrievalError(f"duplicate doc_id {doc.doc_id!r}")
-            vec = np.asarray(doc.vector, dtype=np.float64)
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise RetrievalError(
-                    f"doc {doc.doc_id!r} has dimension {vec.shape[0]}, index has {dim}"
-                )
-            seen.add(doc.doc_id)
-            doc_ids.append(doc.doc_id)
-            rows += vec.tobytes()
+        for ids, rows in batches:
+            rows = np.asarray(rows, dtype=np.float64)
+            if dim is None and rows.ndim == 2:
+                dim = rows.shape[1]
+            if rows.shape != (len(ids), dim):
+                raise RetrievalError(f"batch from doc {ids[0]!r} has shape {rows.shape}, "
+                                     f"index has dimension {dim}")
+            doc_ids += ids
+            buffer += rows.tobytes()
         if not doc_ids:
             return cls([], np.zeros((0, 0), dtype=np.float64))
-        matrix = np.frombuffer(rows, dtype=np.float64).reshape(len(doc_ids), dim)
+        matrix = np.frombuffer(buffer, dtype=np.float64).reshape(len(doc_ids), dim)
         order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
         if order != list(range(len(doc_ids))):
             matrix = matrix[order]
             doc_ids = [doc_ids[i] for i in order]
+        for a, b in zip(doc_ids, doc_ids[1:]):
+            if a == b:
+                raise RetrievalError(f"duplicate doc_id {a!r}")
         return cls(doc_ids, matrix)
 
     def __len__(self) -> int:

@@ -170,7 +170,7 @@ def two_step_retrieve(
     out: list[list[RetrievalResult]] = [[] for _ in keyword_sets]
     if not queried:
         return out
-    scores, top = index.search(np.stack(provider.embed_batch(texts)), cfg.candidate_pool_k)
+    scores, top = index.search(provider.embed_batch(texts), cfg.candidate_pool_k)
     for j, i in enumerate(queried):
         s_title, s_full = scores[2 * j], scores[2 * j + 1]
         pool = np.union1d(top[2 * j], top[2 * j + 1])  # ascending rows, so ascending doc ids

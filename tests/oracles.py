@@ -2,13 +2,18 @@
 
 These deliberately avoid the library's incremental/streaming code paths:
 costs are recomputed from fully rendered strings, windows from a positional
-simulation over the concatenated stream, and searches from a plain scan.
+simulation over the concatenated stream, searches from a plain scan, and
+embeddings are normalized one vector at a time.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+
+import numpy as np
+
+from xlpack.web import EmbeddingError
 
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPE_TABLE = {
@@ -179,6 +184,18 @@ def reference_search(docs, query, k):
         scored.append((doc_id, score))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored[:k]
+
+
+def reference_unit_vector(vec, label, tolerance=1e-6):
+    """One embedding normalized on its own, by np.linalg.norm: a vector within
+    `tolerance` of unit norm is kept as it is, a zero vector raises."""
+    vec = np.asarray(vec, dtype=np.float64)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise EmbeddingError(f"zero-norm embedding for {label}")
+    if abs(norm - 1.0) > tolerance:
+        vec = vec / norm
+    return vec
 
 
 def reference_keyword_frequencies(text, title_map):

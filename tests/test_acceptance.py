@@ -15,7 +15,7 @@ from xlpack.alignment import ArticlePair, PairId, build_pair_map
 from xlpack.dump_ingest import LangLink, PageRecord, parse_langlinks_dump
 from xlpack.export import SplitConfig, validation_set
 from xlpack.packing import EN_FIRST, PackConfig, PackTally, direction_for, pack_pair
-from xlpack.retrieval import CandidateDoc, VectorIndex
+from xlpack.retrieval import VectorIndex
 from xlpack.sliding import cut_windows, slide_optimized
 from xlpack.synth import build_corpus, write_langlinks_dump
 from xlpack.tokenization import WhitespaceTokenizer
@@ -30,7 +30,7 @@ from xlpack.web import (
 from .oracles import reference_pack_pair, reference_slide_optimized
 from .test_cli import _tree_bytes, make_config
 from .test_packing import check_invariants
-from .test_retrieval import _TableProvider, _doc
+from .test_retrieval import _TableProvider, _batch, _batches
 
 
 def _pass(num: int, message: str) -> None:
@@ -153,9 +153,7 @@ def test_criterion_4_retrieval_constants_and_math():
     article = RawArticle(1, "L0", " ".join(f"[[L{k}]]" for k in range(15)), "xx")
     assert len(extract_keywords(article, title_map).content_keywords) == 10
 
-    index = VectorIndex.build(
-        [_doc("d1", 1.0, 0.0), _doc("d2", 0.0, 1.0), _doc("d3", 0.8, 0.6)]
-    )
+    index = VectorIndex.build([_batch(("d1", 1.0, 0.0), ("d2", 0.0, 1.0), ("d3", 0.8, 0.6))])
     provider = _TableProvider({"T": [1.0, 0.0], "T c": [0.6, 0.8]})
     (results,) = two_step_retrieve([KeywordSet("T", ["c"])], index, provider, cfg)
     assert [r.doc_id for r in results] == ["d3", "d1"]
@@ -171,14 +169,14 @@ def test_criterion_4_retrieval_constants_and_math():
     rng = np.random.default_rng(1004)
     vectors = rng.standard_normal((10_000, 16))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    docs = [CandidateDoc(f"doc{i:05d}", vectors[i]) for i in range(10_000)]
-    big_index = VectorIndex.build(docs)
+    doc_ids = [f"doc{i:05d}" for i in range(10_000)]
+    big_index = VectorIndex.build(_batches(doc_ids, vectors, 256))
     query = rng.standard_normal(16)
     query /= np.linalg.norm(query)
     # Independent scan oracle, vectorization-free on purpose.
     scored = sorted(
-        ((d.doc_id, sum(float(a) * float(b) for a, b in zip(d.vector, query)))
-         for d in docs),
+        ((doc_id, sum(float(a) * float(b) for a, b in zip(vector, query)))
+         for doc_id, vector in zip(doc_ids, vectors)),
         key=lambda t: (-t[1], t[0]),
     )
     for k in (1, 10, 100):

@@ -14,6 +14,7 @@ from xlpack import alignment
 from xlpack.alignment import (
     AlignTally,
     ArticleStore,
+    ArticleTally,
     PairId,
     build_pair_map,
     join_articles,
@@ -155,14 +156,14 @@ class TestJoinArticles:
 
     def test_empty_text_skipped_and_tallied(self, tmp_path):
         en, l = _stores(tmp_path, [(100, "A", "")], [(10, "B", "text")])
-        tally = AlignTally()
+        tally = ArticleTally()
         with en, l:
             assert list(join_articles({PairId(10, 100)}, en, l, tally)) == []
         assert tally.pairs_missing_text == 1
 
     def test_missing_article_skipped(self, tmp_path):
         en, l = self._one_pair(tmp_path)
-        tally = AlignTally()
+        tally = ArticleTally()
         with en, l:
             out = list(join_articles({PairId(10, 100), PairId(11, 101)}, en, l, tally))
         assert len(out) == 1
@@ -176,7 +177,7 @@ class TestJoinArticles:
         assert [(p.pair.id_l, p.pair.id_en) for p in out] == [(1, 5), (2, 9)]
 
     def test_duplicate_article_ignored_and_tallied(self, tmp_path):
-        tally = AlignTally()
+        tally = ArticleTally()
         en, l = _stores(tmp_path, [(100, "A", "first"), (100, "A", "second")],
                         [(10, "B", "t")], tally)
         with en, l:
@@ -217,7 +218,7 @@ class TestArticleStore:
         write_articles_jsonl(
             tmp_path / "wiki_00.jsonl", [(1, "A", "x"), (1, "A", "y")]
         )
-        tally = AlignTally()
+        tally = ArticleTally()
         with ArticleStore(tmp_path / "wiki_00.jsonl", "en", tally) as store:
             assert store.get(1).text == "x"
         assert tally.duplicate_articles == 1
@@ -239,7 +240,7 @@ class TestArticleStore:
                     f.write('{"id": "x"}\n')  # malformed
                     f.write(json.dumps({"id": str(records[2][0]), "title": "Dup",
                                         "text": "later"}) + "\n")
-            tally = AlignTally()
+            tally = ArticleTally()
             with ArticleStore(root / "en", "en", tally) as store_en, \
                     ArticleStore(root / "l", "xx", tally) as store_l:
                 got = list(join_articles(pairs, store_en, store_l, tally))
@@ -248,7 +249,7 @@ class TestArticleStore:
         got, tally = joined["ascending"]
         assert [(p.pair, p.text_en, p.text_l) for p in got] == [
             (PairId(10 + k, 100 + k), f"english {k}", f"target {k}") for k in range(6)]
-        assert tally == AlignTally(pairs_missing_text=1, duplicate_articles=2,
+        assert tally == ArticleTally(pairs_missing_text=1, duplicate_articles=2,
                                    malformed_articles=2)
 
     @pytest.fixture

@@ -1,6 +1,7 @@
 """CLI and pipeline-stage tests over small synthetic corpora."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass
@@ -239,6 +240,18 @@ class TestExitCodes:
         assert f"{corpus.pages_en}: all {len(pages)} tuples scanned are malformed" in err
         out = tmp_path / "out"
         assert not (out / "pairs.tsv").exists() and not (out / "shards").exists()
+
+    @pytest.mark.parametrize("dump", ["pages_l", "langlinks_l_to_en"])
+    def test_retrieve_refuses_a_dump_of_malformed_tuples(self, tmp_path, capsys, dump):
+        cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {})
+        path = Path(json.loads(cfg_path.read_text())["paths"][dump])
+        # Older layouts: `page` with page_restrictions after the title, and
+        # `langlinks` with a fourth column.
+        write_sql_dump(path, "t", [(7, 0, "T", "", 0, 0), (8, 0, "U", "", 0, 0)]
+                       if dump == "pages_l" else [(7, "en", "T", 0), (8, "en", "U", 0)])
+        assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_STAGE
+        assert f"{path}: all 2 tuples scanned are malformed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "pseudo_pairs.jsonl").exists()
 
     def test_links_to_other_languages_only_not_refused(self, small_run):
         tmp_path, corpus, cfg_path = small_run
@@ -565,6 +578,25 @@ class TestStages:
         assert run(["all", "--config", str(cfg_path), "--workers", "4"]) == EXIT_OK
         multi = _tree_bytes(tmp_path / "out")
         assert single == multi
+
+    def test_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Each run is its own interpreter, so set and dict orders that follow
+        # str hashes differ between the two; no output byte may.
+        corpus = build_corpus(tmp_path / "data", n_pairs=10, seed=6)
+        docs = [(f"web{k}", f"Topic {k}") for k in range(10)]
+        web_path = write_web_corpus_jsonl(tmp_path / "data" / "web.jsonl", docs)
+        cfg_path = make_config(tmp_path, corpus, extra={
+            "paths.web_corpus": str(web_path), "retrieval.provider": "mock",
+            "retrieval.dim": 12, "retrieval.threshold": 0.99})
+        trees = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "SOURCE_DATE_EPOCH": "0"}
+            proc = subprocess.run([sys.executable, "-m", "xlpack.cli", "all", "--config",
+                                   str(cfg_path)], capture_output=True, text=True, env=env)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            trees.append(_tree_bytes(tmp_path / "out"))
+        assert trees[0]["pseudo_pairs.jsonl"] and "shards/train/manifest.json" in trees[0]
+        assert trees[0] == trees[1]
 
     def test_non_string_title_counted_as_malformed(self, small_run):
         tmp_path, corpus, cfg_path = small_run
@@ -915,13 +947,10 @@ def _keys(value):
     return None
 
 
-_ALIGN_TALLY = dict.fromkeys(("links_seen", "links_dropped", "title_collisions",
-                              "pairs_missing_text", "duplicate_articles",
-                              "malformed_articles"))
 _STAGE_EVENT_KEYS = {
     "align": {
         "pair_count": None,
-        "alignment": _ALIGN_TALLY,
+        "alignment": dict.fromkeys(("links_seen", "links_dropped", "title_collisions")),
         "parse_tallies": dict.fromkeys(
             ("langlinks_l_to_en", "pages_en", "langlinks_en_to_l", "pages_l"),
             dict.fromkeys(("tuples_scanned", "records_yielded", "malformed", "resyncs"))),
@@ -937,7 +966,8 @@ _STAGE_EVENT_KEYS = {
     },
     "pack": {
         "context_count": None,
-        "join": _ALIGN_TALLY,
+        "join": dict.fromkeys(("pairs_missing_text", "duplicate_articles",
+                               "malformed_articles")),
         "packing": dict.fromkeys(("pairs_in", "pairs_packed", "degenerate_pairs",
                                   "truncated_paragraphs", "oversize_skipped",
                                   "split_markers_scrubbed")),

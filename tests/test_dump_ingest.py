@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlpack import dump_ingest
-from xlpack.alignment import AlignTally, ArticleStore, scan_articles
+from xlpack.alignment import ArticleStore, ArticleTally, scan_articles
 from xlpack.dump_ingest import (
     LangLink,
     PageRecord,
@@ -135,9 +135,9 @@ class TestPages:
         assert pages[2].is_redirect
 
     def test_short_tuple_tallied(self):
-        data = "INSERT INTO `page` VALUES (7,0);\n"
+        data = "INSERT INTO `page` VALUES (7,0),(8,0,'Dog',0);\n"
         tally = ParseTally()
-        assert list(parse_pages_dump(_stream(data), tally=tally)) == []
+        assert [p.page_id for p in parse_pages_dump(_stream(data), tally=tally)] == [8]
         assert tally.malformed == 1
 
 
@@ -152,6 +152,22 @@ _title_text = st.text(
 )
 
 _lang_text = st.text(alphabet="abcdefghij", min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("parse", [parse_pages_dump, parse_langlinks_dump])
+def test_dump_of_malformed_tuples_only_raises_at_its_end(tmp_path, parse):
+    path = tmp_path / "dump.sql"
+    write_sql_dump(path, "t", [(7, 0), ("x", "en", "A", "")])
+    tally = ParseTally()
+    records = parse(path, tally=tally)
+    with pytest.raises(ValueError) as err:
+        next(records)
+    assert str(err.value).startswith(f"{path}: all 2 tuples scanned are malformed")
+    assert tally.tuples_scanned == tally.malformed == 2
+    # One readable tuple is enough.
+    write_sql_dump(path, "t", [(7, 0), (8, 0, "A", 0)] if parse is parse_pages_dump
+                   else [(7, 0), (8, "en", "A")])
+    assert len(list(parse(path))) == 1
 
 
 class TestRoundTrip:
@@ -252,15 +268,16 @@ _sql_dump = st.lists(
 
 
 def _parse_all(parse, text):
-    """Records, tally and whether the dump was truncated."""
+    """Records, tally and the type of error the scan ended with: a truncated
+    dump, or one of malformed tuples only (None when it raised none)."""
     tally = ParseTally()
     records = []
     try:
         for record in parse(_stream(text), tally=tally):
             records.append(record)
-    except TruncatedDumpError:
-        return records, tally, True
-    return records, tally, False
+    except ValueError as e:
+        return records, tally, type(e)
+    return records, tally, None
 
 
 class TestProjectedFastPath:
@@ -432,11 +449,11 @@ class TestExtractedArticles:
             '{"id":"2","title":"B","text":""}\n',  # empty text still indexed
             encoding="utf-8",
         )
-        tally = AlignTally()
+        tally = ArticleTally()
         assert [a.page_id for a in scan_articles(f, "en", tally)] == [2]
         assert tally.malformed_articles == 3
         assert tally.duplicate_articles == 0
-        store_tally = AlignTally()
+        store_tally = ArticleTally()
         with ArticleStore(f, "en", store_tally) as store:
             assert store.get(2).text == ""
         assert store_tally == tally
@@ -465,7 +482,7 @@ class TestExtractedArticles:
                      '{"id":"1","title":"A","text":"first"}\n'
                      '{"id":"2","title":"B","text":"b"}\n'
                      '{"id":"1","title":"A","text":"second"}\n', encoding="utf-8")
-        tally, index = AlignTally(), {}
+        tally, index = ArticleTally(), {}
         arts = list(scan_articles(f, "en", tally, index))
         assert [(a.page_id, a.text) for a in arts] == [(1, "first"), (2, "b")]
         assert (tally.malformed_articles, tally.duplicate_articles) == (1, 1)

@@ -14,10 +14,10 @@ from hypothesis.extra import numpy as hnp
 from xlpack.dump_ingest import RawArticle
 from xlpack.retrieval import (
     CachedEmbeddingProvider,
-    CandidateDoc,
     MockEmbeddingProvider,
     VectorIndex,
     WireEmbeddingProvider,
+    _unit_rows,
     read_embedding_cache,
     write_embedding_cache,
 )
@@ -33,7 +33,7 @@ from xlpack.web import (
     two_step_retrieve,
 )
 
-from .oracles import reference_keyword_frequencies, reference_search
+from .oracles import reference_keyword_frequencies, reference_search, reference_unit_vector
 
 
 def _article(text, title="Thema", page_id=7):
@@ -78,6 +78,37 @@ class TestExtractKeywords:
         assert ks.content_keywords == ["Dog", "Cat"]
 
 
+class TestUnitRows:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 17, 128, 1023])
+    def test_matches_one_vector_at_a_time(self, dim, dtype):
+        rng = np.random.default_rng(dim)
+        rows = rng.standard_normal((10, dim)) * rng.uniform(0.1, 10.0, (10, 1))
+        # Rows at 1 +- 5e-7 are kept as they are; rows at 1 +- 2e-6 are divided.
+        unit = rows[:4] / np.linalg.norm(rows[:4], axis=1, keepdims=True)
+        rows[:4] = unit * np.array([[1 + 5e-7], [1 - 5e-7], [1 + 2e-6], [1 - 2e-6]])
+        rows = rows.astype(dtype)
+        texts = [f"text {i}" for i in range(len(rows))]
+        want = np.stack([reference_unit_vector(row, repr(t)) for row, t in zip(rows, texts)])
+        got = _unit_rows(rows.copy(), texts)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        kept = got[:4] == rows[:4].astype(np.float64)
+        assert [bool(row.all()) for row in kept] == [True, True, False, False]
+
+    def test_zero_row_names_its_text(self):
+        rows = np.array([[0.6, 0.8], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(EmbeddingError) as err:
+            _unit_rows(rows, ["first", "blank text", "another"])
+        assert str(err.value) == "zero-norm embedding for 'blank text'"
+
+    @pytest.mark.parametrize("rows", [[[1.0, 0.0], [1.0]], [[1.0, 0.0]], [1.0, 0.0]],
+                             ids=["ragged", "short", "flat"])
+    def test_not_one_row_per_text_names_batch(self, rows):
+        with pytest.raises(EmbeddingError) as err:
+            _unit_rows(rows, ["a", "b"])
+        assert str(err.value).startswith("embedding batch of 2 texts")
+
+
 class TestProviders:
     def test_mock_deterministic_and_normalized(self):
         provider = MockEmbeddingProvider(dim=8, seed=3)
@@ -86,6 +117,10 @@ class TestProviders:
         assert abs(np.linalg.norm(a) - 1.0) <= 1e-6
         (c,) = MockEmbeddingProvider(dim=8, seed=4).embed_batch(["same text"])
         assert not np.array_equal(a, c)
+        # Each row is the text's seeded normal draw, normalized as one vector.
+        digest = hashlib.blake2b(b"3:same text", digest_size=8).digest()
+        vec = np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(8)
+        assert a.tobytes() == reference_unit_vector(vec, "'same text'").tobytes()
 
     def test_cache_round_trip(self, tmp_path):
         table = {
@@ -153,6 +188,14 @@ class TestProviders:
             read_embedding_cache(path)
         assert str(err.value) == f"{path}: {message}"
 
+    def test_providers_return_one_float64_matrix(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, {"a": np.array([3.0, 4.0]), "b": np.array([1.0, 0.0])})
+        for provider in (MockEmbeddingProvider(dim=2), CachedEmbeddingProvider.from_file(path)):
+            rows = provider.embed_batch(["a", "b", "a"])
+            assert type(rows) is np.ndarray and rows.dtype == np.float64
+            assert rows.shape == (3, 2)
+
     def test_embed_batch_normalizes(self):
         (v,) = MockEmbeddingProvider(dim=4).embed_batch(["anything"])
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-6
@@ -170,6 +213,7 @@ class TestProviders:
 class _EmbeddingHandler(http.server.BaseHTTPRequestHandler):
     fail_times = 0
     calls = 0
+    vectors = None  # the response's vectors; [1.0, 0.0] per text when None
 
     def do_POST(self):
         cls = type(self)
@@ -179,7 +223,7 @@ class _EmbeddingHandler(http.server.BaseHTTPRequestHandler):
             self.send_response(503)
             self.end_headers()
             return
-        vectors = [[1.0, 0.0] for _ in body["texts"]]
+        vectors = cls.vectors or [[1.0, 0.0] for _ in body["texts"]]
         payload = json.dumps({"vectors": vectors}).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(payload)))
@@ -194,6 +238,7 @@ class _EmbeddingHandler(http.server.BaseHTTPRequestHandler):
 def embedding_server():
     _EmbeddingHandler.fail_times = 0
     _EmbeddingHandler.calls = 0
+    _EmbeddingHandler.vectors = None
     server = http.server.HTTPServer(("127.0.0.1", 0), _EmbeddingHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -207,7 +252,7 @@ class TestWireProvider:
     def test_basic_request(self, embedding_server):
         provider = WireEmbeddingProvider(embedding_server, max_retries=0)
         vecs = provider.embed_batch(["a", "b"])
-        assert len(vecs) == 2
+        assert type(vecs) is np.ndarray and vecs.shape == (2, 2)
         assert np.allclose(vecs[0], [1.0, 0.0])
 
     def test_retries_then_succeeds(self, embedding_server):
@@ -224,9 +269,24 @@ class TestWireProvider:
             provider.embed_batch(["a", "b", "c"])
         assert "batch of 3" in str(err.value)
 
+    def test_vectors_of_different_lengths_name_batch(self, embedding_server):
+        _EmbeddingHandler.vectors = [[1.0, 0.0], [1.0], [0.0, 1.0]]
+        provider = WireEmbeddingProvider(embedding_server, max_retries=2, backoff_s=0.01)
+        with pytest.raises(EmbeddingError) as err:
+            provider.embed_batch(["a", "b", "c"])
+        assert str(err.value).startswith("embedding batch of 3 texts")
+        assert _EmbeddingHandler.calls == 1  # the same request would get the same answer
 
-def _doc(doc_id, x, y):
-    return CandidateDoc(doc_id, np.array([x, y], dtype=float))
+
+def _batch(*docs):
+    """One (doc ids, rows) batch of two-dimensional docs given as (doc_id, x, y)."""
+    return [doc_id for doc_id, *_ in docs], np.array([row for _, *row in docs], dtype=float)
+
+
+def _batches(doc_ids, rows, size=7):
+    """`doc_ids` and their rows cut into (doc ids, rows) batches of `size`, the
+    form in which retrieve feeds its corpus to the index."""
+    return [(doc_ids[i:i + size], rows[i:i + size]) for i in range(0, len(doc_ids), size)]
 
 
 def _search_one(index, query, k):
@@ -249,54 +309,61 @@ class TestVectorIndex:
         assert [list(rows) for rows in top] == [[], []]
 
     def test_identical_vector_scores_one(self):
-        index = VectorIndex.build([_doc("d1", 1.0, 0.0)])
+        index = VectorIndex.build([_batch(("d1", 1.0, 0.0))])
         ((doc_id, score),) = _search_one(index, [1.0, 0.0], 1)
         assert doc_id == "d1"
         assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_duplicate_doc_id_errors(self):
-        with pytest.raises(RetrievalError) as err:
-            VectorIndex.build([_doc("d1", 1.0, 0.0), _doc("d1", 0.0, 1.0)])
-        assert "d1" in str(err.value)
+        docs = [("d1", 1.0, 0.0), ("d0", 0.6, 0.8), ("d1", 0.0, 1.0)]
+        for batches in ([_batch(*docs[:2]), _batch(docs[2])], [_batch(*docs)]):
+            with pytest.raises(RetrievalError) as err:
+                VectorIndex.build(batches)
+            assert "d1" in str(err.value)
 
     def test_dimension_mismatch_names_doc(self):
-        bad = CandidateDoc("d2", np.array([1.0, 0.0, 0.0]))
+        bad = (["d2", "d3"], np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         with pytest.raises(RetrievalError) as err:
-            VectorIndex.build([_doc("d1", 1.0, 0.0), bad])
+            VectorIndex.build([_batch(("d1", 1.0, 0.0)), bad])
         assert "d2" in str(err.value)
 
+    def test_batch_with_a_row_per_id_only(self):
+        with pytest.raises(RetrievalError) as err:
+            VectorIndex.build([(["d1", "d2"], np.array([[1.0, 0.0]]))])
+        assert "d1" in str(err.value)
+
     def test_query_dimension_mismatch_raises(self):
-        index = VectorIndex.build([_doc("d1", 1.0, 0.0)])
+        index = VectorIndex.build([_batch(("d1", 1.0, 0.0))])
         with pytest.raises(RetrievalError) as err:
             index.search(np.array([[1.0, 0.0, 0.0]]), 1)
         assert "dimension 2" in str(err.value)
 
     def test_orthonormal_scores(self):
-        index = VectorIndex.build([_doc("d1", 1.0, 0.0), _doc("d2", 0.0, 1.0)])
+        index = VectorIndex.build([_batch(("d1", 1.0, 0.0), ("d2", 0.0, 1.0))])
         out = _search_one(index, [1.0, 0.0], 2)
         assert [d for d, _ in out] == ["d1", "d2"]
         assert out[0][1] == pytest.approx(1.0) and out[1][1] == pytest.approx(0.0)
 
     def test_hand_dot_product(self):
-        index = VectorIndex.build([_doc("d", 0.8, 0.6)])
+        index = VectorIndex.build([_batch(("d", 0.8, 0.6))])
         ((_, score),) = _search_one(index, [0.6, 0.8], 1)
         assert score == pytest.approx(0.96, abs=1e-12)
 
     def test_tie_broken_by_doc_id(self):
-        index = VectorIndex.build([_doc("zz", 1.0, 0.0), _doc("aa", 1.0, 0.0)])
+        index = VectorIndex.build([_batch(("zz", 1.0, 0.0)), _batch(("aa", 1.0, 0.0))])
         ((doc_id, _),) = _search_one(index, [1.0, 0.0], 1)
         assert doc_id == "aa"
 
     def test_insertion_order_independent(self):
-        docs = [_doc("a", 0.6, 0.8), _doc("b", 0.8, 0.6), _doc("c", 1.0, 0.0)]
+        docs = [("a", 0.6, 0.8), ("b", 0.8, 0.6), ("c", 1.0, 0.0)]
         q = np.array([0.7, 0.714142842854285])
         q = q / np.linalg.norm(q)
-        fwd = _search_one(VectorIndex.build(docs), q, 3)
-        rev = _search_one(VectorIndex.build(list(reversed(docs))), q, 3)
+        fwd = _search_one(VectorIndex.build([_batch(*docs)]), q, 3)
+        rev = _search_one(VectorIndex.build([_batch(*reversed(docs))]), q, 3)
         assert fwd == rev
 
     def test_k_below_one_rejected(self):
-        index = VectorIndex.build([_doc("d1", 1.0, 0.0)])
+        index = VectorIndex.build([_batch(("d1", 1.0, 0.0))])
         with pytest.raises(ValueError):
             index.search(np.array([[1.0, 0.0]]), 0)
 
@@ -305,17 +372,16 @@ class TestVectorIndex:
     @settings(max_examples=50, deadline=None)
     def test_matches_bruteforce_oracle(self, n_docs, k, n_queries, seed):
         rng = np.random.default_rng(seed)
-        docs = []
-        for i in range(n_docs):
-            v = rng.standard_normal(6)
-            docs.append(CandidateDoc(f"doc{i:03d}", v / np.linalg.norm(v)))
+        doc_ids = [f"doc{i:03d}" for i in range(n_docs)]
+        vectors = rng.standard_normal((n_docs, 6))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         queries = rng.standard_normal((n_queries, 6))
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
-        index = VectorIndex.build(docs)
+        index = VectorIndex.build(_batches(doc_ids, vectors))
         scores, top = index.search(queries, k)
         assert scores.shape == (n_queries, n_docs)
         for q, row_scores, rows in zip(queries, scores, top):
-            expected = reference_search([(d.doc_id, d.vector) for d in docs], q, k)
+            expected = reference_search(list(zip(doc_ids, vectors)), q, k)
             assert [index.doc_ids[r] for r in rows] == [e[0] for e in expected]
             for r, (_, want_score) in zip(rows, expected):
                 assert row_scores[r] == pytest.approx(want_score, abs=1e-9)
@@ -374,11 +440,7 @@ class TestTwoStepRetrieve:
     def _fixture(self):
         ks = KeywordSet("T", ["c"])
         provider = _TableProvider({"T": [1.0, 0.0], "T c": [0.6, 0.8]})
-        index = VectorIndex.build([
-            _doc("d1", 1.0, 0.0),
-            _doc("d2", 0.0, 1.0),
-            _doc("d3", 0.8, 0.6),
-        ])
+        index = VectorIndex.build([_batch(("d1", 1.0, 0.0), ("d2", 0.0, 1.0), ("d3", 0.8, 0.6))])
         return ks, provider, index
 
     def test_hand_computed_scores(self):
@@ -428,11 +490,9 @@ class TestTwoStepRetrieve:
 
     def test_pool_monotonicity(self):
         rng = np.random.default_rng(11)
-        docs = []
-        for i in range(200):
-            v = rng.standard_normal(4)
-            docs.append(CandidateDoc(f"d{i:03d}", v / np.linalg.norm(v)))
-        index = VectorIndex.build(docs)
+        vectors = rng.standard_normal((200, 4))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        index = VectorIndex.build(_batches([f"d{i:03d}" for i in range(200)], vectors))
         provider = MockEmbeddingProvider(dim=4, seed=2)
         ks = KeywordSet("query title", ["kw one", "kw two"])
         # Non-binding cap: enlarging the pool may only add results.

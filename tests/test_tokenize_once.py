@@ -327,3 +327,25 @@ def test_six_key_index_names_file_and_line(packed, capsys, sub):
     assert run([sub, "--config", str(cfg_path)]) == EXIT_STAGE
     assert "contexts.jsonl:1: not a context index line; rerun pack" in capsys.readouterr().err
     assert not (out / "shards").exists() and not (out / "stats.json").exists()
+
+
+@pytest.mark.parametrize("sub", ["slide", "stats"])
+@pytest.mark.parametrize("key, value", [
+    ("origin", 1),
+    ("token_len", "3"),
+    ("token_len", True),
+    ("token_len", 0),
+    ("per_language_tokens", [1]),
+    ("per_language_tokens", {"en": "3"}),
+    ("per_language_tokens", {"en": False}),
+], ids=["origin_int", "token_len_str", "token_len_bool", "token_len_zero",
+        "per_language_list", "per_language_str_count", "per_language_bool_count"])
+def test_index_value_of_wrong_type_names_file_and_line(packed, capsys, sub, key, value):
+    out, cfg_path = packed
+    path = out / "contexts.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), key: value}, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    assert run([sub, "--config", str(cfg_path)]) == EXIT_STAGE
+    assert "contexts.jsonl:2: not a context index line; rerun pack" in capsys.readouterr().err
+    assert not (out / "shards").exists() and not (out / "stats.json").exists()
