@@ -73,8 +73,19 @@ class PipelineConfig:
                              f"slide.n_budget={self.slide.n_budget} must be equal")
 
     def effective_dict(self) -> dict:
-        """Canonical dict of everything that shapes the output bytes."""
-        return asdict(self)
+        """Canonical dict of the settings that shape the output bytes.
+
+        Where files live is left out: the `paths` section,
+        `tokenizer.vocab_source` and `retrieval.cache_path`. So the same
+        inputs and settings give the same dict wherever they and the output
+        dir are; the inputs' contents are not covered.
+        """
+        settings = asdict(self)
+        del settings["paths"]
+        del settings["tokenizer"]["vocab_source"]
+        if settings["retrieval"] is not None:
+            del settings["retrieval"]["cache_path"]
+        return settings
 
 
 def parse_mix_ratio(text: str) -> float:

@@ -57,6 +57,7 @@ class ParagraphizedArticle:
     flat: Sequence  # pieces of each paragraph + SEGMENT_DELIM, concatenated
     offsets: list[int]  # paragraph k's pieces are flat[offsets[k]:offsets[k + 1]]
     lang: str
+    markers_scrubbed: int = 0  # split markers replaced in the title and text
 
 
 @dataclass(slots=True)
@@ -150,21 +151,14 @@ def split_paragraphs(text: str) -> list[str]:
     return [p for p in map(str.strip, text.split("\n\n")) if p]
 
 
-def _scrub(text: str, marker: str, tally: PackTally) -> str:
+def paragraphize(title: str, text: str, lang: str, tokenizer: Tokenizer) -> ParagraphizedArticle:
     # The delimiter token text is reserved; occurrences in article text would
     # corrupt window boundaries downstream, so they are replaced.
-    hits = text.count(marker)
-    if hits:
-        tally.split_markers_scrubbed += hits
-        return text.replace(marker, " ")
-    return text
-
-
-def paragraphize(
-    title: str, text: str, lang: str, tokenizer: Tokenizer, tally: PackTally
-) -> ParagraphizedArticle:
-    title = _scrub(title, tokenizer.split_token_text, tally).strip()
-    text = _scrub(text, tokenizer.split_token_text, tally)
+    marker = tokenizer.split_token_text
+    scrubbed = title.count(marker) + text.count(marker)
+    if scrubbed:
+        title, text = title.replace(marker, " "), text.replace(marker, " ")
+    title = title.strip()
     pieces = tokenizer.pieces
     title_pieces = pieces(title + SEGMENT_DELIM)
     paragraphs = split_paragraphs(text)
@@ -175,7 +169,7 @@ def paragraphize(
     else:
         flat = list(chain.from_iterable(parts))
     offsets = [0, *accumulate(map(len, parts))]
-    return ParagraphizedArticle(title, title_pieces, paragraphs, flat, offsets, lang)
+    return ParagraphizedArticle(title, title_pieces, paragraphs, flat, offsets, lang, scrubbed)
 
 
 def pack_pair(
@@ -184,15 +178,23 @@ def pack_pair(
     cfg: PackConfig,
     direction: str,
     tally: PackTally | None = None,
+    art_l: ParagraphizedArticle | None = None,
 ) -> list[PackedContext]:
     """Pack one bilingual pair into one or more budgeted contexts.
+
+    `art_l` is the target side already paragraphized from the pair's title_l,
+    text_l and lang_l, so that a caller can reuse it across the pairs of one
+    article; it is made here when None. Its split markers count for this pair
+    either way.
 
     Returns [] when either side yields no paragraphs: a one-language context
     carries no cross-lingual signal.
     """
     tally = tally if tally is not None else PackTally()
-    art_en = paragraphize(pair.title_en, pair.text_en, "en", tokenizer, tally)
-    art_l = paragraphize(pair.title_l, pair.text_l, pair.lang_l, tokenizer, tally)
+    art_en = paragraphize(pair.title_en, pair.text_en, "en", tokenizer)
+    if art_l is None:
+        art_l = paragraphize(pair.title_l, pair.text_l, pair.lang_l, tokenizer)
+    tally.split_markers_scrubbed += art_en.markers_scrubbed + art_l.markers_scrubbed
     if not art_en.paragraphs or not art_l.paragraphs:
         tally.degenerate_pairs += 1
         return []

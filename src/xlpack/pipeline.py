@@ -47,12 +47,13 @@ Output layout under paths.output_dir:
     contexts_text.jsonl       rendered context debug dump (pack --emit-text)
     shards/<split>/           rolled window shard files + manifest.json (slide):
                               the split's window_count, token_total and
-                              n_budget; its config_digest covers the slide
-                              policy. per_language_tokens counts the split's
-                              contexts, so with one split id per context it
-                              sums to more than token_total under a policy
-                              that drops tokens (lossy, or standard without
-                              keep_final_partial)
+                              n_budget; its config_digest covers every
+                              setting but where files live, so it does not
+                              change with the output dir. per_language_tokens
+                              counts the split's contexts, so with one split
+                              id per context it sums to more than token_total
+                              under a policy that drops tokens (lossy, or
+                              standard without keep_final_partial)
     stats.json                per-language token totals (stats)
     run_report.jsonl          event log (every stage appends; none owns it)
 """
@@ -94,7 +95,7 @@ from .export import (
     sum_tokens,
     write_shards,
 )
-from .packing import PackedContext, PackTally, direction_for, pack_pair
+from .packing import PackedContext, PackTally, direction_for, pack_pair, paragraphize
 from .report import RunReport
 from .sliding import (
     SlidePolicy,
@@ -463,13 +464,19 @@ def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) 
         article_tally = ArticleTally()
         tally = PackTally()
         context_count = 0
+        source_l = art_l = None  # the last target article, and its paragraphs
         with (open(out / CONTEXTS_NAME, "w", encoding="utf-8") as f,
               open(out / CONTEXT_IDS_NAME, "wb") as fb,
               (open(out / CONTEXTS_TEXT_NAME, "w", encoding="utf-8")
                if emit_text else nullcontext()) as text_file):
             for pair in _iter_source_pairs(cfg, article_tally, tally):
+                # An article's pseudo pairs are adjacent, so its paragraphs
+                # are made once per run of pairs that share it.
+                if source_l != (pair.title_l, pair.text_l, pair.lang_l):
+                    source_l = (pair.title_l, pair.text_l, pair.lang_l)
+                    art_l = paragraphize(*source_l, tokenizer)
                 direction = direction_for(pair.pair, cfg.pack)
-                for ctx in pack_pair(pair, tokenizer, cfg.pack, direction, tally):
+                for ctx in pack_pair(pair, tokenizer, cfg.pack, direction, tally, art_l):
                     # The one ids mapping of this context; whitespace ids
                     # are assigned here, in corpus order.
                     ids, per_language = ctx.encode(tokenizer)

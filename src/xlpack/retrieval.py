@@ -7,12 +7,16 @@ it in their bodies. The queries, settings and pseudo pairs live in
 
 Embedding providers are injected: a seeded deterministic mock for tests, a
 precomputed binary cache, and a single-endpoint wire provider. Their defaults
-are `RetrievalConfig`'s.
+are `RetrievalConfig`'s. The cache provider holds each text's (offset, dim)
+span, not the file's bytes: each vector is read from the file by the provider
+call that uses it, so the index's float64 rows are the only copy of the
+corpus's embeddings that retrieve holds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import time
 from pathlib import Path
@@ -79,7 +83,10 @@ class CachedEmbeddingProvider:
         missing = [t for t in texts if t not in self._table]
         if missing:
             raise EmbeddingError(f"embedding cache is missing keys: {missing!r}")
-        return _unit_rows([self._table[t] for t in texts], texts)
+        table = self._table
+        if isinstance(table, EmbeddingCache):
+            return _unit_rows(table.rows(texts), texts)
+        return _unit_rows([table[t] for t in texts], texts)
 
 
 class WireEmbeddingProvider:
@@ -144,19 +151,43 @@ def write_embedding_cache(path: str | Path, table: Mapping[str, np.ndarray]) -> 
 
 
 class EmbeddingCache(Mapping[str, np.ndarray]):
-    """The text -> vector table of a cache file, held as the file's bytes.
+    """The text -> vector table of a cache file, held as each key's span.
 
-    Each value is a float32 view into those bytes; `_unit_rows` widens a
-    provider call's rows to float64 in one step, which is exact.
+    Only the keys and their (byte offset, dim) spans are held; a lookup reads
+    the vectors' float32 bytes from the file, so every vector that is used is
+    read once and the file's bytes are never held whole. `_unit_rows` widens
+    a provider call's rows to float64 in one step, which is exact.
     """
 
-    def __init__(self, data: bytes, spans: dict[str, tuple[int, int]]):
-        self._data = data
+    def __init__(self, path: str | Path, spans: dict[str, tuple[int, int]],
+                 stamp: tuple[int, int]):
+        self.path = path
         self._spans = spans  # key -> (byte offset, dim) of its components
+        self._stamp = stamp  # the scanned file's (size, st_mtime_ns)
+
+    def rows(self, keys: Sequence[str]) -> np.ndarray:
+        """The float32 vectors of `keys` as the rows of one matrix, each read
+        from its offset straight into its row, under one open of the file.
+
+        The file is checked after the reads, so one rewritten before or during
+        them is refused rather than read as different vectors.
+        """
+        spans = [self._spans[key] for key in keys]
+        dims = {dim for _, dim in spans}
+        if len(dims) > 1:
+            raise EmbeddingError(f"embedding batch of {len(keys)} texts: dims {sorted(dims)}")
+        out = np.empty((len(keys), dims.pop() if dims else 0), dtype="<f4")
+        with open(self.path, "rb", buffering=0) as f:
+            fd = f.fileno()
+            for key, row, (offset, dim) in zip(keys, out, spans):
+                if os.preadv(fd, [row], offset) != 4 * dim:
+                    raise RetrievalError(f"{self.path}: short read of the vector for {key!r}")
+            if _stamp(os.fstat(fd)) != self._stamp:
+                raise RetrievalError(f"{self.path}: changed since it was scanned")
+        return out
 
     def __getitem__(self, key: str) -> np.ndarray:
-        offset, dim = self._spans[key]
-        return np.frombuffer(self._data, dtype="<f4", count=dim, offset=offset)
+        return self.rows([key])[0]
 
     def __contains__(self, key: object) -> bool:
         return key in self._spans
@@ -168,27 +199,34 @@ class EmbeddingCache(Mapping[str, np.ndarray]):
         return len(self._spans)
 
 
+def _stamp(st: os.stat_result) -> tuple[int, int]:
+    return st.st_size, st.st_mtime_ns
+
+
 def read_embedding_cache(path: str | Path) -> EmbeddingCache:
+    """Scan a cache file's record headers; each record's components are
+    skipped, to be read by the lookups that use them."""
     spans: dict[str, tuple[int, int]] = {}
-    data = Path(path).read_bytes()
-    pos = 0
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise RetrievalError(f"{path}: truncated record header at offset {pos}")
-        (id_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if pos + id_len + 4 > len(data):
-            raise RetrievalError(f"{path}: truncated record at offset {pos - 4}")
-        key = data[pos : pos + id_len].decode("utf-8")
-        pos += id_len
-        (dim,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        end = pos + 4 * dim
-        if end > len(data):
-            raise RetrievalError(f"{path}: truncated vector for {key!r}")
-        spans[key] = (pos, dim)
-        pos = end
-    return EmbeddingCache(data, spans)
+    with open(path, "rb", buffering=1 << 16) as f:
+        stamp = _stamp(os.fstat(f.fileno()))
+        size = stamp[0]
+        pos = 0
+        while pos < size:
+            if pos + 4 > size:
+                raise RetrievalError(f"{path}: truncated record header at offset {pos}")
+            (id_len,) = struct.unpack("<I", f.read(4))
+            start = pos + 8 + id_len
+            if start > size:
+                raise RetrievalError(f"{path}: truncated record at offset {pos}")
+            head = f.read(id_len + 4)
+            key = head[:id_len].decode("utf-8")
+            (dim,) = struct.unpack_from("<I", head, id_len)
+            pos = start + 4 * dim
+            if pos > size:
+                raise RetrievalError(f"{path}: truncated vector for {key!r}")
+            spans[key] = (start, dim)
+            f.seek(pos)
+    return EmbeddingCache(path, spans, stamp)
 
 
 class VectorIndex:

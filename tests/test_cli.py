@@ -856,6 +856,45 @@ class TestRetrieveStage:
                  .splitlines(keepends=True) if line.strip()]
         assert len(lines) == 3 and [decoded[line] for line in lines] == [2, 2, 2]
 
+    def test_pack_paragraphizes_an_article_once_for_its_pseudo_pairs(self, tmp_path,
+                                                                     monkeypatch):
+        # Each article retrieves all three docs; a split marker in every target
+        # text still counts once per pair.
+        from collections import Counter
+
+        import xlpack.pipeline as pipeline
+        from xlpack import packing
+
+        docs = [(f"web{c}", f"Web {c}\n{c.lower()} words") for c in "ABC"]
+        records = [(10_000 + k, f"Thema {k}", f"Text {k} [SPLIT] here.\n\nMore.")
+                   for k in range(3)]
+        cfg_path = _retrieve_run(tmp_path, docs, {}, default=(1.0, 0.0, 0.0),
+                                 article_records=records, n_pairs=3)
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_OK
+        calls = []
+
+        def counting(title, text, lang, tokenizer):
+            calls.append((lang, title))
+            return paragraphize(title, text, lang, tokenizer)
+
+        paragraphize = packing.paragraphize
+        monkeypatch.setattr(pipeline, "paragraphize", counting)
+        monkeypatch.setattr(packing, "paragraphize", counting)
+        assert run(["pack", "--config", str(cfg_path)]) == EXIT_OK
+        out = tmp_path / "out"
+        (packed,) = [e for e in read_events(out / "run_report.jsonl")
+                     if e.get("stage") == "pack"]
+        aligned = len((out / "pairs.tsv").read_text().splitlines())
+        pseudo = len((out / "pseudo_pairs.jsonl").read_text().splitlines())
+        assert packed["packing"]["pairs_packed"] == aligned + pseudo == 3 + 9
+        # Once by the aligned pair, once for the article's three pseudo pairs;
+        # the English side of every pair is its own.
+        target = Counter(title for lang, title in calls if lang != "en")
+        assert target == {f"Thema {k}": 2 for k in range(3)}
+        assert len(calls) - sum(target.values()) == 12
+        assert packed["packing"]["split_markers_scrubbed"] == 12
+
     def test_invalid_utf8_article_line_counted(self, tmp_path):
         cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=2)
         with open(_articles_l_file(cfg_path), "ab") as f:
@@ -1080,11 +1119,11 @@ class TestStageShell:
         pack_pair = pipeline.pack_pair
         dropped = []
 
-        def dropping(pair, tokenizer, cfg, direction, tally=None):
+        def dropping(pair, tokenizer, cfg, direction, tally=None, art_l=None):
             if not dropped:  # the first pair vanishes without a tally
                 dropped.append(pair)
                 return []
-            return pack_pair(pair, tokenizer, cfg, direction, tally)
+            return pack_pair(pair, tokenizer, cfg, direction, tally, art_l)
 
         monkeypatch.setattr(pipeline, "pack_pair", dropping)
         assert run(["pack", "--config", str(cfg_path)]) == EXIT_STAGE
@@ -1169,6 +1208,27 @@ class TestVariants:
         lengths = [len(w.ids) for w in read_shards(tmp_path / "out" / "shards" / "train")]
         assert len(lengths) == manifest["window_count"] > 1
         assert all(l == 64 for l in lengths[:-1])
+
+    def test_shards_do_not_depend_on_the_output_dir(self, tmp_path, monkeypatch):
+        cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {}, n_pairs=4)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        trees = []
+        for name in ("one", "two"):
+            out = tmp_path / name
+            assert run(["all", "--config", str(cfg_path),
+                        "--set", f"paths.output_dir={out}"]) == EXIT_OK
+            trees.append(_tree_bytes(out / "shards"))
+        assert "train/manifest.json" in trees[0]
+        assert trees[0] == trees[1]
+        # Nor on where the inputs are: no path is in the digest.
+        moved = validate_config(cfg_path, ["paths.output_dir=/elsewhere",
+                                           "paths.web_corpus=/elsewhere/web.jsonl",
+                                           "retrieval.cache_path=/elsewhere/emb.bin"])
+        digest = config_digest(validate_config(cfg_path).effective_dict())
+        assert config_digest(moved.effective_dict()) == digest
+        assert json.loads((tmp_path / "one" / "shards" / "train" / "manifest.json")
+                          .read_text())["config_digest"] == digest
+        assert "/elsewhere" not in json.dumps(moved.effective_dict())
 
     def test_lossy_slide_kind(self, small_run, monkeypatch):
         tmp_path, _, cfg_path = small_run

@@ -12,6 +12,7 @@ from xlpack.packing import (
     PackTally,
     direction_for,
     pack_pair,
+    paragraphize,
     split_paragraphs,
 )
 from xlpack.tokenization import ByteTokenizer, ExternalVocabTokenizer, WhitespaceTokenizer
@@ -126,6 +127,19 @@ class TestPackPairFixtures:
         assert tally.split_markers_scrubbed == 1
         ids, _ = ctx.encode(whitespace_tokenizer)
         assert ids[-1] == 0 and 0 not in ids[:-1]
+
+    def test_given_target_side_packs_alike_and_counts_its_markers(self, whitespace_tokenizer):
+        pair = _pair("a b\n\nc", "x [SPLIT] y\n\nz w", title_l="Ga[SPLIT]to")
+        cfg = PackConfig(n_budget=10)
+        made, given = PackTally(), PackTally()
+        expected = pack_pair(pair, whitespace_tokenizer, cfg, L_FIRST, made)
+        art_l = paragraphize(pair.title_l, pair.text_l, pair.lang_l, whitespace_tokenizer)
+        assert art_l.markers_scrubbed == 2
+        for _ in range(2):  # reused, its markers count for each pair
+            actual = pack_pair(pair, whitespace_tokenizer, cfg, L_FIRST, given, art_l)
+            assert [c.segments for c in actual] == [c.segments for c in expected]
+            assert [c.token_len for c in actual] == [c.token_len for c in expected]
+        assert made.split_markers_scrubbed == 2 and given.split_markers_scrubbed == 4
 
 
 # --- randomized invariants -------------------------------------------------

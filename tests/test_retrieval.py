@@ -3,7 +3,10 @@
 import hashlib
 import http.server
 import json
+import os
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +190,74 @@ class TestProviders:
         with pytest.raises(RetrievalError) as err:
             read_embedding_cache(path)
         assert str(err.value) == f"{path}: {message}"
+
+    def test_cache_cut_after_the_scan_names_file_and_key(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, {"a": np.array([1.0, 0.0]), "bc": np.array([0.0, 1.0])})
+        loaded = read_embedding_cache(path)
+        path.write_bytes(path.read_bytes()[:32])  # the vector of "bc" ends at byte 35
+        for lookup in (lambda: loaded["bc"],
+                       lambda: CachedEmbeddingProvider(loaded).embed_batch(["a", "bc"])):
+            with pytest.raises(RetrievalError) as err:
+                lookup()
+            assert str(err.value) == f"{path}: short read of the vector for 'bc'"
+        # The vector of "a" is still whole, but the file is not the one scanned.
+        with pytest.raises(RetrievalError) as err:
+            loaded["a"]
+        assert str(err.value) == f"{path}: changed since it was scanned"
+
+    @pytest.mark.parametrize("change", ["same_size", "same_mtime"])
+    def test_cache_rewritten_after_the_scan_is_refused(self, tmp_path, change):
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, {"a": np.array([1.0, 0.0])})
+        loaded = read_embedding_cache(path)
+        mtime = path.stat().st_mtime_ns
+        if change == "same_size":
+            write_embedding_cache(path, {"a": np.array([0.0, 1.0])})
+            # The coarse file clock may not have moved since the first write.
+            mtime += 10**9
+        else:
+            write_embedding_cache(path, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+        os.utime(path, ns=(mtime, mtime))
+        with pytest.raises(RetrievalError) as err:
+            CachedEmbeddingProvider(loaded).embed_batch(["a"])
+        assert str(err.value) == f"{path}: changed since it was scanned"
+
+    def test_cache_rows_of_two_dims_name_the_batch(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0, 0.0])})
+        with pytest.raises(EmbeddingError) as err:
+            CachedEmbeddingProvider.from_file(path).embed_batch(["a", "b"])
+        assert str(err.value).startswith("embedding batch of 2 texts")
+
+    def test_loading_a_cache_holds_no_vector_bytes(self, tmp_path):
+        # 2,000 records at dim 256 hold 2,000 * 256 * 4 = 2,048,000 bytes of
+        # vectors. The load may hold only the span dict: the dict itself and,
+        # per record, its key, its (offset, dim) tuple and the offset's int
+        # (the dim, 256, is a cached small int). sys.getsizeof gives each as
+        # allocated, GC header included, except that an int made by an
+        # addition may have one spare 4-byte digit. `slack` covers the
+        # EmbeddingCache object, its path and its stamp.
+        rng = np.random.default_rng(3)
+        table = {f"text {i} " + "x" * (i % 50): rng.standard_normal(256) for i in range(2000)}
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, table)
+        tracemalloc.start()
+        try:
+            loaded = read_embedding_cache(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        spans = loaded._spans
+        assert len(spans) == 2000
+        span_bytes = sys.getsizeof(spans) + sum(
+            sys.getsizeof(key) + sys.getsizeof(span) + sys.getsizeof(span[0]) + 4
+            for key, span in spans.items())
+        slack = 4096
+        assert held <= span_bytes + slack < 2000 * 256 * 4 // 4
+        # Nor is the file read whole: at the peak, beside the spans, the load
+        # held its 64 KiB read buffer and the old table of a dict resize.
+        assert peak <= span_bytes + slack + (1 << 16) + sys.getsizeof(spans)
 
     def test_providers_return_one_float64_matrix(self, tmp_path):
         path = tmp_path / "emb.bin"
