@@ -70,7 +70,8 @@ class MockEmbeddingProvider:
 
 
 class CachedEmbeddingProvider:
-    """Embeddings looked up from a precomputed text -> vector table."""
+    """Embeddings looked up from a precomputed text -> vector table; from an
+    EmbeddingCache, each call's rows are read from its file in one open."""
 
     def __init__(self, table: Mapping[str, np.ndarray]):
         self._table = table
@@ -154,9 +155,9 @@ class EmbeddingCache(Mapping[str, np.ndarray]):
     """The text -> vector table of a cache file, held as each key's span.
 
     Only the keys and their (byte offset, dim) spans are held; a lookup reads
-    the vectors' float32 bytes from the file, so every vector that is used is
-    read once and the file's bytes are never held whole. `_unit_rows` widens
-    a provider call's rows to float64 in one step, which is exact.
+    its vectors' float32 bytes from the file, so the file's bytes are never
+    held whole. `_unit_rows` widens a provider call's rows to float64 in one
+    step, which is exact.
     """
 
     def __init__(self, path: str | Path, spans: dict[str, tuple[int, int]],

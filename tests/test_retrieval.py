@@ -244,8 +244,10 @@ class TestProviders:
         write_embedding_cache(path, table)
         tracemalloc.start()
         try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             loaded = read_embedding_cache(path)
-            held, peak = tracemalloc.get_traced_memory()
+            held, peak = (size - before for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         spans = loaded._spans
