@@ -332,7 +332,7 @@ def make_embedding_provider(cfg: PipelineConfig):
     if settings.provider == "mock":
         return MockEmbeddingProvider(dim=settings.dim, seed=settings.seed)
     if settings.provider == "file":
-        return CachedEmbeddingProvider.from_file(settings.cache_path)
+        return CachedEmbeddingProvider(settings.cache_path)
     return WireEmbeddingProvider(
         endpoint=settings.endpoint,
         auth_token=settings.auth_token,
@@ -464,17 +464,18 @@ def stage_pack(cfg: PipelineConfig, report: RunReport, emit_text: bool = False) 
         article_tally = ArticleTally()
         tally = PackTally()
         context_count = 0
-        source_l = art_l = None  # the last target article, and its paragraphs
+        id_l = art_l = None  # the last target article's id, and its paragraphs
         with (open(out / CONTEXTS_NAME, "w", encoding="utf-8") as f,
               open(out / CONTEXT_IDS_NAME, "wb") as fb,
               (open(out / CONTEXTS_TEXT_NAME, "w", encoding="utf-8")
                if emit_text else nullcontext()) as text_file):
             for pair in _iter_source_pairs(cfg, article_tally, tally):
                 # An article's pseudo pairs are adjacent, so its paragraphs
-                # are made once per run of pairs that share it.
-                if source_l != (pair.title_l, pair.text_l, pair.lang_l):
-                    source_l = (pair.title_l, pair.text_l, pair.lang_l)
-                    art_l = paragraphize(*source_l, tokenizer)
+                # are made once per run of pairs that share it. Every target
+                # side is the target store's one record of its id_l.
+                if pair.pair.id_l != id_l:
+                    id_l = pair.pair.id_l
+                    art_l = paragraphize(pair.title_l, pair.text_l, pair.lang_l, tokenizer)
                 direction = direction_for(pair.pair, cfg.pack)
                 for ctx in pack_pair(pair, tokenizer, cfg.pack, direction, tally, art_l):
                     # The one ids mapping of this context; whitespace ids

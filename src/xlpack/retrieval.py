@@ -7,10 +7,10 @@ it in their bodies. The queries, settings and pseudo pairs live in
 
 Embedding providers are injected: a seeded deterministic mock for tests, a
 precomputed binary cache, and a single-endpoint wire provider. Their defaults
-are `RetrievalConfig`'s. The cache provider holds each text's (offset, dim)
-span, not the file's bytes: each vector is read from the file by the provider
-call that uses it, so the index's float64 rows are the only copy of the
-corpus's embeddings that retrieve holds.
+are `RetrievalConfig`'s. `CachedEmbeddingProvider`, the cache's one class,
+holds each text's (offset, dim) span, not the file's bytes: each vector is
+read from the file by the provider call that uses it, so the index's float64
+rows are the only copy of the corpus's embeddings that retrieve holds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import struct
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -70,24 +70,61 @@ class MockEmbeddingProvider:
 
 
 class CachedEmbeddingProvider:
-    """Embeddings looked up from a precomputed text -> vector table; from an
-    EmbeddingCache, each call's rows are read from its file in one open."""
+    """Embeddings read from a precomputed cache file, a call's rows in one open.
 
-    def __init__(self, table: Mapping[str, np.ndarray]):
-        self._table = table
+    The constructor scans the record headers and keeps only each key's (byte
+    offset, dim) span and the file's (size, st_mtime_ns) stamp, so the file's
+    bytes are never held whole. `_unit_rows` widens the float32 rows to
+    float64 in one step, which is exact.
+    """
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "CachedEmbeddingProvider":
-        return cls(read_embedding_cache(path))
+    def __init__(self, path: str | Path):
+        self.path = path
+        self._spans = spans = {}  # key -> (byte offset, dim) of its components
+        with open(path, "rb", buffering=1 << 16) as f:
+            self._stamp = _stamp(os.fstat(f.fileno()))
+            size = self._stamp[0]
+            pos = 0
+            while pos < size:
+                if pos + 4 > size:
+                    raise RetrievalError(f"{path}: truncated record header at offset {pos}")
+                (id_len,) = struct.unpack("<I", f.read(4))
+                start = pos + 8 + id_len
+                if start > size:
+                    raise RetrievalError(f"{path}: truncated record at offset {pos}")
+                head = f.read(id_len + 4)
+                key = head[:id_len].decode("utf-8")
+                (dim,) = struct.unpack_from("<I", head, id_len)
+                pos = start + 4 * dim
+                if pos > size:
+                    raise RetrievalError(f"{path}: truncated vector for {key!r}")
+                spans[key] = (start, dim)
+                f.seek(pos)
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        missing = [t for t in texts if t not in self._table]
+        """Each text's vector is read from its offset straight into its row.
+        The file is checked after the reads, so one rewritten before or during
+        them is refused rather than read as different vectors."""
+        missing = [t for t in texts if t not in self._spans]
         if missing:
             raise EmbeddingError(f"embedding cache is missing keys: {missing!r}")
-        table = self._table
-        if isinstance(table, EmbeddingCache):
-            return _unit_rows(table.rows(texts), texts)
-        return _unit_rows([table[t] for t in texts], texts)
+        spans = [self._spans[t] for t in texts]
+        dims = {dim for _, dim in spans}
+        if len(dims) > 1:
+            raise EmbeddingError(f"embedding batch of {len(texts)} texts: dims {sorted(dims)}")
+        out = np.empty((len(texts), dims.pop() if dims else 0), dtype="<f4")
+        with open(self.path, "rb", buffering=0) as f:
+            fd = f.fileno()
+            for text, row, (offset, dim) in zip(texts, out, spans):
+                if os.preadv(fd, [row], offset) != 4 * dim:
+                    raise RetrievalError(f"{self.path}: short read of the vector for {text!r}")
+            if _stamp(os.fstat(fd)) != self._stamp:
+                raise RetrievalError(f"{self.path}: changed since it was scanned")
+        return _unit_rows(out, texts)
+
+
+def _stamp(st: os.stat_result) -> tuple[int, int]:
+    return st.st_size, st.st_mtime_ns
 
 
 class WireEmbeddingProvider:
@@ -149,85 +186,6 @@ def write_embedding_cache(path: str | Path, table: Mapping[str, np.ndarray]) -> 
             f.write(raw)
             f.write(struct.pack("<I", arr.size))
             f.write(arr.tobytes())
-
-
-class EmbeddingCache(Mapping[str, np.ndarray]):
-    """The text -> vector table of a cache file, held as each key's span.
-
-    Only the keys and their (byte offset, dim) spans are held; a lookup reads
-    its vectors' float32 bytes from the file, so the file's bytes are never
-    held whole. `_unit_rows` widens a provider call's rows to float64 in one
-    step, which is exact.
-    """
-
-    def __init__(self, path: str | Path, spans: dict[str, tuple[int, int]],
-                 stamp: tuple[int, int]):
-        self.path = path
-        self._spans = spans  # key -> (byte offset, dim) of its components
-        self._stamp = stamp  # the scanned file's (size, st_mtime_ns)
-
-    def rows(self, keys: Sequence[str]) -> np.ndarray:
-        """The float32 vectors of `keys` as the rows of one matrix, each read
-        from its offset straight into its row, under one open of the file.
-
-        The file is checked after the reads, so one rewritten before or during
-        them is refused rather than read as different vectors.
-        """
-        spans = [self._spans[key] for key in keys]
-        dims = {dim for _, dim in spans}
-        if len(dims) > 1:
-            raise EmbeddingError(f"embedding batch of {len(keys)} texts: dims {sorted(dims)}")
-        out = np.empty((len(keys), dims.pop() if dims else 0), dtype="<f4")
-        with open(self.path, "rb", buffering=0) as f:
-            fd = f.fileno()
-            for key, row, (offset, dim) in zip(keys, out, spans):
-                if os.preadv(fd, [row], offset) != 4 * dim:
-                    raise RetrievalError(f"{self.path}: short read of the vector for {key!r}")
-            if _stamp(os.fstat(fd)) != self._stamp:
-                raise RetrievalError(f"{self.path}: changed since it was scanned")
-        return out
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self.rows([key])[0]
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._spans
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._spans)
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-
-def _stamp(st: os.stat_result) -> tuple[int, int]:
-    return st.st_size, st.st_mtime_ns
-
-
-def read_embedding_cache(path: str | Path) -> EmbeddingCache:
-    """Scan a cache file's record headers; each record's components are
-    skipped, to be read by the lookups that use them."""
-    spans: dict[str, tuple[int, int]] = {}
-    with open(path, "rb", buffering=1 << 16) as f:
-        stamp = _stamp(os.fstat(f.fileno()))
-        size = stamp[0]
-        pos = 0
-        while pos < size:
-            if pos + 4 > size:
-                raise RetrievalError(f"{path}: truncated record header at offset {pos}")
-            (id_len,) = struct.unpack("<I", f.read(4))
-            start = pos + 8 + id_len
-            if start > size:
-                raise RetrievalError(f"{path}: truncated record at offset {pos}")
-            head = f.read(id_len + 4)
-            key = head[:id_len].decode("utf-8")
-            (dim,) = struct.unpack_from("<I", head, id_len)
-            pos = start + 4 * dim
-            if pos > size:
-                raise RetrievalError(f"{path}: truncated vector for {key!r}")
-            spans[key] = (start, dim)
-            f.seek(pos)
-    return EmbeddingCache(path, spans, stamp)
 
 
 class VectorIndex:

@@ -89,6 +89,10 @@ class RetrievalConfig:
         for key in ("max_results", "candidate_pool_k", "dim"):
             if not 1 <= getattr(self, key) <= 2**31:
                 raise ValueError(f"{key}: {getattr(self, key)!r} outside [1, {2**31}]")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries: {self.max_retries!r} is negative")
+        if not self.timeout_s > 0:
+            raise ValueError(f"timeout_s: {self.timeout_s!r} is not positive")
         if self.provider not in ("mock", "file", "wire"):
             raise ValueError(f"provider: unknown provider {self.provider!r}")
         if self.provider == "file" and not self.cache_path:
@@ -110,14 +114,14 @@ def extract_keywords(
     article_l: RawArticle,
     title_map: Mapping[str, str],
     tally: RetrievalTally | None = None,
-    max_keywords: int = MAX_CONTENT_KEYWORDS,
 ) -> KeywordSet:
     """English-mapped keywords for one target-language article.
 
     title_map maps target-language page titles to English titles. The article
     title falls back to its raw form when unmapped (tallied); link targets
-    without a mapping are excluded. Content keywords are ordered by descending
-    in-article frequency, ties by first occurrence, and capped.
+    without a mapping, and links mapped to the title keyword itself, are
+    excluded. Content keywords are ordered by descending in-article frequency,
+    ties by first occurrence, and capped at MAX_CONTENT_KEYWORDS.
     """
     tally = tally if tally is not None else RetrievalTally()
     own_title = article_l.title.strip()
@@ -131,12 +135,12 @@ def extract_keywords(
     for pos, m in enumerate(_WIKILINK.finditer(article_l.text)):
         target = m.group(1).replace("_", " ").strip()
         mapped = title_map.get(target)
-        if mapped is None:
+        if mapped is None or mapped == title_keyword:
             continue
         counts[mapped] += 1
         first_seen.setdefault(mapped, pos)
     ranked = sorted(counts, key=lambda kw: (-counts[kw], first_seen[kw]))
-    return KeywordSet(title_keyword, ranked[:max_keywords])
+    return KeywordSet(title_keyword, ranked[:MAX_CONTENT_KEYWORDS])
 
 
 def two_step_retrieve(
@@ -221,6 +225,14 @@ def read_candidate_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
                 continue
             try:
                 rec = json.loads(line)
-                yield str(rec["id"]), str(rec["text"])
+                doc_id, text = rec["id"], rec["text"]
             except (json.JSONDecodeError, KeyError, TypeError) as e:  # TypeError: not an object
                 raise RetrievalError(f"{path}:{lineno}: bad corpus record: {e}") from e
+            # Any other value would be embedded and packed as its str().
+            if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+                raise RetrievalError(f"{path}:{lineno}: bad corpus record: "
+                                     f"id {doc_id!r} is not a string or an integer")
+            if not isinstance(text, str):
+                raise RetrievalError(f"{path}:{lineno}: bad corpus record: "
+                                     f"text {text!r:.40} is not a string")
+            yield str(doc_id), text

@@ -173,8 +173,10 @@ class TestExitCodes:
         ([f"tokenizer.split_token_id={2**32}"], "tokenizer.split_token_id"),
         (["retrieval.provider=file"], "retrieval.cache_path"),
         (["retrieval.provider=wire"], "retrieval.endpoint"),
+        (["retrieval.max_retries=-1"], "retrieval.max_retries"),
+        (["retrieval.timeout_s=0"], "retrieval.timeout_s"),
     ], ids=["byte_id_1", "external_id_1", "id_minus_1", "id_2_32", "file_no_cache_path",
-            "wire_no_endpoint"])
+            "wire_no_endpoint", "retries_minus_1", "timeout_0"])
     def test_config_time_refusals(self, small_run, capsys, overrides, field):
         # Refused before any stage runs, not when pack first builds a tokenizer
         # or retrieve its embedding provider.
@@ -251,6 +253,15 @@ class TestExitCodes:
                        if dump == "pages_l" else [(7, "en", "T", 0), (8, "en", "U", 0)])
         assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_STAGE
         assert f"{path}: all 2 tuples scanned are malformed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "pseudo_pairs.jsonl").exists()
+
+    def test_retrieve_refuses_a_cache_cut_mid_vector(self, tmp_path, capsys):
+        cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {})
+        cache = tmp_path / "emb.bin"
+        # The last record is "Thema 5"'s, and its three components end the file.
+        cache.write_bytes(cache.read_bytes()[:-5])
+        assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_STAGE
+        assert f"stage failure: {cache}: truncated vector for 'Thema 5'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "pseudo_pairs.jsonl").exists()
 
     def test_links_to_other_languages_only_not_refused(self, small_run):

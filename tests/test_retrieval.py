@@ -21,7 +21,6 @@ from xlpack.retrieval import (
     VectorIndex,
     WireEmbeddingProvider,
     _unit_rows,
-    read_embedding_cache,
     write_embedding_cache,
 )
 from xlpack.web import (
@@ -74,6 +73,12 @@ class TestExtractKeywords:
         ks = extract_keywords(_article("[[Gato|el gato]] [[Perro_Grande]]"),
                               {"Gato": "Cat", "Perro Grande": "Big Dog"})
         assert ks.content_keywords == ["Cat", "Big Dog"]
+
+    def test_link_to_the_article_itself_is_no_content_keyword(self):
+        text = "[[Thema]] ve [[Gato]] y [[Thema|el tema]]"
+        ks = extract_keywords(_article(text, title="Thema"), self.MAP)
+        assert ks.content_keywords == ["Cat"]
+        assert ks.full_query() == "Topic Cat"
 
     def test_tie_broken_by_first_occurrence(self):
         text = "[[Perro]] [[Gato]]"
@@ -132,23 +137,23 @@ class TestProviders:
         }
         path = tmp_path / "emb.bin"
         write_embedding_cache(path, table)
-        loaded = read_embedding_cache(path)
-        assert set(loaded) == set(table)
-        assert np.allclose(loaded["hello"], [0.6, 0.8], atol=1e-7)
+        provider = CachedEmbeddingProvider(path)
+        assert list(provider._spans) == list(table)
+        assert np.allclose(provider.embed_batch(list(table)), [[0.6, 0.8], [1.0, 0.0]], atol=1e-7)
 
     def test_cache_missing_key_lists_it(self, tmp_path):
         path = tmp_path / "emb.bin"
         write_embedding_cache(path, {"a": np.array([1.0, 0.0])})
-        provider = CachedEmbeddingProvider.from_file(path)
+        provider = CachedEmbeddingProvider(path)
         with pytest.raises(EmbeddingError) as err:
             provider.embed_batch(["a", "missing-key"])
-        assert "missing-key" in str(err.value)
+        assert str(err.value) == "embedding cache is missing keys: ['missing-key']"
 
     def test_zero_vector_in_cache_names_its_text(self, tmp_path):
         path = tmp_path / "emb.bin"
         write_embedding_cache(path, {"a": np.array([1.0, 0.0]),
                                      "blank text": np.array([0.0, 0.0])})
-        provider = CachedEmbeddingProvider.from_file(path)
+        provider = CachedEmbeddingProvider(path)
         with pytest.raises(EmbeddingError) as err:
             provider.embed_batch(["a", "blank text"])
         assert str(err.value) == "zero-norm embedding for 'blank text'"
@@ -158,23 +163,21 @@ class TestProviders:
         write_embedding_cache(path, {"a": np.array([1.0, 0.0])})
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(RetrievalError):
-            read_embedding_cache(path)
+            CachedEmbeddingProvider(path)
 
     def test_cache_values_widen_to_the_written_float32_bits(self, tmp_path):
         rng = np.random.default_rng(5)
         table = {f"text {i}": rng.standard_normal(i + 1) * 3 for i in range(6)}
+        table["unit"] = np.array([0.6, 0.8])  # kept as it is, so its row is the widened bits
         path = tmp_path / "emb.bin"
         write_embedding_cache(path, table)
-        loaded = read_embedding_cache(path)
-        assert list(loaded) == list(table) and len(loaded) == len(table)
+        provider = CachedEmbeddingProvider(path)
         for key, vec in table.items():
-            value = loaded[key]
-            assert value.dtype == np.dtype("<f4")
-            widened = np.asarray(value, dtype=np.float64)
-            assert widened.tobytes() == vec.astype("<f4").astype(np.float64).tobytes()
-            (got,) = CachedEmbeddingProvider(loaded).embed_batch([key])
-            (want,) = CachedEmbeddingProvider({key: widened}).embed_batch([key])
+            (got,) = provider.embed_batch([key])
+            want = reference_unit_vector(vec.astype("<f4").astype(np.float64), repr(key))
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        (unit,) = provider.embed_batch(["unit"])
+        assert unit.tobytes() == np.array([0.6, 0.8], dtype="<f4").astype(np.float64).tobytes()
 
     @pytest.mark.parametrize("cut, message", [
         (19, "truncated record header at offset 17"),
@@ -188,29 +191,27 @@ class TestProviders:
         assert path.stat().st_size == 35
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(RetrievalError) as err:
-            read_embedding_cache(path)
+            CachedEmbeddingProvider(path)
         assert str(err.value) == f"{path}: {message}"
 
     def test_cache_cut_after_the_scan_names_file_and_key(self, tmp_path):
         path = tmp_path / "emb.bin"
         write_embedding_cache(path, {"a": np.array([1.0, 0.0]), "bc": np.array([0.0, 1.0])})
-        loaded = read_embedding_cache(path)
+        provider = CachedEmbeddingProvider(path)
         path.write_bytes(path.read_bytes()[:32])  # the vector of "bc" ends at byte 35
-        for lookup in (lambda: loaded["bc"],
-                       lambda: CachedEmbeddingProvider(loaded).embed_batch(["a", "bc"])):
-            with pytest.raises(RetrievalError) as err:
-                lookup()
-            assert str(err.value) == f"{path}: short read of the vector for 'bc'"
+        with pytest.raises(RetrievalError) as err:
+            provider.embed_batch(["a", "bc"])
+        assert str(err.value) == f"{path}: short read of the vector for 'bc'"
         # The vector of "a" is still whole, but the file is not the one scanned.
         with pytest.raises(RetrievalError) as err:
-            loaded["a"]
+            provider.embed_batch(["a"])
         assert str(err.value) == f"{path}: changed since it was scanned"
 
     @pytest.mark.parametrize("change", ["same_size", "same_mtime"])
     def test_cache_rewritten_after_the_scan_is_refused(self, tmp_path, change):
         path = tmp_path / "emb.bin"
         write_embedding_cache(path, {"a": np.array([1.0, 0.0])})
-        loaded = read_embedding_cache(path)
+        provider = CachedEmbeddingProvider(path)
         mtime = path.stat().st_mtime_ns
         if change == "same_size":
             write_embedding_cache(path, {"a": np.array([0.0, 1.0])})
@@ -220,14 +221,14 @@ class TestProviders:
             write_embedding_cache(path, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
         os.utime(path, ns=(mtime, mtime))
         with pytest.raises(RetrievalError) as err:
-            CachedEmbeddingProvider(loaded).embed_batch(["a"])
+            provider.embed_batch(["a"])
         assert str(err.value) == f"{path}: changed since it was scanned"
 
     def test_cache_rows_of_two_dims_name_the_batch(self, tmp_path):
         path = tmp_path / "emb.bin"
         write_embedding_cache(path, {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0, 0.0])})
         with pytest.raises(EmbeddingError) as err:
-            CachedEmbeddingProvider.from_file(path).embed_batch(["a", "b"])
+            CachedEmbeddingProvider(path).embed_batch(["a", "b"])
         assert str(err.value).startswith("embedding batch of 2 texts")
 
     def test_loading_a_cache_holds_no_vector_bytes(self, tmp_path):
@@ -237,7 +238,7 @@ class TestProviders:
         # (the dim, 256, is a cached small int). sys.getsizeof gives each as
         # allocated, GC header included, except that an int made by an
         # addition may have one spare 4-byte digit. `slack` covers the
-        # EmbeddingCache object, its path and its stamp.
+        # provider object, its attribute dict, its path and its stamp.
         rng = np.random.default_rng(3)
         table = {f"text {i} " + "x" * (i % 50): rng.standard_normal(256) for i in range(2000)}
         path = tmp_path / "emb.bin"
@@ -246,11 +247,11 @@ class TestProviders:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            loaded = read_embedding_cache(path)
+            provider = CachedEmbeddingProvider(path)
             held, peak = (size - before for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        spans = loaded._spans
+        spans = provider._spans
         assert len(spans) == 2000
         span_bytes = sys.getsizeof(spans) + sum(
             sys.getsizeof(key) + sys.getsizeof(span) + sys.getsizeof(span[0]) + 4
@@ -264,15 +265,17 @@ class TestProviders:
     def test_providers_return_one_float64_matrix(self, tmp_path):
         path = tmp_path / "emb.bin"
         write_embedding_cache(path, {"a": np.array([3.0, 4.0]), "b": np.array([1.0, 0.0])})
-        for provider in (MockEmbeddingProvider(dim=2), CachedEmbeddingProvider.from_file(path)):
+        for provider in (MockEmbeddingProvider(dim=2), CachedEmbeddingProvider(path)):
             rows = provider.embed_batch(["a", "b", "a"])
             assert type(rows) is np.ndarray and rows.dtype == np.float64
             assert rows.shape == (3, 2)
 
-    def test_embed_batch_normalizes(self):
+    def test_embed_batch_normalizes(self, tmp_path):
         (v,) = MockEmbeddingProvider(dim=4).embed_batch(["anything"])
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-6
-        (w,) = CachedEmbeddingProvider({"a": np.array([3.0, 4.0])}).embed_batch(["a"])
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, {"a": np.array([3.0, 4.0])})
+        (w,) = CachedEmbeddingProvider(path).embed_batch(["a"])
         assert np.allclose(w, [0.6, 0.8], atol=1e-12)
 
     def test_default_providers_match_the_default_config(self):
@@ -633,12 +636,15 @@ class TestPseudoPair:
 
 
 class TestCandidateCorpus:
-    @pytest.mark.parametrize("bad", ['[1, 2]', '"text"', 'null', '{"id": "b"}', '{"id":'])
+    @pytest.mark.parametrize("bad", ['[1, 2]', '"text"', 'null', '{"id": "b"}', '{"id":',
+                                     '{"id": "b", "text": null}', '{"id": "b", "text": 3}',
+                                     '{"id": true, "text": "beta"}', '{"id": 1.5, "text": "beta"}',
+                                     '{"id": null, "text": "beta"}', '{"id": ["b"], "text": "beta"}'])
     def test_bad_line_names_file_and_line(self, tmp_path, bad):
         path = tmp_path / "web.jsonl"
-        path.write_text('{"id": "a", "text": "alpha"}\n' + bad + "\n")
+        path.write_text('{"id": 7, "text": "alpha"}\n' + bad + "\n")  # an integer id is kept
         docs = read_candidate_corpus(path)
-        assert next(docs) == ("a", "alpha")
+        assert next(docs) == ("7", "alpha")
         with pytest.raises(RetrievalError) as err:
             next(docs)
         assert str(err.value).startswith(f"{path}:2: bad corpus record")
