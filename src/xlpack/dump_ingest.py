@@ -393,14 +393,16 @@ def article_files(path: str | Path) -> list[Path]:
 
 def parse_article_line(line: bytes, lang: str) -> RawArticle | None:
     """The record on one extracted-article line, or None when the line is not
-    a JSON object with an integer-coercible `id` and string `title` and
-    `text`. Empty text still makes a record."""
+    a JSON object with string `title` and `text` whose `id` is a non-negative
+    integer or a string of ASCII digits. Empty text still makes a record."""
     try:
         rec = json.loads(line)
-        page_id = int(rec["id"])
-        title, text = rec["title"], rec["text"]
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+        page_id, title, text = rec["id"], rec["title"], rec["text"]
+        if isinstance(page_id, str) and page_id.isascii() and page_id.isdigit():
+            page_id = int(page_id)
+    except (ValueError, KeyError, TypeError, RecursionError):
         return None
-    if not isinstance(title, str) or not isinstance(text, str):
+    if type(page_id) is not int or page_id < 0 or not isinstance(title, str) \
+            or not isinstance(text, str):
         return None
     return RawArticle(page_id, title, text, lang)

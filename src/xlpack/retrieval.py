@@ -8,9 +8,12 @@ it in their bodies. The queries, settings and pseudo pairs live in
 Embedding providers are injected: a seeded deterministic mock for tests, a
 precomputed binary cache, and a single-endpoint wire provider. Their defaults
 are `RetrievalConfig`'s. `CachedEmbeddingProvider`, the cache's one class,
-holds each text's (offset, dim) span, not the file's bytes: each vector is
-read from the file by the provider call that uses it, so the index's float64
-rows are the only copy of the corpus's embeddings that retrieve holds.
+holds a sorted table of key digests with each record's offset and dim, not
+the file's bytes and no text: each vector is read from the file by the
+provider call that uses it. So the index's rows are the only copy of the
+corpus's embeddings that retrieve holds, as float32 when they convert
+exactly, and `VectorIndex.search` widens them to float64 one fixed-size tile
+at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import hashlib
 import os
 import struct
 import time
+from array import array
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -27,6 +31,8 @@ import numpy as np
 from .web import EmbeddingError, RetrievalConfig, RetrievalError
 
 _NORM_TOLERANCE = 1e-6
+_DIGEST_DTYPE = np.dtype("S16")  # a cache key's blake2b digest, compared as 16 raw bytes
+SEARCH_TILE_ROWS = 512  # index rows widened to float64 and scored per BLAS call
 
 
 def _unit_rows(rows, texts: Sequence[str]) -> np.ndarray:
@@ -72,15 +78,20 @@ class MockEmbeddingProvider:
 class CachedEmbeddingProvider:
     """Embeddings read from a precomputed cache file, a call's rows in one open.
 
-    The constructor scans the record headers and keeps only each key's (byte
-    offset, dim) span and the file's (size, st_mtime_ns) stamp, so the file's
-    bytes are never held whole. `_unit_rows` widens the float32 rows to
-    float64 in one step, which is exact.
+    The constructor scans the record headers and keeps, sorted, a 16-byte
+    digest of each key's UTF-8 bytes with its record's byte offset and dim,
+    and the file's (size, st_mtime_ns) stamp. So it holds neither the file's
+    bytes nor any key: each record costs 28 bytes, however long its key. Of
+    records that share a digest, the last one is kept, so the last record of
+    a duplicated key wins. `_unit_rows` widens the float32 rows to float64 in
+    one step, which is exact.
     """
 
     def __init__(self, path: str | Path):
         self.path = path
-        self._spans = spans = {}  # key -> (byte offset, dim) of its components
+        digests = bytearray()
+        offsets = array("q")
+        dims = array("I")
         with open(path, "rb", buffering=1 << 16) as f:
             self._stamp = _stamp(os.fstat(f.fileno()))
             size = self._stamp[0]
@@ -93,38 +104,70 @@ class CachedEmbeddingProvider:
                 if start > size:
                     raise RetrievalError(f"{path}: truncated record at offset {pos}")
                 head = f.read(id_len + 4)
-                key = head[:id_len].decode("utf-8")
+                raw = head[:id_len]
+                try:
+                    key = raw.decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise RetrievalError(f"{path}: the key of the record at offset {pos} "
+                                         f"is not UTF-8: {e}") from None
                 (dim,) = struct.unpack_from("<I", head, id_len)
-                pos = start + 4 * dim
-                if pos > size:
+                if start + 4 * dim > size:
                     raise RetrievalError(f"{path}: truncated vector for {key!r}")
-                spans[key] = (start, dim)
+                digests += _digest(raw)
+                offsets.append(pos)
+                dims.append(dim)
+                pos = start + 4 * dim
                 f.seek(pos)
+        keys = np.frombuffer(digests, dtype=_DIGEST_DTYPE)
+        order = np.argsort(keys, kind="stable")  # file order within a digest
+        keys = keys[order]
+        last = np.ones(len(keys), dtype=bool)  # the last record of each digest
+        last[:-1] = keys[1:] != keys[:-1]
+        self._keys = keys[last]
+        self._offsets = np.frombuffer(offsets, dtype=np.int64)[order][last]
+        self._dims = np.frombuffer(dims, dtype=np.uint32)[order][last]
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """Each text's vector is read from its offset straight into its row.
-        The file is checked after the reads, so one rewritten before or during
-        them is refused rather than read as different vectors."""
-        missing = [t for t in texts if t not in self._spans]
+        """Each text's record is read from its offset in one read: its stored
+        key into a header buffer, its vector straight into its row. A record
+        whose key is not the text counts as a missing key. The file is
+        checked after the reads, so one rewritten before or during them is
+        refused rather than read as different vectors."""
+        raws = [t.encode("utf-8", "surrogatepass") for t in texts]
+        want = np.frombuffer(b"".join(map(_digest, raws)), dtype=_DIGEST_DTYPE)
+        at = np.searchsorted(self._keys, want)
+        found = at < len(self._keys)
+        found[found] = self._keys[at[found]] == want[found]
+        missing = [t for t, ok in zip(texts, found) if not ok]
         if missing:
             raise EmbeddingError(f"embedding cache is missing keys: {missing!r}")
-        spans = [self._spans[t] for t in texts]
-        dims = {dim for _, dim in spans}
+        dims = set(self._dims[at].tolist())
         if len(dims) > 1:
             raise EmbeddingError(f"embedding batch of {len(texts)} texts: dims {sorted(dims)}")
-        out = np.empty((len(texts), dims.pop() if dims else 0), dtype="<f4")
+        dim = dims.pop() if dims else 0
+        out = np.empty((len(texts), dim), dtype="<f4")
         with open(self.path, "rb", buffering=0) as f:
             fd = f.fileno()
-            for text, row, (offset, dim) in zip(texts, out, spans):
-                if os.preadv(fd, [row], offset) != 4 * dim:
+            for text, raw, row, offset in zip(texts, raws, out, self._offsets[at].tolist()):
+                head = struct.pack("<I", len(raw)) + raw + struct.pack("<I", dim)
+                stored = bytearray(len(head))
+                if os.preadv(fd, [stored, row], offset) != len(head) + 4 * dim:
                     raise RetrievalError(f"{self.path}: short read of the vector for {text!r}")
+                if stored != head:
+                    missing.append(text)
             if _stamp(os.fstat(fd)) != self._stamp:
                 raise RetrievalError(f"{self.path}: changed since it was scanned")
+        if missing:
+            raise EmbeddingError(f"embedding cache is missing keys: {missing!r}")
         return _unit_rows(out, texts)
 
 
 def _stamp(st: os.stat_result) -> tuple[int, int]:
     return st.st_size, st.st_mtime_ns
+
+
+def _digest(raw: bytes) -> bytes:
+    return hashlib.blake2b(raw, digest_size=_DIGEST_DTYPE.itemsize).digest()
 
 
 class WireEmbeddingProvider:
@@ -193,12 +236,17 @@ class VectorIndex:
 
     Rows are held sorted by doc id, which both makes results independent of
     insertion order and lets ascending row order break score ties by
-    ascending doc id.
+    ascending doc id. They are held as float32 when every row converts to
+    float32 and back unchanged, as the `file` provider's rows do, and as
+    float64 otherwise; `search` widens them to float64 a tile at a time,
+    which is exact, so both give the same scores.
     """
 
     def __init__(self, doc_ids: list[str], matrix: np.ndarray):
         self.doc_ids = doc_ids
         self.matrix = matrix
+        self._tile: np.ndarray | None = None  # search's float64 rows, made on first use
+        self._scores: np.ndarray | None = None  # search's score block, grown to the largest query block
 
     @classmethod
     def build(cls, batches: Iterable[tuple[Sequence[str], np.ndarray]]) -> "VectorIndex":
@@ -206,9 +254,12 @@ class VectorIndex:
         be unit rows, as every provider's embed_batch returns them; they are
         not normalized again."""
         # Batches are appended to one buffer as they arrive, so no row is held
-        # twice; rows are reordered only if the docs did not arrive by id.
+        # twice; rows are reordered only if the docs did not arrive by id. The
+        # buffer holds float32 until a batch does not convert exactly; then the
+        # rows so far are widened to float64, and so is every later batch.
         doc_ids: list[str] = []
         buffer = bytearray()
+        dtype = np.float32
         dim: int | None = None
         for ids, rows in batches:
             rows = np.asarray(rows, dtype=np.float64)
@@ -218,10 +269,18 @@ class VectorIndex:
                 raise RetrievalError(f"batch from doc {ids[0]!r} has shape {rows.shape}, "
                                      f"index has dimension {dim}")
             doc_ids += ids
+            if dtype is np.float32:
+                with np.errstate(over="ignore"):  # a row too large for float32 is not exact
+                    narrow = rows.astype(np.float32)
+                if np.array_equal(narrow, rows):
+                    buffer += narrow.tobytes()
+                    continue
+                dtype = np.float64
+                buffer = bytearray(np.frombuffer(buffer, dtype=np.float32).astype(np.float64))
             buffer += rows.tobytes()
         if not doc_ids:
             return cls([], np.zeros((0, 0), dtype=np.float64))
-        matrix = np.frombuffer(buffer, dtype=np.float64).reshape(len(doc_ids), dim)
+        matrix = np.frombuffer(buffer, dtype=dtype).reshape(len(doc_ids), dim)
         order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
         if order != list(range(len(doc_ids))):
             matrix = matrix[order]
@@ -242,22 +301,37 @@ class VectorIndex:
         (that is, by doc id). A partition finds the k-th score; only the rows
         scoring at least that much are sorted, so a tie that straddles rank k
         still goes to the lower doc id.
+
+        The rows are scored SEARCH_TILE_ROWS at a time: each tile is widened
+        into one reused float64 buffer and multiplied into its columns of the
+        score block, so an index no wider than one tile is scored in a single
+        product. The score block belongs to the index and is reused, so the
+        next call overwrites the block that this one returned.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         queries = np.asarray(queries, dtype=np.float64)
-        if not self.doc_ids:
+        n = len(self.doc_ids)
+        if not n:
             return np.zeros((len(queries), 0)), [np.zeros(0, dtype=np.intp)] * len(queries)
         if queries.ndim != 2 or queries.shape[1] != self.matrix.shape[1]:
             raise RetrievalError(
                 f"query block has shape {queries.shape}, index has dimension "
                 f"{self.matrix.shape[1]}"
             )
-        scores = queries @ self.matrix.T
-        kth = max(len(self.doc_ids) - k, 0)  # where the k-th highest score sorts ascending
+        if self._tile is None:
+            self._tile = np.empty((min(n, SEARCH_TILE_ROWS), self.matrix.shape[1]))
+        if self._scores is None or len(self._scores) < len(queries):
+            self._scores = np.empty((len(queries), n))
+        scores = self._scores[:len(queries)]
+        for start in range(0, n, SEARCH_TILE_ROWS):
+            tile = self._tile[:min(SEARCH_TILE_ROWS, n - start)]
+            np.copyto(tile, self.matrix[start:start + len(tile)])
+            np.matmul(queries, tile.T, out=scores[:, start:start + len(tile)])
+        kth = max(n - k, 0)  # where the k-th highest score sorts ascending
         top = []
         for row in scores:
-            floor = row[np.argpartition(row, kth)[kth]]
+            floor = np.partition(row, kth)[kth]
             rows = np.flatnonzero(row >= floor)
             top.append(rows[np.argsort(-row[rows], kind="stable")[:k]])
         return scores, top

@@ -465,10 +465,29 @@ class TestExtractedArticles:
         b'{"id": 1e999, "title": "T", "text": "x"}',
         b'{"id": "5", "title": "\xff", "text": "x"}',
         b'{"id": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        b'{"id": true, "title": "T", "text": "x"}',
+        b'{"id": 12.9, "title": "T", "text": "x"}',
+        b'{"id": 12.0, "title": "T", "text": "x"}',
+        b'{"id": -5, "title": "T", "text": "x"}',
+        b'{"id": "1_000", "title": "T", "text": "x"}',
+        b'{"id": " 12 ", "title": "T", "text": "x"}',
+        '{"id": "\u0661\u0662", "title": "T", "text": "x"}'.encode(),
+        b'{"id": "+7", "title": "T", "text": "x"}',
+        b'{"id": "-5", "title": "T", "text": "x"}',
+        b'{"id": "", "title": "T", "text": "x"}',
     ], ids=["not_object", "title_not_str", "text_not_str", "id_overflows", "invalid_utf8",
-            "nested_past_parser"])
+            "nested_past_parser", "id_bool", "id_fraction", "id_float", "id_negative",
+            "id_underscores", "id_spaces", "id_arabic_digits", "id_plus", "id_negative_str",
+            "id_empty"])
     def test_line_outside_record_rule(self, line):
         assert parse_article_line(line, "en") is None
+
+    @pytest.mark.parametrize("page_id, want", [
+        (b"0", 0), (b"12", 12), (b'"12"', 12), (b'"007"', 7), (b"10000000000000000000", 10**19),
+    ])
+    def test_page_id_rule(self, page_id, want):
+        line = b'{"id": ' + page_id + b', "title": "T", "text": "x"}'
+        assert parse_article_line(line, "en").page_id == want
 
     def test_empty_text_yielded(self, tmp_path):
         f = tmp_path / "a.jsonl"

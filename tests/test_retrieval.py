@@ -4,6 +4,7 @@ import hashlib
 import http.server
 import json
 import os
+import struct
 import sys
 import threading
 import tracemalloc
@@ -14,8 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from xlpack import retrieval
 from xlpack.dump_ingest import RawArticle
 from xlpack.retrieval import (
+    SEARCH_TILE_ROWS as TILE,
     CachedEmbeddingProvider,
     MockEmbeddingProvider,
     VectorIndex,
@@ -138,8 +141,54 @@ class TestProviders:
         path = tmp_path / "emb.bin"
         write_embedding_cache(path, table)
         provider = CachedEmbeddingProvider(path)
-        assert list(provider._spans) == list(table)
+        for key, vec in table.items():
+            (got,) = provider.embed_batch([key])
+            assert got.tobytes() == vec.astype("<f4").astype(np.float64).tobytes()
         assert np.allclose(provider.embed_batch(list(table)), [[0.6, 0.8], [1.0, 0.0]], atol=1e-7)
+        with pytest.raises(EmbeddingError):
+            provider.embed_batch(["hello "])  # a key is matched whole
+
+    def test_last_record_of_a_duplicated_key_wins(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+        with open(path, "ab") as f:  # a second record keyed "a", after "b"
+            f.write(path.read_bytes()[:17].replace(np.array([1.0, 0.0], "<f4").tobytes(),
+                                                   np.array([0.6, 0.8], "<f4").tobytes()))
+        got = CachedEmbeddingProvider(path).embed_batch(["a", "b"])
+        want = np.array([[0.6, 0.8], [0.0, 1.0]], dtype="<f4").astype(np.float64)
+        assert got.tobytes() == want.tobytes()
+
+    def test_key_that_is_not_utf8_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, {"a": np.array([1.0, 0.0])})
+        with open(path, "ab") as f:  # a second record, at offset 17, keyed b"\xff"
+            f.write(struct.pack("<I", 1) + b"\xff" + struct.pack("<I", 2)
+                    + np.array([0.0, 1.0], "<f4").tobytes())
+        with pytest.raises(RetrievalError) as err:
+            CachedEmbeddingProvider(path)
+        assert str(err.value).startswith(
+            f"{path}: the key of the record at offset 17 is not UTF-8: 'utf-8' codec")
+
+    def test_record_whose_key_differs_counts_as_missing(self, tmp_path, monkeypatch):
+        # A digest of the first character only: "ab" and "ac" collide, and the
+        # table keeps the later record, keyed "ac".
+        monkeypatch.setattr(retrieval, "_digest",
+                            lambda raw: hashlib.blake2b(raw[:1], digest_size=16).digest())
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, {"ab": np.array([1.0, 0.0]), "ac": np.array([0.0, 1.0])})
+        provider = CachedEmbeddingProvider(path)
+        assert provider.embed_batch(["ac"]).tolist() == [[0.0, 1.0]]
+        with pytest.raises(EmbeddingError) as err:
+            provider.embed_batch(["ac", "ab", "ad"])
+        assert str(err.value) == "embedding cache is missing keys: ['ab', 'ad']"
+
+    def test_empty_cache_has_every_key_missing(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        path.write_bytes(b"")
+        provider = CachedEmbeddingProvider(path)
+        with pytest.raises(EmbeddingError) as err:
+            provider.embed_batch(["a"])
+        assert str(err.value) == "embedding cache is missing keys: ['a']"
 
     def test_cache_missing_key_lists_it(self, tmp_path):
         path = tmp_path / "emb.bin"
@@ -233,34 +282,34 @@ class TestProviders:
 
     def test_loading_a_cache_holds_no_vector_bytes(self, tmp_path):
         # 2,000 records at dim 256 hold 2,000 * 256 * 4 = 2,048,000 bytes of
-        # vectors. The load may hold only the span dict: the dict itself and,
-        # per record, its key, its (offset, dim) tuple and the offset's int
-        # (the dim, 256, is a cached small int). sys.getsizeof gives each as
-        # allocated, GC header included, except that an int made by an
-        # addition may have one spare 4-byte digit. `slack` covers the
-        # provider object, its attribute dict, its path and its stamp.
-        rng = np.random.default_rng(3)
-        table = {f"text {i} " + "x" * (i % 50): rng.standard_normal(256) for i in range(2000)}
-        path = tmp_path / "emb.bin"
-        write_embedding_cache(path, table)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            provider = CachedEmbeddingProvider(path)
-            held, peak = (size - before for size in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
-        spans = provider._spans
-        assert len(spans) == 2000
-        span_bytes = sys.getsizeof(spans) + sum(
-            sys.getsizeof(key) + sys.getsizeof(span) + sys.getsizeof(span[0]) + 4
-            for key, span in spans.items())
+        # vectors, and their keys 2,000 * key_len bytes or more. The load may
+        # hold only its table: per record a 16-byte digest, an int64 offset
+        # and a uint32 dim, 28 bytes however long the key. `slack` covers the
+        # provider object, its attribute dict, its path, its stamp and the
+        # three arrays' headers.
+        table_bytes = 2000 * (16 + 8 + 4)
         slack = 4096
-        assert held <= span_bytes + slack < 2000 * 256 * 4 // 4
-        # Nor is the file read whole: at the peak, beside the spans, the load
-        # held its 64 KiB read buffer and the old table of a dict resize.
-        assert peak <= span_bytes + slack + (1 << 16) + sys.getsizeof(spans)
+        for key_len in (10, 2000):
+            rng = np.random.default_rng(3)
+            table = {f"text {i} " + "x" * (key_len + i % 50): rng.standard_normal(256)
+                     for i in range(2000)}
+            path = tmp_path / f"emb{key_len}.bin"
+            write_embedding_cache(path, table)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                provider = CachedEmbeddingProvider(path)
+                held, peak = (size - before for size in tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+            assert held <= table_bytes + slack
+            # Nor is the file read whole: at the peak the load held its 64 KiB
+            # read buffer and one record's key (as bytes and as str), or else
+            # the scan's three grown arrays, the sort order and the sorted
+            # copies, each no more than one table's worth.
+            assert peak <= (1 << 16) + 4 * (key_len + 100) + 4 * table_bytes + slack
+            assert provider.embed_batch(list(table)[-3:]).shape == (3, 256)
 
     def test_providers_return_one_float64_matrix(self, tmp_path):
         path = tmp_path / "emb.bin"
@@ -442,6 +491,103 @@ class TestVectorIndex:
         index = VectorIndex.build([_batch(("d1", 1.0, 0.0))])
         with pytest.raises(ValueError):
             index.search(np.array([[1.0, 0.0]]), 0)
+
+    def test_rows_held_as_float32_only_when_they_convert_exactly(self, tmp_path):
+        ids = [f"d{i:02d}" for i in range(20)]
+        rng = np.random.default_rng(4)
+        vecs = rng.standard_normal((20, 8))
+        path = tmp_path / "emb.bin"
+        write_embedding_cache(path, dict(zip(ids, vecs / np.linalg.norm(vecs, axis=1)[:, None])))
+        cached = CachedEmbeddingProvider(path).embed_batch(ids)  # unit float32 rows, widened
+        mock = MockEmbeddingProvider(dim=8).embed_batch(ids)
+        for rows, dtype in ((cached, np.float32), (mock, np.float64)):
+            index = VectorIndex.build(_batches(ids, rows))
+            assert index.matrix.dtype == dtype
+            assert index.matrix.astype(np.float64).tobytes() == rows.tobytes()
+        # A later batch that does not convert widens the float32 rows before it.
+        mixed = np.concatenate([cached[:10], mock[10:]])
+        index = VectorIndex.build(_batches(ids, mixed))
+        assert index.matrix.dtype == np.float64 and index.matrix.tobytes() == mixed.tobytes()
+        # Either way the scores are those of the same rows held as float64.
+        queries = mock[:3]
+        want, want_top = VectorIndex(ids, cached.copy()).search(queries, 4)
+        want = want.copy()
+        scores, top = VectorIndex.build(_batches(ids, cached)).search(queries, 4)
+        assert scores.tobytes() == want.tobytes()
+        assert [list(t) for t in top] == [list(t) for t in want_top]
+
+    def test_float32_index_holds_four_bytes_per_component(self):
+        # 2,000 rows at dim 64 are 512,000 bytes as float32 and twice that as
+        # float64. The buffer the rows are appended to may be over-allocated
+        # by up to 1/8 of its size as it grows. `slack` covers the index
+        # object, its attribute dict and the matrix's header.
+        n, dim = 2000, 64
+
+        def batches():
+            rng = np.random.default_rng(5)
+            for start in range(0, n, 100):
+                rows = rng.standard_normal((100, dim)).astype(np.float32).astype(np.float64)
+                yield [f"d{i:05d}" for i in range(start, start + 100)], rows
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = VectorIndex.build(batches())
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert index.matrix.dtype == np.float32
+        id_bytes = sys.getsizeof(index.doc_ids) + sum(map(sys.getsizeof, index.doc_ids))
+        slack = 4096
+        assert held <= 4 * dim * n * 9 // 8 + id_bytes + slack < 8 * dim * n
+
+    @pytest.mark.parametrize("n_queries", [2, 26])
+    @pytest.mark.parametrize("n_rows", [TILE - 1, TILE, TILE + 1, TILE + 2, 2 * TILE + 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tiled_scores_match_one_product(self, dtype, n_rows, n_queries):
+        rng = np.random.default_rng(n_rows * n_queries)
+        rows = rng.standard_normal((n_rows, 16))
+        rows = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(dtype)
+        rows = rows.astype(np.float64)
+        queries = rng.standard_normal((n_queries, 16))
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        index = VectorIndex.build(_batches([f"d{i:04d}" for i in range(n_rows)], rows, 100))
+        assert index.matrix.dtype == dtype
+        scores, top = index.search(queries, 5)
+        want = queries @ rows.T
+        assert np.abs(scores - want).max() <= 1e-12
+        if n_rows <= TILE:  # one tile is one product, as an unblocked search makes it
+            assert scores.tobytes() == want.tobytes()
+        assert [list(t) for t in top] == [list(np.argsort(-w, kind="stable")[:5]) for w in want]
+
+    @pytest.mark.parametrize("n_rows", [TILE - 1, TILE, TILE + 1, TILE + 2, 2 * TILE + 1])
+    def test_integer_rows_score_exactly_across_tile_edges(self, n_rows):
+        # Small-integer rows make every score exact. The rows on both sides of
+        # each tile edge tie at the top score of the all-ones query, so the
+        # tie rule is checked across every edge.
+        rng = np.random.default_rng(n_rows)
+        matrix = rng.integers(-2, 2, (n_rows, 3))
+        for edge in range(TILE, n_rows, TILE):
+            matrix[edge - 1:edge + 1] = 2
+        queries = rng.integers(-2, 3, (26, 3))
+        queries[0] = 1
+        index = VectorIndex([f"doc{i:04d}" for i in range(n_rows)], matrix.astype(float))
+        docs = list(zip(index.doc_ids, matrix))
+        for k in (1, 2, 7):
+            scores, top = index.search(queries.astype(float), k)
+            assert scores.tobytes() == (queries @ matrix.T).astype(float).tobytes()
+            for q, rows in zip(queries, top):
+                assert [index.doc_ids[r] for r in rows] == [d for d, _ in reference_search(docs, q, k)]
+        if n_rows > TILE:
+            assert list(top[0][:2]) == [TILE - 1, TILE]
+
+    def test_score_block_is_reused_by_the_next_call(self):
+        index = _int_index([[1, 0], [0, 1], [1, 1]])
+        first, _ = index.search(np.array([[1.0, 0.0], [0.0, 1.0]]), 1)
+        assert first.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+        second, _ = index.search(np.array([[2.0, 0.0]]), 1)
+        assert second.tolist() == [[2.0, 0.0, 2.0]]
+        assert np.shares_memory(first, second) and first[0].tolist() == [2.0, 0.0, 2.0]
 
     @given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 5),
            st.integers(0, 2**32 - 1))
