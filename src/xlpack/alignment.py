@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
-from .dump_ingest import LangLink, PageRecord, RawArticle, article_files, parse_article_line
+from .dump_ingest import (LangLink, PageRecord, RawArticle, article_files, numbered_lines,
+                          parse_article_line)
 
 
 class PairId(NamedTuple):
@@ -125,19 +126,15 @@ def scan_articles(path: str | Path, lang: str, tally: ArticleTally | None = None
     tally = tally if tally is not None else ArticleTally()
     index = index if index is not None else {}
     for file in article_files(path):
-        with open(file, "rb") as f:
-            offset = 0
-            for line in f:
-                if line.strip():
-                    article = parse_article_line(line, lang)
-                    if article is None:
-                        tally.malformed_articles += 1
-                    elif article.page_id in index:
-                        tally.duplicate_articles += 1
-                    else:
-                        index[article.page_id] = (file, offset)
-                        yield article
-                offset += len(line)
+        for _, offset, line in numbered_lines(file):
+            article = parse_article_line(line, lang)
+            if article is None:
+                tally.malformed_articles += 1
+            elif article.page_id in index:
+                tally.duplicate_articles += 1
+            else:
+                index[article.page_id] = (file, offset)
+                yield article
 
 
 class ArticleStore:
@@ -242,14 +239,11 @@ def save_pair_map(pairs: set[PairId], path: str | Path) -> None:
 
 def load_pair_map(path: str | Path) -> set[PairId]:
     pairs: set[PairId] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                pairs.add(PairId(*map(int, line.split("\t"))))
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}:{lineno}: expected integer id_l<TAB>id_en, got "
-                                 f"{line!r}; rerun align") from None
+    for lineno, _, line in numbered_lines(path):
+        try:
+            line = line.decode("utf-8").strip()
+            pairs.add(PairId(*map(int, line.split("\t"))))
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}:{lineno}: expected integer id_l<TAB>id_en, got "
+                             f"{line!r}; rerun align") from None
     return pairs

@@ -23,6 +23,15 @@ The article side parses line-delimited JSON records (`id`, `title`, `text`)
 as produced by common wikitext extraction tools, one line at a time:
 `parse_article_line` is the one record rule, and `alignment.scan_articles`
 (streamed by retrieve, indexed by pack's ArticleStores) the one reader.
+
+`numbered_lines` is the one line rule for every line-delimited input: the
+article files, the web corpus, the vocab file and the run's own `pairs.tsv`,
+`pseudo_pairs.jsonl`, `contexts.jsonl` and run report. A file is read as
+bytes and its lines end at `\n` only, so a CRLF end leaves a `\r` that JSON
+and int() take as whitespace. A line whose bytes are all ASCII whitespace is
+blank and skipped, but still counted in the numbering. Each reader decodes a
+line as strict UTF-8 and refuses, as `<file>:<line>`, one that is not (the
+article reader tallies it malformed instead).
 """
 
 from __future__ import annotations
@@ -391,18 +400,33 @@ def article_files(path: str | Path) -> list[Path]:
     return [p]
 
 
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, int, bytes]]:
+    """(line number, byte offset, line bytes) of each line of one file that is
+    not blank (`bytes.strip()` empty). Lines end at `b"\\n"` only and keep it;
+    numbering starts at 1 and counts the blank lines."""
+    with open(path, "rb") as f:
+        offset = 0
+        for lineno, line in enumerate(f, 1):
+            if line.strip():
+                yield lineno, offset, line
+            offset += len(line)
+
+
 def parse_article_line(line: bytes, lang: str) -> RawArticle | None:
     """The record on one extracted-article line, or None when the line is not
-    a JSON object with string `title` and `text` whose `id` is a non-negative
-    integer or a string of ASCII digits. Empty text still makes a record."""
+    UTF-8 holding a JSON object with string `title` and `text` whose `id` is a
+    non-negative integer or a string of ASCII digits. A title or text with a
+    lone surrogate (a JSON escape such as `\\ud800`) is no record either:
+    it has no UTF-8 form to tokenize or write. Empty text still makes a record."""
     try:
-        rec = json.loads(line)
+        rec = json.loads(line.decode("utf-8"))
         page_id, title, text = rec["id"], rec["title"], rec["text"]
         if isinstance(page_id, str) and page_id.isascii() and page_id.isdigit():
             page_id = int(page_id)
+        if type(page_id) is not int or page_id < 0 or not isinstance(title, str) \
+                or not isinstance(text, str):
+            return None
+        title.encode(), text.encode()  # UnicodeEncodeError: a lone surrogate
     except (ValueError, KeyError, TypeError, RecursionError):
-        return None
-    if type(page_id) is not int or page_id < 0 or not isinstance(title, str) \
-            or not isinstance(text, str):
         return None
     return RawArticle(page_id, title, text, lang)

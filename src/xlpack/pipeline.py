@@ -82,7 +82,7 @@ from .alignment import (
     scan_articles,
 )
 from .config import ConfigError, InputError, PipelineConfig
-from .dump_ingest import ParseTally, parse_langlinks_dump, parse_pages_dump
+from .dump_ingest import ParseTally, numbered_lines, parse_langlinks_dump, parse_pages_dump
 from .export import (
     ContextEntry,
     compute_stats,
@@ -182,21 +182,18 @@ def read_contexts_jsonl(path: str | Path) -> list[ContextEntry]:
     is not a JSON object, or a value of the wrong type (a bool is no int, and
     token_len is at least 1)."""
     entries = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                entry = ContextEntry(**json.loads(line))
-                counts = entry.per_language_tokens  # JSON keys are str; its values are checked
-                if not (type(entry.origin) is str and type(entry.token_len) is int
-                        and entry.token_len >= 1 and type(counts) is dict
-                        and all(type(v) is int for v in counts.values())):
-                    raise TypeError
-            except (ValueError, TypeError):
-                raise ValueError(f"{path}:{lineno}: not a context index line; "
-                                 "rerun pack") from None
-            entries.append(entry)
+    for lineno, _, line in numbered_lines(path):
+        try:
+            entry = ContextEntry(**json.loads(line.decode("utf-8")))
+            counts = entry.per_language_tokens  # JSON keys are str; its values are checked
+            if not (type(entry.origin) is str and type(entry.token_len) is int
+                    and entry.token_len >= 1 and type(counts) is dict
+                    and all(type(v) is int for v in counts.values())):
+                raise TypeError
+        except (ValueError, TypeError):
+            raise ValueError(f"{path}:{lineno}: not a context index line; "
+                             "rerun pack") from None
+        entries.append(entry)
     return entries
 
 
@@ -410,21 +407,21 @@ def _join_pseudo_pairs(cfg: PipelineConfig, path: Path, store_l: ArticleStore,
 
     The target-language side comes from `store_l`, the web side from one scan
     of paths.web_corpus that keeps only the referenced documents. A line that
-    is not a reference, or whose doc_id or id_l has no text, is refused.
-    Every reference counts under the tally's pairs_in.
+    is not a reference (a str doc_id and an int id_l), or whose doc_id or id_l
+    has no text, is refused. Every reference counts under the tally's pairs_in.
     """
     refs: list[tuple[str, str, int]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                ref = json.loads(line)
-                refs.append((where, ref["doc_id"], ref["id_l"]))
-            except (ValueError, KeyError, TypeError):
-                raise ValueError(f"{where}: not a pseudo pair reference with doc_id and "
-                                 "id_l; rerun retrieve") from None
+    for lineno, _, line in numbered_lines(path):
+        where = f"{path}:{lineno}"
+        try:
+            ref = json.loads(line.decode("utf-8"))
+            doc_id, id_l = ref["doc_id"], ref["id_l"]
+            if type(doc_id) is not str or type(id_l) is not int:  # a bool is no int
+                raise TypeError
+        except (ValueError, KeyError, TypeError):
+            raise ValueError(f"{where}: not a pseudo pair reference with doc_id and "
+                             "id_l; rerun retrieve") from None
+        refs.append((where, doc_id, id_l))
     tally.pairs_in += len(refs)
     if not refs:
         return
@@ -609,8 +606,7 @@ def run_all(cfg: PipelineConfig, report: RunReport, **flags: bool) -> None:
     elapsed = time.perf_counter() - start
     shards_root = cfg.output_dir / SHARDS_NAME
     token_total = sum(read_manifest(shards_root / name).token_total for name in SPLITS)
-    with open(cfg.output_dir / PAIRS_NAME, encoding="utf-8") as f:
-        pair_count = sum(1 for line in f if line.strip())
+    pair_count = sum(1 for _ in numbered_lines(cfg.output_dir / PAIRS_NAME))
     report.event(
         "run_complete",
         elapsed_s=round(elapsed, 3),

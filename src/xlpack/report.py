@@ -7,6 +7,8 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .dump_ingest import numbered_lines
+
 
 class RunReport:
     def __init__(self, path: str | Path):
@@ -36,9 +38,9 @@ class RunReport:
 
 def read_events(path: str | Path) -> list[dict]:
     events = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
+    for lineno, _, line in numbered_lines(path):
+        try:
+            events.append(json.loads(line.decode("utf-8")))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a run report event") from None
     return events

@@ -19,6 +19,7 @@ at a time.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import struct
 import time
@@ -193,26 +194,29 @@ class WireEmbeddingProvider:
         self.backoff_s = backoff_s
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        import requests  # imported here so that runs without this provider never load it
+        # Imported here so that runs without this provider never load them.
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
 
-        headers = {}
+        headers = {"Content-Type": "application/json"}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
+        body = json.dumps({"texts": list(texts)}).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff_s * 2 ** (attempt - 1))
             try:
-                resp = requests.post(
-                    self.endpoint,
-                    json={"texts": list(texts)},
-                    headers=headers,
-                    timeout=self.timeout_s,
-                )
-                resp.raise_for_status()
-                return _unit_rows(resp.json()["vectors"], texts)
-            except (requests.RequestException, KeyError, ValueError) as e:
+                with urlopen(Request(self.endpoint, data=body, headers=headers),
+                             timeout=self.timeout_s) as resp:  # a POST, since it has data
+                    vectors = json.loads(resp.read())["vectors"]
+            except (OSError, HTTPException, KeyError, TypeError, ValueError) as e:
+                if isinstance(e, HTTPError):  # an HTTP status >= 400; it holds the socket
+                    e.close()
                 last_error = e
+            else:
+                return _unit_rows(vectors, texts)
         raise EmbeddingError(
             f"embedding batch of {len(texts)} texts failed after "
             f"{self.max_retries + 1} attempts: {last_error}"

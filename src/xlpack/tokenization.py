@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .dump_ingest import numbered_lines
+
 _WORD = re.compile(r"\S+")
 
 DEFAULT_SPLIT_TOKEN = "[SPLIT]"
@@ -192,12 +194,14 @@ class ExternalVocabTokenizer(Tokenizer):
         vocab: dict[str, int] = {}
         in_merges = False
         try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            lines = list(numbered_lines(path))
         except OSError as e:
             raise TokenizerError(f"cannot read vocab file {path}: {e}") from e
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
+        for lineno, _, line in lines:
+            try:
+                line = line.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as e:
+                raise TokenizerError(f"{path}:{lineno}: not UTF-8: {e}") from e
             if line.strip() == "#merges":
                 in_merges = True
                 continue

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .alignment import ArticlePair, PairId
-from .dump_ingest import RawArticle
+from .dump_ingest import RawArticle, numbered_lines
 
 if TYPE_CHECKING:
     from .retrieval import VectorIndex
@@ -217,22 +217,20 @@ def pseudo_pair(article_l: RawArticle, doc_id: str, text: str) -> ArticlePair:
 
 
 def read_candidate_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
-    """Yield (id, text) from a line-delimited JSON web corpus."""
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                doc_id, text = rec["id"], rec["text"]
-            except (json.JSONDecodeError, KeyError, TypeError) as e:  # TypeError: not an object
-                raise RetrievalError(f"{path}:{lineno}: bad corpus record: {e}") from e
+    """Yield (id, text) from a line-delimited JSON web corpus, refusing a line
+    that is not UTF-8, not an object with those two keys, or whose id or text
+    holds a lone surrogate, which has no UTF-8 form to embed or write."""
+    for lineno, _, line in numbered_lines(path):
+        try:
+            rec = json.loads(line.decode("utf-8"))
+            doc_id, text = rec["id"], rec["text"]  # TypeError: not an object
             # Any other value would be embedded and packed as its str().
             if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
-                raise RetrievalError(f"{path}:{lineno}: bad corpus record: "
-                                     f"id {doc_id!r} is not a string or an integer")
+                raise TypeError(f"id {doc_id!r} is not a string or an integer")
             if not isinstance(text, str):
-                raise RetrievalError(f"{path}:{lineno}: bad corpus record: "
-                                     f"text {text!r:.40} is not a string")
-            yield str(doc_id), text
+                raise TypeError(f"text {text!r:.40} is not a string")
+            doc_id = str(doc_id)
+            doc_id.encode(), text.encode()  # UnicodeEncodeError: a lone surrogate
+        except (ValueError, KeyError, TypeError) as e:
+            raise RetrievalError(f"{path}:{lineno}: bad corpus record: {e}") from e
+        yield doc_id, text

@@ -93,15 +93,17 @@ class TestExitCodes:
         assert "align" in proc.stdout and "export" in proc.stdout
 
     def test_import_does_not_load_requests(self):
-        # Only the wire embedding provider needs requests; it imports it itself.
+        # Only the wire embedding provider makes HTTP requests, with
+        # urllib.request, which it imports itself; requests is no dependency.
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, xlpack.cli; print('requests' in sys.modules)"],
+             "import sys, xlpack.cli; print('requests' in sys.modules, "
+             "'urllib.request' in sys.modules)"],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     def test_export_import_does_not_load_numpy(self, tmp_path):
         # The shard codec decodes records with array, so it needs no numpy;
@@ -920,7 +922,26 @@ class TestRetrieveStage:
         assert retrieved["malformed_articles"] == 1
         assert packed["join"]["malformed_articles"] == 1
 
-    @pytest.mark.parametrize("case", ["full_text", "doc_id", "id_l", "no_web_corpus"])
+    @pytest.mark.parametrize("settings", [["--set", "tokenizer.kind=byte"], ["--emit-text"], []],
+                             ids=["byte", "emit_text", "whitespace"])
+    def test_lone_surrogate_article_counted_for_every_tokenizer(self, tmp_path, settings):
+        # A text with no UTF-8 form can be neither tokenized as bytes nor
+        # written out; whatever the tokenizer, it is a malformed article.
+        corpus = build_corpus(tmp_path / "data", n_pairs=3, seed=5)
+        cfg_path = make_config(tmp_path, corpus)
+        path = _articles_l_file(cfg_path)
+        first, *rest = path.read_bytes().splitlines(keepends=True)
+        rec = json.loads(first)
+        rec["text"] += "\ud800"
+        path.write_bytes(json.dumps(rec).encode() + b"\n" + b"".join(rest))
+        assert run(["all", "--config", str(cfg_path), *settings]) == EXIT_OK
+        (packed,) = [e for e in read_events(tmp_path / "out" / "run_report.jsonl")
+                     if e.get("stage") == "pack"]
+        assert packed["join"]["malformed_articles"] == 1
+        assert packed["join"]["pairs_missing_text"] == 1
+
+    @pytest.mark.parametrize("case", ["full_text", "doc_id", "id_l", "no_web_corpus",
+                                      "doc_id_list", "id_l_str", "id_l_bool"])
     def test_pack_refuses_untrusted_pseudo_pairs(self, tmp_path, capsys, case):
         docs = [("webA", "Web A\nalpha")]
         cfg_path = _retrieve_run(tmp_path, docs, {}, n_pairs=2)
@@ -935,6 +956,9 @@ class TestRetrieveStage:
             "doc_id": ({"doc_id": "webZ", "id_l": 10_000}, "doc_id 'webZ' has no text"),
             "id_l": ({"doc_id": "webA", "id_l": 99}, "id_l 99 has no text"),
             "no_web_corpus": ({"doc_id": "webZ", "id_l": 99}, None),
+            "doc_id_list": ({"doc_id": ["webA"], "id_l": 10_000}, "not a pseudo pair reference"),
+            "id_l_str": ({"doc_id": "webA", "id_l": "10000"}, "not a pseudo pair reference"),
+            "id_l_bool": ({"doc_id": "webA", "id_l": True}, "not a pseudo pair reference"),
         }[case]
         (out / "pseudo_pairs.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in (good, bad)))

@@ -12,18 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlpack import dump_ingest
-from xlpack.alignment import ArticleStore, ArticleTally, scan_articles
+from xlpack.alignment import ArticleStore, ArticleTally, load_pair_map, scan_articles
 from xlpack.dump_ingest import (
     LangLink,
     PageRecord,
     ParseTally,
     TruncatedDumpError,
     iter_insert_tuples,
+    numbered_lines,
     parse_langlinks_dump,
     parse_article_line,
     parse_pages_dump,
 )
+from xlpack.packing import PackTally
+from xlpack.pipeline import _join_pseudo_pairs, read_contexts_jsonl
+from xlpack.report import read_events
 from xlpack.synth import sql_quote, write_langlinks_dump, write_pages_dump, write_sql_dump
+from xlpack.tokenization import ExternalVocabTokenizer, TokenizerError
+from xlpack.web import RetrievalError, read_candidate_corpus
 
 from .oracles import reference_unescape_sql
 
@@ -475,12 +481,19 @@ class TestExtractedArticles:
         b'{"id": "+7", "title": "T", "text": "x"}',
         b'{"id": "-5", "title": "T", "text": "x"}',
         b'{"id": "", "title": "T", "text": "x"}',
+        b'{"id": "5", "title": "T", "text": "a\\ud800b"}',
+        b'{"id": "5", "title": "\\udfff", "text": "x"}',
+        '{"id": "5", "title": "T", "text": "x"}'.encode("utf-16"),
     ], ids=["not_object", "title_not_str", "text_not_str", "id_overflows", "invalid_utf8",
             "nested_past_parser", "id_bool", "id_fraction", "id_float", "id_negative",
             "id_underscores", "id_spaces", "id_arabic_digits", "id_plus", "id_negative_str",
-            "id_empty"])
+            "id_empty", "text_lone_surrogate", "title_lone_surrogate", "utf16"])
     def test_line_outside_record_rule(self, line):
         assert parse_article_line(line, "en") is None
+
+    def test_surrogate_pair_escape_is_one_character(self):
+        line = b'{"id": "5", "title": "T", "text": "\\ud83d\\ude00"}'
+        assert parse_article_line(line, "en").text == "\U0001F600"
 
     @pytest.mark.parametrize("page_id, want", [
         (b"0", 0), (b"12", 12), (b'"12"', 12), (b'"007"', 7), (b"10000000000000000000", 10**19),
@@ -507,6 +520,63 @@ class TestExtractedArticles:
         assert (tally.malformed_articles, tally.duplicate_articles) == (1, 1)
         lines = f.read_bytes().splitlines(keepends=True)
         assert index == {1: (f, len(lines[0])), 2: (f, len(lines[0]) + len(lines[1]))}
+
+    def test_bad_line_after_a_blank_one_tallied(self, tmp_path):
+        f = tmp_path / "a.jsonl"
+        good = b'{"id":"1","title":"A","text":"a"}\r\n'
+        f.write_bytes(good + b" \t\r\n" + b"not json\n" + b'{"id":"2","title":"B","text":"b"}')
+        tally, index = ArticleTally(), {}
+        assert [a.page_id for a in scan_articles(f, "en", tally, index)] == [1, 2]
+        assert tally.malformed_articles == 1
+        assert index[2] == (f, len(good) + len(b" \t\r\n") + len(b"not json\n"))
+
+
+class TestNumberedLines:
+    def test_lines_end_at_newline_only(self, tmp_path):
+        f = tmp_path / "a.txt"
+        f.write_bytes(b"a\r\n \t\r\n\nb\x0bc\x85\xe2\x80\xa8d\r\n\x0c\n"
+                      + "\u3000\n".encode() + b"last")
+        assert [(n, line) for n, _, line in numbered_lines(f)] == [
+            (1, b"a\r\n"), (4, b"b\x0bc\x85\xe2\x80\xa8d\r\n"), (6, "\u3000\n".encode()),
+            (7, b"last")]
+
+    def test_offsets_read_back_each_line(self, tmp_path):
+        f = tmp_path / "a.txt"
+        f.write_bytes(b"\n  \none\r\n\ntwo\n\t\nthree")
+        lines = list(numbered_lines(f))
+        assert [n for n, _, _ in lines] == [3, 5, 7]
+        with open(f, "rb") as fh:
+            for _, offset, line in lines:
+                fh.seek(offset)
+                assert fh.readline() == line
+
+
+# Each line reader of the pipeline: (a good line, a bad line, read the file,
+# the error it raises). The bad line follows a blank one, so it is line 3.
+_READERS = {
+    "web_corpus": (b'{"id": "a", "text": "x"}', b"not json",
+                   lambda p: list(read_candidate_corpus(p)), RetrievalError),
+    "pair_map": (b"1\t2", b"1\tx", load_pair_map, ValueError),
+    "contexts": (b'{"origin": "wiki", "token_len": 2, "per_language_tokens": {"en": 2}}',
+                 b'{"origin": "wiki"}', read_contexts_jsonl, ValueError),
+    # Every reference is read before any is joined, so no store or config is used.
+    "pseudo_pairs": (b'{"doc_id": "a", "id_l": 1}', b'{"doc_id": "a"}',
+                     lambda p: list(_join_pseudo_pairs(None, p, None, PackTally())),
+                     ValueError),
+    "vocab": (b"a\t1", b"b\tx", lambda p: ExternalVocabTokenizer.from_file(p, "[SPLIT]", 0),
+              TokenizerError),
+    "run_report": (b'{"event": "start"}', b"{", read_events, ValueError),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_each_reader_names_file_and_line(tmp_path, reader):
+    good, bad, read, error = _READERS[reader]
+    path = tmp_path / "input"
+    path.write_bytes(good + b"\r\n \t\r\n" + bad + b"\n" + good)
+    with pytest.raises(error) as err:
+        read(path)
+    assert f"{path}:3: " in str(err.value)  # so line 1 was read, and line 2 counted
 
 
 def test_generic_dump_writer_values(tmp_path):

@@ -339,10 +339,12 @@ class _EmbeddingHandler(http.server.BaseHTTPRequestHandler):
     fail_times = 0
     calls = 0
     vectors = None  # the response's vectors; [1.0, 0.0] per text when None
+    auth = None  # the last request's Authorization header
 
     def do_POST(self):
         cls = type(self)
         cls.calls += 1
+        cls.auth = self.headers["Authorization"]
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         if cls.calls <= cls.fail_times:
             self.send_response(503)
@@ -364,6 +366,7 @@ def embedding_server():
     _EmbeddingHandler.fail_times = 0
     _EmbeddingHandler.calls = 0
     _EmbeddingHandler.vectors = None
+    _EmbeddingHandler.auth = None
     server = http.server.HTTPServer(("127.0.0.1", 0), _EmbeddingHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -379,6 +382,12 @@ class TestWireProvider:
         vecs = provider.embed_batch(["a", "b"])
         assert type(vecs) is np.ndarray and vecs.shape == (2, 2)
         assert np.allclose(vecs[0], [1.0, 0.0])
+
+    def test_auth_token_sent_as_bearer(self, embedding_server):
+        WireEmbeddingProvider(embedding_server, max_retries=0).embed_batch(["a"])
+        assert _EmbeddingHandler.auth is None
+        WireEmbeddingProvider(embedding_server, "tok", max_retries=0).embed_batch(["a"])
+        assert _EmbeddingHandler.auth == "Bearer tok"
 
     def test_retries_then_succeeds(self, embedding_server):
         _EmbeddingHandler.fail_times = 2
@@ -793,4 +802,15 @@ class TestCandidateCorpus:
         assert next(docs) == ("7", "alpha")
         with pytest.raises(RetrievalError) as err:
             next(docs)
+        assert str(err.value).startswith(f"{path}:2: bad corpus record")
+
+    @pytest.mark.parametrize("bad", [b'{"id": "b", "text": "caf\xff"}',
+                                     b'{"id": "b", "text": "a\\ud800b"}',
+                                     b'{"id": "\\udc80", "text": "beta"}'],
+                             ids=["not_utf8", "text_lone_surrogate", "id_lone_surrogate"])
+    def test_text_without_utf8_form_refused_at_its_line(self, tmp_path, bad):
+        path = tmp_path / "web.jsonl"
+        path.write_bytes(b'{"id": 7, "text": "alpha"}\n' + bad + b"\n")
+        with pytest.raises(RetrievalError) as err:
+            list(read_candidate_corpus(path))
         assert str(err.value).startswith(f"{path}:2: bad corpus record")

@@ -217,6 +217,26 @@ class TestExternal:
             make_tokenizer(spec)
         assert "v.vocab:2" in str(err.value)
 
+    def test_line_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "v.vocab"
+        path.write_bytes(b"a\t1\n\xff\t2\n")
+        with pytest.raises(TokenizerError) as err:
+            ExternalVocabTokenizer.from_file(path, "[SPLIT]", 0)
+        assert str(err.value).startswith(f"{path}:2: ")
+
+    def test_lines_end_at_newline_only(self, tmp_path):
+        # str.splitlines() would also end a line at the vertical tab.
+        path = tmp_path / "voc2.txt"
+        path.write_bytes(b"a\t1\x0bb\t2\nc\tx\n")
+        with pytest.raises(TokenizerError) as err:
+            ExternalVocabTokenizer.from_file(path, "[SPLIT]", 0)
+        assert str(err.value).startswith(f"{path}:1: non-integer id")
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "v.vocab"
+        path.write_bytes(b"a\t1\r\n\r\n#merges\r\nx y\r\n")
+        assert ExternalVocabTokenizer.from_file(path, "[SPLIT]", 0).encode("a") == [1]
+
     def test_merges_section_is_skipped(self, tmp_path):
         tok = make_tokenizer(self._vocab(tmp_path, ["a\t1", "#merges", "x y", "b\t2"]))
         assert tok.encode("a") == [1]
