@@ -37,13 +37,11 @@ article reader tallies it malformed instead).
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import re
-from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
 
 # Text is consumed in fixed-size chunks; memory use is independent of dump size.
 _CHUNK_CHARS = 1 << 18
@@ -288,35 +286,24 @@ class _InsertTupleScanner:
         return nl if nl >= 0 else len(work)
 
 
-def _open_text(raw: IO[bytes]) -> IO[str]:
-    """Wrap a binary stream as text, transparently gunzipping. Closing the
-    text closes a plain stream but not the file under a gzip one."""
-    if not raw.seekable():
-        raise ValueError("dump source must be seekable")
-    head = raw.read(2)
-    raw.seek(-len(head), io.SEEK_CUR)
-    if head == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8", errors="replace")
-    return io.TextIOWrapper(raw, encoding="utf-8", errors="replace")
-
-
 def iter_insert_tuples(
-    source: str | Path | IO[bytes],
+    path: str | Path,
     tally: ParseTally | None = None,
     projection: re.Pattern | None = None,
 ) -> Iterator[tuple]:
-    """Yield every value tuple from every INSERT statement in a SQL dump.
+    """Yield every value tuple from every INSERT statement in the SQL dump at
+    `path`, plain or gzip (told by its first two bytes), decoded as UTF-8
+    with undecodable bytes replaced. The file is closed when the scan ends.
 
     With a `projection`, a tuple the pattern matches yields only its groups;
     see `_InsertTupleScanner`. A dump whose every tuple the caller tallies
     malformed raises at its end.
     """
     tally = tally if tally is not None else ParseTally()
-    with ExitStack() as stack:
-        raw = source
-        if isinstance(source, (str, Path)):
-            raw = stack.enter_context(open(source, "rb"))
-        text = stack.enter_context(_open_text(raw))
+    with open(path, "rb") as f:
+        gzipped = f.read(2) == b"\x1f\x8b"
+    opener = gzip.open if gzipped else open
+    with opener(path, "rt", encoding="utf-8", errors="replace") as text:
         scanner = _InsertTupleScanner(tally, projection)
         while True:
             # Read at least as much as the scanner carries: a field that spans
@@ -327,12 +314,12 @@ def iter_insert_tuples(
             yield from scanner.feed(chunk)
         scanner.finish()
     if tally.tuples_scanned and tally.malformed == tally.tuples_scanned:
-        raise ValueError(f"{source}: all {tally.malformed} tuples scanned are malformed; "
+        raise ValueError(f"{path}: all {tally.malformed} tuples scanned are malformed; "
                          "this dump's column layout cannot be read")
 
 
 def parse_langlinks_dump(
-    source: str | Path | IO[bytes],
+    path: str | Path,
     filter_lang: str | None = None,
     tally: ParseTally | None = None,
 ) -> Iterator[LangLink]:
@@ -343,7 +330,7 @@ def parse_langlinks_dump(
     are tallied and skipped.
     """
     tally = tally if tally is not None else ParseTally()
-    for fields in iter_insert_tuples(source, tally, _LANGLINK_TUPLE):
+    for fields in iter_insert_tuples(path, tally, _LANGLINK_TUPLE):
         if len(fields) != 3 or None in fields:
             tally.malformed += 1
             continue
@@ -363,7 +350,7 @@ def parse_langlinks_dump(
 
 
 def parse_pages_dump(
-    source: str | Path | IO[bytes],
+    path: str | Path,
     tally: ParseTally | None = None,
 ) -> Iterator[PageRecord]:
     """Stream PageRecord rows from a `page` table dump whose tuples start with
@@ -372,7 +359,7 @@ def parse_pages_dump(
     All namespaces and redirects pass through; alignment decides what to keep.
     """
     tally = tally if tally is not None else ParseTally()
-    for fields in iter_insert_tuples(source, tally, _PAGE_TUPLE):
+    for fields in iter_insert_tuples(path, tally, _PAGE_TUPLE):
         if len(fields) < 4 or None in fields[:4]:
             tally.malformed += 1
             continue

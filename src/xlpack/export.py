@@ -127,10 +127,10 @@ def write_shards(
     seed: int,
     split: str,
     shard_max_bytes: int = DEFAULT_SHARD_MAX_BYTES,
-    created_at: str | None = None,
 ) -> ShardManifest:
     """Write windows (id sequences) as rolled binary shards plus a manifest
-    into an empty or new `out_dir`; byte-deterministic.
+    into an empty or new `out_dir`; byte-deterministic once SOURCE_DATE_EPOCH
+    pins the manifest's `created_at` (see `default_created_at`).
 
     The manifest is only written after every record landed, so a directory
     without a manifest is detectably incomplete. The caller owns `out_dir`:
@@ -169,7 +169,7 @@ def write_shards(
         per_language_tokens=per_language_tokens,
         seed=seed,
         split=split,
-        created_at=created_at if created_at is not None else default_created_at(),
+        created_at=default_created_at(),
     )
     manifest_path = out / MANIFEST_NAME
     manifest_path.write_text(

@@ -82,7 +82,13 @@ from .alignment import (
     scan_articles,
 )
 from .config import ConfigError, InputError, PipelineConfig
-from .dump_ingest import ParseTally, numbered_lines, parse_langlinks_dump, parse_pages_dump
+from .dump_ingest import (
+    ParseTally,
+    RawArticle,
+    numbered_lines,
+    parse_langlinks_dump,
+    parse_pages_dump,
+)
 from .export import (
     ContextEntry,
     compute_stats,
@@ -379,10 +385,17 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> None:
         pseudo_count = 0
         # Pack's ArticleStore indexes the records this scan yields.
         article_tally = ArticleTally()
-        articles = scan_articles(cfg.paths.articles_l, cfg.language_l, article_tally)
+
+        def queried_articles() -> Iterator[RawArticle]:
+            for article in scan_articles(cfg.paths.articles_l, cfg.language_l, article_tally):
+                if article.text.strip():
+                    yield article
+                else:
+                    tally.blank_articles += 1
+
+        articles = queried_articles()
         pseudo_path = cfg.output_dir / PSEUDO_PAIRS_NAME
         with open(pseudo_path, "w", encoding="utf-8") as f:
-            articles = (article for article in articles if article.text.strip())
             while group := list(islice(articles, group_size)):
                 keyword_sets = [extract_keywords(a, title_map, tally) for a in group]
                 found = two_step_retrieve(keyword_sets, index, provider, cfg.retrieval, tally)

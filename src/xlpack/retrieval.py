@@ -249,8 +249,6 @@ class VectorIndex:
     def __init__(self, doc_ids: list[str], matrix: np.ndarray):
         self.doc_ids = doc_ids
         self.matrix = matrix
-        self._tile: np.ndarray | None = None  # search's float64 rows, made on first use
-        self._scores: np.ndarray | None = None  # search's score block, grown to the largest query block
 
     @classmethod
     def build(cls, batches: Iterable[tuple[Sequence[str], np.ndarray]]) -> "VectorIndex":
@@ -306,11 +304,12 @@ class VectorIndex:
         scoring at least that much are sorted, so a tie that straddles rank k
         still goes to the lower doc id.
 
-        The rows are scored SEARCH_TILE_ROWS at a time: each tile is widened
-        into one reused float64 buffer and multiplied into its columns of the
-        score block, so an index no wider than one tile is scored in a single
-        product. The score block belongs to the index and is reused, so the
-        next call overwrites the block that this one returned.
+        The rows are scored SEARCH_TILE_ROWS at a time: each tile is copied
+        into a C-ordered float64 buffer, which is exact, and multiplied into
+        its columns of the score block, so an index no wider than one tile is
+        scored in a single product. The copy is explicit because a matmul that
+        casts a float32 tile itself gives other score bits. Each call makes
+        its own buffer and block, and the block belongs to the caller.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
@@ -323,13 +322,10 @@ class VectorIndex:
                 f"query block has shape {queries.shape}, index has dimension "
                 f"{self.matrix.shape[1]}"
             )
-        if self._tile is None:
-            self._tile = np.empty((min(n, SEARCH_TILE_ROWS), self.matrix.shape[1]))
-        if self._scores is None or len(self._scores) < len(queries):
-            self._scores = np.empty((len(queries), n))
-        scores = self._scores[:len(queries)]
+        buffer = np.empty((min(n, SEARCH_TILE_ROWS), self.matrix.shape[1]))
+        scores = np.empty((len(queries), n))
         for start in range(0, n, SEARCH_TILE_ROWS):
-            tile = self._tile[:min(SEARCH_TILE_ROWS, n - start)]
+            tile = buffer[:min(SEARCH_TILE_ROWS, n - start)]
             np.copyto(tile, self.matrix[start:start + len(tile)])
             np.matmul(queries, tile.T, out=scores[:, start:start + len(tile)])
         kth = max(n - k, 0)  # where the k-th highest score sorts ascending

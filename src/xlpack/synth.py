@@ -15,17 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
 
-_SQL_ESCAPE_OUT = {
-    "\\": "\\\\",
-    "'": "\\'",
-    '"': '\\"',
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\0": "\\0",
-    "\b": "\\b",
-    "\x1a": "\\Z",
-}
+from .dump_ingest import _SQL_ESCAPES
+
+# The inverse of the scanner's one-character escapes. \% and \_ keep their
+# backslash when scanned, so the writer needs no entry for them: it escapes the
+# backslash itself.
+_SQL_ESCAPE_OUT = {char: "\\" + code for code, char in _SQL_ESCAPES.items() if len(char) == 1}
 
 
 def sql_quote(value: str) -> str:

@@ -104,6 +104,7 @@ class RetrievalConfig:
 @dataclass
 class RetrievalTally:
     articles_queried: int = 0
+    blank_articles: int = 0
     unmapped_titles: int = 0
     empty_keyword_sets: int = 0
     results_kept: int = 0
@@ -200,14 +201,14 @@ def pseudo_pair(article_l: RawArticle, doc_id: str, text: str) -> ArticlePair:
     """The pseudo pair of one retained result: the retrieved doc is the
     English side.
 
-    The English title is the document's first line (or its id when blank);
-    pseudo pairs carry origin "web" so statistics can separate them from
-    dump-aligned pairs, and packing treats them identically.
+    The English title is the document's first non-blank line, which ends at
+    `\n` only, as `numbered_lines` ends a line (or its id when the text is
+    blank); pseudo pairs carry origin "web" so statistics can separate them
+    from dump-aligned pairs, and packing treats them identically.
     """
-    lines = text.strip().splitlines()
     return ArticlePair(
         pair=PairId(id_l=article_l.page_id, id_en=_pseudo_en_id(doc_id)),
-        title_en=lines[0].strip() if lines else doc_id,
+        title_en=text.strip().split("\n", 1)[0].strip() or doc_id,
         title_l=article_l.title,
         text_en=text,
         text_l=article_l.text,

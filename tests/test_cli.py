@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from xlpack.alignment import ArticleTally, scan_articles
 from xlpack.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_STAGE, run
 from xlpack.config import ConfigError, PipelineConfig, field_kinds, validate_config
 from xlpack.dump_ingest import parse_langlinks_dump, parse_pages_dump
@@ -823,6 +824,28 @@ class TestRetrieveStage:
         (done,) = [e for e in events if e.get("stage") == "retrieve"]
         assert done["malformed_articles"] == 1 and done["duplicate_articles"] == 0
 
+    def test_blank_articles_counted_not_queried(self, tmp_path):
+        # Of the records the scan yields, two have blank text: they are
+        # counted, and the others queried. The malformed line and the second
+        # record of page 10000 are not records the scan yields.
+        records = [(10_000, "Thema 0", "worte"), (10_001, "Thema 1", " \n "),
+                   (10_002, "Thema 2", ""), (10_003, "Thema 3", "mehr"),
+                   (10_000, "Andere", "")]
+        cfg_path = _retrieve_run(tmp_path, [("webA", "Web A\nalpha")], {},
+                                 article_records=records, n_pairs=4)
+        articles_l = _articles_l_file(cfg_path)
+        with open(articles_l, "a") as f:
+            f.write('{"id": "9", "title": "Neun"}\n')
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        assert run(["retrieve", "--config", str(cfg_path)]) == EXIT_OK
+        (done,) = [e for e in read_events(tmp_path / "out" / "run_report.jsonl")
+                   if e.get("stage") == "retrieve"]
+        assert (done["malformed_articles"], done["duplicate_articles"]) == (1, 1)
+        tally = done["retrieval"]
+        assert (tally["articles_queried"], tally["blank_articles"]) == (2, 2)
+        scanned = list(scan_articles(articles_l, "xx", ArticleTally()))
+        assert tally["articles_queried"] + tally["blank_articles"] == len(scanned)
+
     def test_retrieve_decodes_each_article_line_once(self, tmp_path, monkeypatch):
         from xlpack import alignment
 
@@ -1034,7 +1057,7 @@ _STAGE_EVENT_KEYS = {
         "pseudo_pairs": None,
         "duplicate_articles": None,
         "malformed_articles": None,
-        "retrieval": dict.fromkeys(("articles_queried", "unmapped_titles",
+        "retrieval": dict.fromkeys(("articles_queried", "blank_articles", "unmapped_titles",
                                     "empty_keyword_sets", "results_kept",
                                     "missing_corpus_texts")),
     },

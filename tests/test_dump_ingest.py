@@ -1,11 +1,11 @@
 """SQL dump scanner and article reader tests, including the round-trip oracle."""
 
 import gzip
-import io
 import json
 import os
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,30 +34,33 @@ from xlpack.web import RetrievalError, read_candidate_corpus
 from .oracles import reference_unescape_sql
 
 
-def _stream(text: str) -> io.BytesIO:
-    return io.BytesIO(text.encode("utf-8"))
+def _dump(tmp_path: Path, text: str) -> Path:
+    """A dump file under `tmp_path` holding `text` as UTF-8."""
+    path = tmp_path / "dump.sql"
+    path.write_bytes(text.encode("utf-8"))
+    return path
 
 
 class TestLanglinks:
-    def test_basic_statement_with_filter(self):
+    def test_basic_statement_with_filter(self, tmp_path):
         data = "INSERT INTO `langlinks` VALUES (12,'en','Free_software'),(25,'en','Autism');\n"
-        links = list(parse_langlinks_dump(_stream(data), "en"))
+        links = list(parse_langlinks_dump(_dump(tmp_path, data), "en"))
         assert links == [
             LangLink(12, "en", "Free software"),
             LangLink(25, "en", "Autism"),
         ]
 
-    def test_escaped_quote_matches_reference_unescaper(self):
+    def test_escaped_quote_matches_reference_unescaper(self, tmp_path):
         raw_inner = "O\\'Brien"
         data = f"INSERT INTO `langlinks` VALUES (7,'en','{raw_inner}');\n"
-        (link,) = parse_langlinks_dump(_stream(data))
+        (link,) = parse_langlinks_dump(_dump(tmp_path, data))
         assert link.target_title == reference_unescape_sql(raw_inner) == "O'Brien"
 
-    def test_filter_excludes_other_languages(self):
+    def test_filter_excludes_other_languages(self, tmp_path):
         data = "INSERT INTO `langlinks` VALUES (9,'fr','Chat');\n"
-        assert list(parse_langlinks_dump(_stream(data), "en")) == []
+        assert list(parse_langlinks_dump(_dump(tmp_path, data), "en")) == []
 
-    def test_multiple_statements_and_preamble(self):
+    def test_multiple_statements_and_preamble(self, tmp_path):
         data = (
             "-- MySQL dump\n"
             "DROP TABLE IF EXISTS `langlinks`;\n"
@@ -65,27 +68,27 @@ class TestLanglinks:
             "INSERT INTO `langlinks` VALUES (1,'en','A');\n"
             "INSERT INTO `langlinks` VALUES (2,'en','B');\n"
         )
-        links = list(parse_langlinks_dump(_stream(data)))
+        links = list(parse_langlinks_dump(_dump(tmp_path, data)))
         assert [(l.from_page_id, l.target_title) for l in links] == [(1, "A"), (2, "B")]
 
-    def test_malformed_tuple_is_skipped_and_tallied(self):
+    def test_malformed_tuple_is_skipped_and_tallied(self, tmp_path):
         data = "INSERT INTO `langlinks` VALUES (1,'en','A'),(nope,'en','B'),(3,'en','C');\n"
         tally = ParseTally()
-        links = list(parse_langlinks_dump(_stream(data), tally=tally))
+        links = list(parse_langlinks_dump(_dump(tmp_path, data), tally=tally))
         assert [l.from_page_id for l in links] == [1, 3]
         assert tally.malformed == 1
 
-    def test_wrong_arity_is_skipped(self):
+    def test_wrong_arity_is_skipped(self, tmp_path):
         data = "INSERT INTO `langlinks` VALUES (1,'en'),(3,'en','C');\n"
         tally = ParseTally()
-        links = list(parse_langlinks_dump(_stream(data), tally=tally))
+        links = list(parse_langlinks_dump(_dump(tmp_path, data), tally=tally))
         assert [l.from_page_id for l in links] == [3]
         assert tally.malformed == 1
 
-    def test_truncated_file_yields_complete_tuples_then_raises(self):
+    def test_truncated_file_yields_complete_tuples_then_raises(self, tmp_path):
         data = "INSERT INTO `langlinks` VALUES (1,'en','A'),(2,'en','Bro"
         tally = ParseTally()
-        stream = parse_langlinks_dump(_stream(data), tally=tally)
+        stream = parse_langlinks_dump(_dump(tmp_path, data), tally=tally)
         first = next(stream)
         assert first.from_page_id == 1
         with pytest.raises(TruncatedDumpError):
@@ -97,20 +100,21 @@ class TestLanglinks:
         ("INSERT INTO `langlinks` VALUES (1,'en','Bro", "inside a field"),
         ("INSERT INTO `langlinks` VALUES (1,'en',", "inside a field"),
     ], ids=["header", "between_tuples", "in_string", "before_field"])
-    def test_truncation_names_where_input_ended(self, data, where):
+    def test_truncation_names_where_input_ended(self, tmp_path, data, where):
         with pytest.raises(TruncatedDumpError, match=f"INSERT statement, {where}$"):
-            list(iter_insert_tuples(_stream(data)))
+            list(iter_insert_tuples(_dump(tmp_path, data)))
 
     @pytest.mark.parametrize("sep", ["\n", " \n"], ids=["newline", "space_newline"])
-    def test_resync_keeps_the_next_statement(self, sep, monkeypatch):
+    def test_resync_keeps_the_next_statement(self, tmp_path, sep, monkeypatch):
         # A newline right after a string breaks the tuple and also anchors the
         # next INSERT, so only the broken statement is dropped.
         data = ("INSERT INTO t VALUES (1,'a'" + sep + "INSERT INTO t VALUES (2,'b');\n"
                 "INSERT INTO t VALUES (3,'c');\n")
+        path = _dump(tmp_path, data)
         for chunk in (1, 7, len(data)):
             monkeypatch.setattr(dump_ingest, "_CHUNK_CHARS", chunk)
             tally = ParseTally()
-            assert list(iter_insert_tuples(_stream(data), tally)) == [("2", "b"), ("3", "c")]
+            assert list(iter_insert_tuples(path, tally)) == [("2", "b"), ("3", "c")]
             assert tally == ParseTally(tuples_scanned=2, resyncs=1), chunk
 
     def test_gzip_transparent(self, tmp_path):
@@ -120,30 +124,30 @@ class TestLanglinks:
         (link,) = parse_langlinks_dump(path)
         assert link == LangLink(5, "en", "Zeta")
 
-    def test_lowercases_language(self):
+    def test_lowercases_language(self, tmp_path):
         data = "INSERT INTO `langlinks` VALUES (5,'EN','Zeta');\n"
-        (link,) = parse_langlinks_dump(_stream(data), "en")
+        (link,) = parse_langlinks_dump(_dump(tmp_path, data), "en")
         assert link.target_lang == "en"
 
 
 class TestPages:
-    def test_modern_schema_defaults(self):
+    def test_modern_schema_defaults(self, tmp_path):
         data = (
             "INSERT INTO `page` VALUES "
             "(100,0,'Cat',0,0,0.5,'t',NULL,1,10,'wikitext',NULL),"
             "(101,14,'Category:Cats',0,0,0.5,'t',NULL,1,10,'wikitext',NULL),"
             "(102,0,'Feline',1,0,0.5,'t',NULL,1,10,'wikitext',NULL);\n"
         )
-        pages = list(parse_pages_dump(_stream(data)))
+        pages = list(parse_pages_dump(_dump(tmp_path, data)))
         assert pages[0].page_id == 100 and pages[0].title == "Cat"
         assert not pages[0].is_redirect
         assert pages[1].namespace == 14  # passed through; alignment filters
         assert pages[2].is_redirect
 
-    def test_short_tuple_tallied(self):
+    def test_short_tuple_tallied(self, tmp_path):
         data = "INSERT INTO `page` VALUES (7,0),(8,0,'Dog',0);\n"
         tally = ParseTally()
-        assert [p.page_id for p in parse_pages_dump(_stream(data), tally=tally)] == [8]
+        assert [p.page_id for p in parse_pages_dump(_dump(tmp_path, data), tally=tally)] == [8]
         assert tally.malformed == 1
 
 
@@ -230,6 +234,17 @@ class TestRoundTrip:
                   parse_langlinks_dump(path)]
         assert parsed == rows
 
+    def test_one_character_escapes_round_trip(self, tmp_path):
+        # The writer's escape table is the inverse of these scanner entries.
+        escapes = {code: c for code, c in dump_ingest._SQL_ESCAPES.items() if len(c) == 1}
+        for code, char in escapes.items():
+            assert sql_quote(char) == "'\\" + code + "'"
+        rows = [(k, "en", f"a{char}b") for k, char in enumerate(escapes.values())]
+        path = write_sql_dump(tmp_path / "t.sql", "t", rows)
+        for projection in (None, dump_ingest._LANGLINK_TUPLE):
+            assert list(iter_insert_tuples(path, projection=projection)) == [
+                (str(k), lang, title) for k, lang, title in rows]
+
     def test_determinism(self, tmp_path):
         rows = [(k, "en", f"Title {k}'s \\ page") for k in range(500)]
         path = tmp_path / "ll.sql"
@@ -273,13 +288,13 @@ _sql_dump = st.lists(
     for free, tuples, sep in stmts))
 
 
-def _parse_all(parse, text):
+def _parse_all(parse, path):
     """Records, tally and the type of error the scan ended with: a truncated
     dump, or one of malformed tuples only (None when it raised none)."""
     tally = ParseTally()
     records = []
     try:
-        for record in parse(_stream(text), tally=tally):
+        for record in parse(path, tally=tally):
             records.append(record)
     except ValueError as e:
         return records, tally, type(e)
@@ -290,39 +305,40 @@ class TestProjectedFastPath:
     @given(dump=_sql_dump, cut=st.integers(0, 40),
            chunk=st.one_of(st.integers(1, 12), st.just(1 << 18)))
     @settings(max_examples=300)
-    def test_matches_per_field_scanner(self, dump, cut, chunk):
-        text = dump[: max(len(dump) - cut, 0)]
+    def test_matches_per_field_scanner(self, tmp_path_factory, dump, cut, chunk):
+        path = _dump(tmp_path_factory.mktemp("fast_path"), dump[: max(len(dump) - cut, 0)])
         for parse, pattern in ((parse_pages_dump, "_PAGE_TUPLE"),
                                (parse_langlinks_dump, "_LANGLINK_TUPLE")):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(dump_ingest, pattern, None)
-                expected = _parse_all(parse, text)
+                expected = _parse_all(parse, path)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(dump_ingest, "_CHUNK_CHARS", chunk)
-                assert _parse_all(parse, text) == expected
+                assert _parse_all(parse, path) == expected
 
-    def test_unquoted_value_cut_by_chunk_end(self, monkeypatch):
+    def test_unquoted_value_cut_by_chunk_end(self, tmp_path, monkeypatch):
         # The part after the cut continues the value: its space or quote does
         # not start a new field.
         data = "INSERT INTO `t` VALUES (1 2,ab'c,x);\n"
+        path = _dump(tmp_path, data)
         for chunk in range(1, len(data) + 1):
             monkeypatch.setattr(dump_ingest, "_CHUNK_CHARS", chunk)
-            assert list(iter_insert_tuples(_stream(data))) == [("1 2", "ab'c", "x")], chunk
+            assert list(iter_insert_tuples(path)) == [("1 2", "ab'c", "x")], chunk
 
-    def test_projection_yields_only_read_columns(self):
+    def test_projection_yields_only_read_columns(self, tmp_path):
         data = (
             "INSERT INTO `page` VALUES (1,0,'O\\'Brien''s',0,0,0.5,'t',NULL),"
             "(2,0,NULL,0,0,0.5,'t',NULL),(3, 0,'C',1);\n"
         )
         tally = ParseTally()
-        rows = list(iter_insert_tuples(_stream(data), tally, dump_ingest._PAGE_TUPLE))
+        rows = list(iter_insert_tuples(_dump(tmp_path, data), tally, dump_ingest._PAGE_TUPLE))
         assert rows == [
             ("1", "0", "O'Brien's", "0"),
             ("2", "0", None, "0", "0", "0.5", "t", None),  # NULL title: every field
             ("3", "0", "C", "1"),  # a space: per-field path
         ]
         assert tally == ParseTally(tuples_scanned=3)
-        assert list(parse_pages_dump(_stream(data))) == [
+        assert list(parse_pages_dump(_dump(tmp_path, data))) == [
             PageRecord(1, 0, "O'Brien's", False), PageRecord(3, 0, "C", True)
         ]
 
@@ -394,14 +410,14 @@ class TestStreamingMemory:
         data = f"INSERT INTO `langlinks` VALUES (1,'en','{body}'),(2,'en','{body}' );\n"
         tally = ParseTally()
         start = time.perf_counter()
-        links = list(parse_langlinks_dump(_stream(data), tally=tally))
+        links = list(parse_langlinks_dump(_dump(tmp_path, data), tally=tally))
         elapsed = time.perf_counter() - start
         assert [(l.from_page_id, l.target_title) for l in links] == [(1, title)]
         assert (tally.tuples_scanned, tally.resyncs) == (1, 1)
         # Linear work takes a fraction of a second; quadratic would take hours.
         assert elapsed < 10
 
-    def test_value_spanning_many_chunks_scans_in_linear_time(self, monkeypatch):
+    def test_value_spanning_many_chunks_scans_in_linear_time(self, tmp_path, monkeypatch):
         # A 4 MB value spans 256 chunks of 16 KiB. The scanner carries the cut
         # field whole, and reads at least as much as it carries, so it rescans
         # the field a few times, not once per chunk.
@@ -411,7 +427,7 @@ class TestStreamingMemory:
         data = f"INSERT INTO `langlinks` VALUES (1,'en','{body}'),(2,'en','x');\n"
         tally = ParseTally()
         start = time.perf_counter()
-        rows = list(iter_insert_tuples(_stream(data), tally, dump_ingest._LANGLINK_TUPLE))
+        rows = list(iter_insert_tuples(_dump(tmp_path, data), tally, dump_ingest._LANGLINK_TUPLE))
         elapsed = time.perf_counter() - start
         assert rows == [("1", "en", title), ("2", "en", "x")]
         assert tally == ParseTally(tuples_scanned=2)

@@ -73,7 +73,6 @@ def _write(tmp_path, windows, **kw):
         per_language_tokens={"en": 1},
         seed=32,
         split="train",
-        created_at="2024-01-01T00:00:00Z",
     )
     defaults.update(kw)
     return write_shards(windows, tmp_path, **defaults)
@@ -125,11 +124,12 @@ class TestShards:
         files = sorted(p.name for p in tmp_path.glob("windows-*.bin"))
         assert files == [f"windows-{k:05d}.bin" for k in range(4)]
 
-    def test_byte_determinism(self, tmp_path):
+    def test_byte_determinism(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1704067200")
         windows = [[1, 2, 3], [4, 5]]
         a = tmp_path / "a"
         b = tmp_path / "b"
-        _write(a, windows)
+        assert _write(a, windows).created_at == "2024-01-01T00:00:00Z"
         _write(b, windows)
         for name in ("windows-00000.bin", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()

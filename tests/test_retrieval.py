@@ -520,7 +520,6 @@ class TestVectorIndex:
         # Either way the scores are those of the same rows held as float64.
         queries = mock[:3]
         want, want_top = VectorIndex(ids, cached.copy()).search(queries, 4)
-        want = want.copy()
         scores, top = VectorIndex.build(_batches(ids, cached)).search(queries, 4)
         assert scores.tobytes() == want.tobytes()
         assert [list(t) for t in top] == [list(t) for t in want_top]
@@ -590,13 +589,13 @@ class TestVectorIndex:
         if n_rows > TILE:
             assert list(top[0][:2]) == [TILE - 1, TILE]
 
-    def test_score_block_is_reused_by_the_next_call(self):
+    def test_results_held_at_once_keep_their_scores(self):
         index = _int_index([[1, 0], [0, 1], [1, 1]])
-        first, _ = index.search(np.array([[1.0, 0.0], [0.0, 1.0]]), 1)
+        first, first_top = index.search(np.array([[1.0, 0.0], [0.0, 1.0]]), 1)
+        second, second_top = index.search(np.array([[2.0, 0.0]]), 1)
         assert first.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
-        second, _ = index.search(np.array([[2.0, 0.0]]), 1)
         assert second.tolist() == [[2.0, 0.0, 2.0]]
-        assert np.shares_memory(first, second) and first[0].tolist() == [2.0, 0.0, 2.0]
+        assert [list(t) for t in first_top + second_top] == [[0], [1], [0]]
 
     @given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 5),
            st.integers(0, 2**32 - 1))
@@ -788,6 +787,10 @@ class TestPseudoPair:
     def test_title_is_first_nonblank_line_else_doc_id(self):
         assert pseudo_pair(_article("t"), "docA", "\n  Heading \nbody").title_en == "Heading"
         assert pseudo_pair(_article("t"), "docA", "   ").title_en == "docA"
+        # The title line ends at \n only, as numbered_lines ends a line.
+        assert pseudo_pair(_article("t"), "docA", "Title\r\nbody").title_en == "Title"
+        for sep in ("\x0b", "\x85", "\u2028", "\r"):
+            assert pseudo_pair(_article("t"), "docA", f"A{sep}B\nbody").title_en == f"A{sep}B"
 
 
 class TestCandidateCorpus:
