@@ -360,7 +360,7 @@ def build_l_to_en_title_map(cfg: PipelineConfig) -> dict[str, str]:
 
 def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> None:
     # The one stage that loads numpy, on entry.
-    from .retrieval import VectorIndex
+    from .retrieval import SEARCH_TILE_ROWS, VectorIndex
 
     with _stage(report, cfg, "retrieve") as counts:
         provider = make_embedding_provider(cfg)
@@ -378,8 +378,9 @@ def stage_retrieve(cfg: PipelineConfig, report: RunReport) -> None:
                 yield doc_ids, provider.embed_batch(texts)
 
         index = VectorIndex.build(embedded_batches())
-        # Two float64 scores per corpus doc per article in the group's score block.
-        group_size = max(1, SCORE_BLOCK_BYTES // (16 * max(1, len(index))))
+        # Two float64 scores per index row of a tile per article in the group's
+        # score block, so from one tile of docs up the group size is fixed.
+        group_size = max(1, SCORE_BLOCK_BYTES // (16 * max(1, min(len(index), SEARCH_TILE_ROWS))))
 
         tally = RetrievalTally()
         pseudo_count = 0

@@ -13,7 +13,11 @@ the file's bytes and no text: each vector is read from the file by the
 provider call that uses it. So the index's rows are the only copy of the
 corpus's embeddings that retrieve holds, as float32 when they convert
 exactly, and `VectorIndex.search` widens them to float64 one fixed-size tile
-at a time.
+at a time. A search scores a whole group's query sets against each tile in
+one product and keeps, per set, only the rows where a query scores at or
+above the threshold; a dense set, where a query has more than k such rows,
+is scored again by exact top k, kept tile by tile. So what it holds does not
+grow with the index.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import struct
 import time
 from array import array
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -295,43 +299,120 @@ class VectorIndex:
     def __len__(self) -> int:
         return len(self.doc_ids)
 
-    def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Score an (m, d) query block against every row; per query, its top k rows.
+    def search(self, queries: np.ndarray, k: int, threshold: float
+               ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """Score n sets of q queries, an (n, q, d) block, against every row.
 
-        Returns the (m, len(self)) score block and, for each query, the rows
-        of its k highest scores by descending score, ties by ascending row
-        (that is, by doc id). A partition finds the k-th score; only the rows
-        scoring at least that much are sorted, so a tie that straddles rank k
-        still goes to the lower doc id.
+        Returns, for each set, the rows that can reach its result, ascending
+        (so by doc id), each with its q scores as one row of a (rows, q)
+        block; and a bool array marking the sets scored by exact top k.
 
-        The rows are scored SEARCH_TILE_ROWS at a time: each tile is copied
-        into a C-ordered float64 buffer, which is exact, and multiplied into
-        its columns of the score block, so an index no wider than one tile is
-        scored in a single product. The copy is explicit because a matmul that
-        casts a float32 tile itself gives other score bits. Each call makes
-        its own buffer and block, and the block belongs to the caller.
+        A set's rows are those where any of its queries scores at or above
+        the threshold. A set where some query has more than k such rows is
+        dense: its rows are dropped as soon as that shows, and it is scored
+        again by exact top k, which costs one more scan of the index: its
+        rows are then the union of each query's k highest scores, a tie at
+        rank k going to the lower row. So when no query of a set has more
+        than k rows at or above the threshold, its rows hold every row whose
+        mean score clears the threshold, and each of those is also in that
+        union. A threshold of -inf thus gives every set that union.
+
+        Both passes take their scores from `_scored_tiles` and keep only
+        these rows, at most q * k per set, so what a call holds does not grow
+        with the index.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         queries = np.asarray(queries, dtype=np.float64)
-        n = len(self.doc_ids)
-        if not n:
-            return np.zeros((len(queries), 0)), [np.zeros(0, dtype=np.intp)] * len(queries)
-        if queries.ndim != 2 or queries.shape[1] != self.matrix.shape[1]:
+        if not self.doc_ids:
+            empty = (np.zeros(0, dtype=np.intp), np.zeros((0, queries.shape[1])))
+            return [empty] * len(queries), np.zeros(len(queries), dtype=bool)
+        if queries.ndim != 3 or queries.shape[2] != self.matrix.shape[1]:
             raise RetrievalError(
                 f"query block has shape {queries.shape}, index has dimension "
                 f"{self.matrix.shape[1]}"
             )
-        buffer = np.empty((min(n, SEARCH_TILE_ROWS), self.matrix.shape[1]))
-        scores = np.empty((len(queries), n))
-        for start in range(0, n, SEARCH_TILE_ROWS):
-            tile = buffer[:min(SEARCH_TILE_ROWS, n - start)]
+        pools, dense = self._at_or_above(queries, k, threshold)
+        if dense.any():
+            for i, pool in zip(np.flatnonzero(dense), self._top_k(queries[dense], k)):
+                pools[i] = pool
+        return pools, dense
+
+    def _at_or_above(self, queries: np.ndarray, k: int, threshold: float
+                     ) -> tuple[list, np.ndarray]:
+        """Each set's rows where any query scores at or above `threshold`, and
+        the mask of dense sets, whose pools are None."""
+        n_sets, q, _ = queries.shape
+        counts = np.zeros((n_sets, q), dtype=np.intp)  # rows at or above, per query
+        dense = np.zeros(n_sets, dtype=bool)
+        # Per tile, the (set, row, q scores) of each row kept, in (set, row) order.
+        found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros((0, q)))]
+        for start, block in self._scored_tiles(queries):
+            hits = block >= threshold
+            counts += np.count_nonzero(hits, axis=2)
+            over = (counts > k).any(axis=1) & ~dense
+            if over.any():
+                dense |= over
+                if dense.all():
+                    break
+                found = [tuple(part[~dense[s]] for part in (s, r, v)) for s, r, v in found]
+            sets, cols = np.nonzero(hits.any(axis=1) & ~dense[:, None])
+            found.append((sets, cols + start, block[sets, :, cols]))
+        sets, rows, scores = (np.concatenate(part) for part in zip(*found))
+        order = np.argsort(sets, kind="stable")  # each set's rows stay ascending
+        rows, scores = rows[order], scores[order]
+        ends = np.cumsum(np.bincount(sets, minlength=n_sets)).tolist()
+        pools = [(rows[a:b], scores[a:b]) for a, b in zip([0] + ends, ends)]
+        return [None if d else pool for pool, d in zip(pools, dense)], dense
+
+    def _top_k(self, queries: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each set's union of its queries' top k rows, kept tile by tile: a
+        tile's rows join the rows kept so far, which precede them, and each
+        query keeps its k highest of those."""
+        n_sets, q, _ = queries.shape
+        pools = [(np.zeros(0, dtype=np.intp), np.zeros((0, q)))] * n_sets
+        for start, block in self._scored_tiles(queries):
+            tile_rows = np.arange(start, start + block.shape[2])
+            for i, (rows, scores) in enumerate(pools):
+                rows = np.concatenate([rows, tile_rows])
+                scores = np.concatenate([scores, block[i].T])
+                keep = np.zeros(len(rows), dtype=bool)
+                for column in scores.T:
+                    keep |= _top_k_mask(column, k)
+                pools[i] = rows[keep], scores[keep]
+        return pools
+
+    def _scored_tiles(self, queries: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """(first row, (n, q, rows) score block) of each tile of the index.
+
+        The rows are scored SEARCH_TILE_ROWS at a time: each tile is copied
+        into a C-ordered float64 buffer, which is exact, and all the queries
+        are multiplied against it in one product, so an index no wider than
+        one tile is scored in a single product. The copy is explicit because
+        a matmul that casts a float32 tile itself gives other score bits.
+        Every tile's block is written into one buffer, which the next tile
+        overwrites.
+        """
+        n_sets, q, dim = queries.shape
+        queries = queries.reshape(n_sets * q, dim)
+        n, tile_rows = len(self.doc_ids), SEARCH_TILE_ROWS
+        buffer = np.empty((min(n, tile_rows), dim))
+        scores = np.empty(len(queries) * len(buffer))
+        for start in range(0, n, tile_rows):
+            tile = buffer[:min(tile_rows, n - start)]
             np.copyto(tile, self.matrix[start:start + len(tile)])
-            np.matmul(queries, tile.T, out=scores[:, start:start + len(tile)])
-        kth = max(n - k, 0)  # where the k-th highest score sorts ascending
-        top = []
-        for row in scores:
-            floor = np.partition(row, kth)[kth]
-            rows = np.flatnonzero(row >= floor)
-            top.append(rows[np.argsort(-row[rows], kind="stable")[:k]])
-        return scores, top
+            block = scores[:len(queries) * len(tile)].reshape(len(queries), len(tile))
+            np.matmul(queries, tile.T, out=block)
+            yield start, block.reshape(n_sets, q, len(tile))
+
+
+def _top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """Where the k highest of `scores` are. A partition finds the k-th
+    score; of the scores equal to it, the first ones fill the k."""
+    if len(scores) <= k:
+        return np.ones(len(scores), dtype=bool)
+    kth = len(scores) - k  # where the k-th highest score sorts ascending
+    floor = np.partition(scores, kth)[kth]
+    top = scores > floor
+    top[np.flatnonzero(scores == floor)[:k - np.count_nonzero(top)]] = True
+    return top

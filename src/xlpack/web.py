@@ -11,9 +11,12 @@ max_results survive per article; each survivor becomes a pseudo article pair
 (`pseudo_pair`) that downstream packing treats like any aligned pair.
 
 Articles are scored in groups: one provider call embeds both queries of every
-article in the group, and one matrix product scores them all against the
-corpus. Each query's candidate pool is its top k rows, selected by partition
-rather than a full sort; pool scores are read from the same score block.
+article in the group, and one index search scores them all against the
+corpus, tile by tile. Each query's candidate pool is its top k docs; the
+search keeps only the docs where a query scores at or above the threshold,
+which hold every doc of the union of the pools whose mean clears it, unless
+a query has more than k of them (a dense article, scored again for its exact
+top k pools).
 
 This module loads no numpy, so the config and the pipeline import it without
 loading numpy. `two_step_retrieve` imports numpy in its body; the embedding
@@ -109,6 +112,7 @@ class RetrievalTally:
     empty_keyword_sets: int = 0
     results_kept: int = 0
     missing_corpus_texts: int = 0
+    dense_articles: int = 0  # scored through the exact top k (`VectorIndex.search`)
 
 
 def extract_keywords(
@@ -152,11 +156,16 @@ def two_step_retrieve(
     tally: RetrievalTally | None = None,
 ) -> list[list[RetrievalResult]]:
     """Results per keyword set: the union of both query steps' candidate
-    pools, averaged, filtered and capped.
+    pools (each query's top cfg.candidate_pool_k docs), averaged, filtered at
+    cfg.threshold, ranked by mean (ties by doc id) and capped.
 
     The whole group makes one provider call, with the title and the full
-    query of each non-empty set, and one index search. An empty set gets no
-    results.
+    query of each non-empty set, and one index search, which is given the
+    threshold: it returns, per set, the docs where either query scores at or
+    above it, which hold every pool doc whose mean clears it, or for a dense
+    set (a query has more than k such docs) the exact union of the two pools,
+    scored in a second scan and counted as `dense_articles`. Either way the
+    docs are averaged, filtered and ranked alike. An empty set gets no results.
     """
     import numpy as np  # imported here so that runs without retrieve never load it
 
@@ -175,17 +184,17 @@ def two_step_retrieve(
     out: list[list[RetrievalResult]] = [[] for _ in keyword_sets]
     if not queried:
         return out
-    scores, top = index.search(provider.embed_batch(texts), cfg.candidate_pool_k)
-    for j, i in enumerate(queried):
-        s_title, s_full = scores[2 * j], scores[2 * j + 1]
-        pool = np.union1d(top[2 * j], top[2 * j + 1])  # ascending rows, so ascending doc ids
-        s_final = (s_title[pool] + s_full[pool]) / 2.0
+    queries = np.reshape(provider.embed_batch(texts), (len(queried), 2, -1))
+    pools, dense = index.search(queries, cfg.candidate_pool_k, cfg.threshold)
+    tally.dense_articles += int(np.count_nonzero(dense))
+    for i, (rows, scores) in zip(queried, pools):
+        s_final = (scores[:, 0] + scores[:, 1]) / 2.0
         kept = s_final >= cfg.threshold
-        pool, s_final = pool[kept], s_final[kept]
+        rows, scores, s_final = rows[kept], scores[kept], s_final[kept]
         best = np.argsort(-s_final, kind="stable")[: cfg.max_results]
         out[i] = [
-            RetrievalResult(index.doc_ids[r], float(s_title[r]), float(s_full[r]), float(s))
-            for r, s in zip(pool[best], s_final[best])
+            RetrievalResult(index.doc_ids[r], float(s_title), float(s_full), float(s))
+            for r, (s_title, s_full), s in zip(rows[best], scores[best], s_final[best])
         ]
         tally.results_kept += len(out[i])
     return out

@@ -209,3 +209,23 @@ def reference_keyword_frequencies(text, title_map):
             counts[kw] += 1
             first.setdefault(kw, pos)
     return sorted(counts, key=lambda kw: (-counts[kw], first[kw]))
+
+
+def reference_two_step(docs, title_query, full_query, threshold, max_results, pool_k):
+    """The two-step rule for one article by brute force: docs is a list of
+    (doc_id, vector). Each query's pool is its top pool_k docs by (-score,
+    doc_id); each doc of the union of the two pools scores the mean of its two
+    scores, those below the threshold are dropped, and the rest are ranked by
+    (-mean, doc_id) and capped at max_results. Returns (doc_id, title score,
+    full score, mean) tuples."""
+    def scores(query):
+        return {doc_id: sum(float(x) * float(q) for x, q in zip(vec, query))
+                for doc_id, vec in docs}
+
+    s_title, s_full = scores(title_query), scores(full_query)
+    pool = set()
+    for s in (s_title, s_full):
+        pool.update(sorted(s, key=lambda doc_id: (-s[doc_id], doc_id))[:pool_k])
+    found = [(d, s_title[d], s_full[d], (s_title[d] + s_full[d]) / 2) for d in pool]
+    found = sorted((r for r in found if r[3] >= threshold), key=lambda r: (-r[3], r[0]))
+    return found[:max_results]

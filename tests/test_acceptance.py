@@ -161,8 +161,9 @@ def test_criterion_4_retrieval_constants_and_math():
     assert scores["d3"] == pytest.approx(0.88, abs=1e-9)
     assert scores["d1"] == pytest.approx(0.80, abs=1e-9)
     # d2 scores (0.0 + 0.8) / 2 = 0.40 and is filtered by the 0.75 threshold.
-    block, _ = index.search(np.array([[1.0, 0.0], [0.6, 0.8]]), 3)
-    s_d2 = (block[0, index.doc_ids.index("d2")] + block[1, index.doc_ids.index("d2")]) / 2
+    ((rows, block),), _ = index.search(np.array([[[1.0, 0.0], [0.6, 0.8]]]), 3, 0.0)
+    assert list(rows) == [0, 1, 2]
+    s_d2 = (block[index.doc_ids.index("d2"), 0] + block[index.doc_ids.index("d2"), 1]) / 2
     assert s_d2 == pytest.approx(0.40, abs=1e-9)
     assert all(r.s_final >= 0.75 for r in results)
 
@@ -180,8 +181,11 @@ def test_criterion_4_retrieval_constants_and_math():
         key=lambda t: (-t[1], t[0]),
     )
     for k in (1, 10, 100):
-        block, (rows,) = big_index.search(query[None, :], k)
-        got = [(big_index.doc_ids[r], block[0, r]) for r in rows]
+        # The exact top k: every row is at or above -inf, so the query is dense.
+        ((rows, block),), dense = big_index.search(query[None, None, :], k, -np.inf)
+        assert dense.all() and len(rows) == k
+        got = sorted(((big_index.doc_ids[r], s) for r, s in zip(rows, block[:, 0])),
+                     key=lambda t: (-t[1], t[0]))
         assert [g[0] for g in got] == [s[0] for s in scored[:k]]
         for (_, gs), (_, es) in zip(got, scored[:k]):
             assert gs == pytest.approx(es, abs=1e-9)

@@ -778,6 +778,28 @@ class TestRetrieveStage:
         assert done["retrieval"]["missing_corpus_texts"] == 6
         assert done["pseudo_pairs"] == len(refs)
 
+    def test_dense_articles_counted(self, tmp_path):
+        # Every text embeds to the same vector, so every doc scores 1.0 for
+        # every query: under k = 100 no article is dense; with k = 1 and
+        # threshold 0.0 every one is, and each keeps the first doc of each pool.
+        docs = [("webA", "Web A\nalpha"), ("webB", "Web B\ngamma")]
+        cfg_path = _retrieve_run(tmp_path, docs, {}, default=(1.0, 0.0, 0.0), n_pairs=4)
+        assert run(["align", "--config", str(cfg_path)]) == EXIT_OK
+        out = tmp_path / "out"
+        tallies = []
+        for settings in ([], ["--set", "retrieval.threshold=0.0",
+                              "--set", "retrieval.candidate_pool_k=1"]):
+            assert run(["retrieve", "--config", str(cfg_path), *settings]) == EXIT_OK
+            *_, done = [e for e in read_events(out / "run_report.jsonl")
+                        if e.get("stage") == "retrieve"]
+            tallies.append(done["retrieval"])
+        sparse, dense = tallies
+        assert (sparse["dense_articles"], sparse["results_kept"]) == (0, 8)
+        assert dense["dense_articles"] == dense["articles_queried"] == 4
+        assert dense["results_kept"] == 4
+        refs = [json.loads(l) for l in (out / "pseudo_pairs.jsonl").read_text().splitlines()]
+        assert [r["doc_id"] for r in refs] == ["webA"] * 4
+
     def test_duplicate_page_id_query_and_join_use_first_record(self, tmp_path):
         # Page 10000 appears twice in articles_l. The first record's title
         # maps to "Topic 0" and retrieves webA; the second record's title
@@ -1059,7 +1081,7 @@ _STAGE_EVENT_KEYS = {
         "malformed_articles": None,
         "retrieval": dict.fromkeys(("articles_queried", "blank_articles", "unmapped_titles",
                                     "empty_keyword_sets", "results_kept",
-                                    "missing_corpus_texts")),
+                                    "missing_corpus_texts", "dense_articles")),
     },
     "pack": {
         "context_count": None,

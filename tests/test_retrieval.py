@@ -38,7 +38,12 @@ from xlpack.web import (
     two_step_retrieve,
 )
 
-from .oracles import reference_keyword_frequencies, reference_search, reference_unit_vector
+from .oracles import (
+    reference_keyword_frequencies,
+    reference_search,
+    reference_two_step,
+    reference_unit_vector,
+)
 
 
 def _article(text, title="Thema", page_id=7):
@@ -423,10 +428,29 @@ def _batches(doc_ids, rows, size=7):
     return [(doc_ids[i:i + size], rows[i:i + size]) for i in range(0, len(doc_ids), size)]
 
 
+def _ranked(index, queries, k):
+    """Each query's top k rows, by descending score, ties by ascending row,
+    with their scores; each query is searched as a set of its own, under a
+    threshold of -inf, so its rows are its exact top k."""
+    pools, _ = index.search(np.asarray(queries, dtype=float)[:, None, :], k, -np.inf)
+    ranked = []
+    for rows, scores in pools:
+        order = np.lexsort((rows, -scores[:, 0]))
+        ranked.append((rows[order], scores[order, 0]))
+    return ranked
+
+
+def _score_block(index, queries):
+    """Every query's score of every row, as an (m, len(index)) block."""
+    pools, _ = index.search(np.asarray(queries, dtype=float)[:, None, :], len(index), -np.inf)
+    assert all(list(rows) == list(range(len(index))) for rows, _ in pools)
+    return np.array([scores[:, 0] for _, scores in pools])
+
+
 def _search_one(index, query, k):
-    """(doc_id, score) pairs of one query, searched as a one-row block."""
-    scores, (rows,) = index.search(np.array([query], dtype=float), k)
-    return [(index.doc_ids[r], float(scores[0, r])) for r in rows]
+    """(doc_id, score) pairs of one query's top k."""
+    ((rows, scores),) = _ranked(index, [query], k)
+    return [(index.doc_ids[r], float(s)) for r, s in zip(rows, scores)]
 
 
 def _int_index(matrix):
@@ -438,9 +462,9 @@ def _int_index(matrix):
 class TestVectorIndex:
     def test_empty_index_returns_nothing(self):
         index = VectorIndex.build([])
-        scores, top = index.search(np.array([[1.0, 0.0], [0.0, 1.0]]), 5)
-        assert scores.shape == (2, 0)
-        assert [list(rows) for rows in top] == [[], []]
+        pools, dense = index.search(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), 5, 0.0)
+        assert [(list(rows), scores.shape) for rows, scores in pools] == [([], (0, 1))] * 2
+        assert not dense.any()
 
     def test_identical_vector_scores_one(self):
         index = VectorIndex.build([_batch(("d1", 1.0, 0.0))])
@@ -469,7 +493,7 @@ class TestVectorIndex:
     def test_query_dimension_mismatch_raises(self):
         index = VectorIndex.build([_batch(("d1", 1.0, 0.0))])
         with pytest.raises(RetrievalError) as err:
-            index.search(np.array([[1.0, 0.0, 0.0]]), 1)
+            index.search(np.array([[[1.0, 0.0, 0.0]]]), 1, 0.0)
         assert "dimension 2" in str(err.value)
 
     def test_orthonormal_scores(self):
@@ -499,7 +523,7 @@ class TestVectorIndex:
     def test_k_below_one_rejected(self):
         index = VectorIndex.build([_batch(("d1", 1.0, 0.0))])
         with pytest.raises(ValueError):
-            index.search(np.array([[1.0, 0.0]]), 0)
+            index.search(np.array([[[1.0, 0.0]]]), 0, 0.0)
 
     def test_rows_held_as_float32_only_when_they_convert_exactly(self, tmp_path):
         ids = [f"d{i:02d}" for i in range(20)]
@@ -519,10 +543,13 @@ class TestVectorIndex:
         assert index.matrix.dtype == np.float64 and index.matrix.tobytes() == mixed.tobytes()
         # Either way the scores are those of the same rows held as float64.
         queries = mock[:3]
-        want, want_top = VectorIndex(ids, cached.copy()).search(queries, 4)
-        scores, top = VectorIndex.build(_batches(ids, cached)).search(queries, 4)
-        assert scores.tobytes() == want.tobytes()
-        assert [list(t) for t in top] == [list(t) for t in want_top]
+        want = VectorIndex(ids, cached.copy())
+        index = VectorIndex.build(_batches(ids, cached))
+        assert _score_block(index, queries).tobytes() == _score_block(want, queries).tobytes()
+        for (rows, scores), (want_rows, want_scores) in zip(_ranked(index, queries, 4),
+                                                             _ranked(want, queries, 4)):
+            assert list(rows) == list(want_rows)
+            assert scores.tobytes() == want_scores.tobytes()
 
     def test_float32_index_holds_four_bytes_per_component(self):
         # 2,000 rows at dim 64 are 512,000 bytes as float32 and twice that as
@@ -561,12 +588,13 @@ class TestVectorIndex:
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         index = VectorIndex.build(_batches([f"d{i:04d}" for i in range(n_rows)], rows, 100))
         assert index.matrix.dtype == dtype
-        scores, top = index.search(queries, 5)
+        scores = _score_block(index, queries)
         want = queries @ rows.T
         assert np.abs(scores - want).max() <= 1e-12
         if n_rows <= TILE:  # one tile is one product, as an unblocked search makes it
             assert scores.tobytes() == want.tobytes()
-        assert [list(t) for t in top] == [list(np.argsort(-w, kind="stable")[:5]) for w in want]
+        top = [list(rows) for rows, _ in _ranked(index, queries, 5)]
+        assert top == [list(np.argsort(-w, kind="stable")[:5]) for w in want]
 
     @pytest.mark.parametrize("n_rows", [TILE - 1, TILE, TILE + 1, TILE + 2, 2 * TILE + 1])
     def test_integer_rows_score_exactly_across_tile_edges(self, n_rows):
@@ -581,9 +609,10 @@ class TestVectorIndex:
         queries[0] = 1
         index = VectorIndex([f"doc{i:04d}" for i in range(n_rows)], matrix.astype(float))
         docs = list(zip(index.doc_ids, matrix))
+        scores = _score_block(index, queries)
+        assert scores.tobytes() == (queries @ matrix.T).astype(float).tobytes()
         for k in (1, 2, 7):
-            scores, top = index.search(queries.astype(float), k)
-            assert scores.tobytes() == (queries @ matrix.T).astype(float).tobytes()
+            top = [rows for rows, _ in _ranked(index, queries, k)]
             for q, rows in zip(queries, top):
                 assert [index.doc_ids[r] for r in rows] == [d for d, _ in reference_search(docs, q, k)]
         if n_rows > TILE:
@@ -591,11 +620,10 @@ class TestVectorIndex:
 
     def test_results_held_at_once_keep_their_scores(self):
         index = _int_index([[1, 0], [0, 1], [1, 1]])
-        first, first_top = index.search(np.array([[1.0, 0.0], [0.0, 1.0]]), 1)
-        second, second_top = index.search(np.array([[2.0, 0.0]]), 1)
-        assert first.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
-        assert second.tolist() == [[2.0, 0.0, 2.0]]
-        assert [list(t) for t in first_top + second_top] == [[0], [1], [0]]
+        first, _ = index.search(np.array([[[1.0, 0.0], [0.0, 1.0]]]), 1, 0.5)
+        second, _ = index.search(np.array([[[2.0, 0.0], [0.0, 2.0]]]), 1, 0.5)
+        assert [(list(rows), scores.tolist()) for rows, scores in first + second] == [
+            ([0, 1], [[1.0, 0.0], [0.0, 1.0]]), ([0, 1], [[2.0, 0.0], [0.0, 2.0]])]
 
     @given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 5),
            st.integers(0, 2**32 - 1))
@@ -608,13 +636,11 @@ class TestVectorIndex:
         queries = rng.standard_normal((n_queries, 6))
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         index = VectorIndex.build(_batches(doc_ids, vectors))
-        scores, top = index.search(queries, k)
-        assert scores.shape == (n_queries, n_docs)
-        for q, row_scores, rows in zip(queries, scores, top):
+        for q, (rows, scores) in zip(queries, _ranked(index, queries, k)):
             expected = reference_search(list(zip(doc_ids, vectors)), q, k)
             assert [index.doc_ids[r] for r in rows] == [e[0] for e in expected]
-            for r, (_, want_score) in zip(rows, expected):
-                assert row_scores[r] == pytest.approx(want_score, abs=1e-9)
+            for score, (_, want_score) in zip(scores, expected):
+                assert score == pytest.approx(want_score, abs=1e-9)
 
     @given(
         hnp.arrays(np.int64, st.tuples(st.integers(1, 30), st.integers(1, 3)),
@@ -630,12 +656,11 @@ class TestVectorIndex:
         queries = rng.integers(-2, 3, (n_queries, matrix.shape[1]))
         queries[0] = 1  # at least one query sees rows of equal sums tie
         index = _int_index(matrix)
-        scores, top = index.search(queries.astype(float), k)
         docs = list(zip(index.doc_ids, matrix))
-        for q, row_scores, rows in zip(queries, scores, top):
+        for q, (rows, scores) in zip(queries, _ranked(index, queries, k)):
             expected = reference_search(docs, q, k)
             assert [index.doc_ids[r] for r in rows] == [e[0] for e in expected]
-            assert [row_scores[r] for r in rows] == [e[1] for e in expected]
+            assert list(scores) == [e[1] for e in expected]
 
 
 class _TableProvider:
@@ -659,6 +684,14 @@ class _IntProvider:
         self.calls += 1
         return [np.array([b % 5 - 2 for b in hashlib.blake2b(t.encode()).digest()[:self.dim]],
                          dtype=float) for t in texts]
+
+
+class _CountingMock(MockEmbeddingProvider):
+    calls = 0
+
+    def embed_batch(self, texts):
+        self.calls += 1
+        return super().embed_batch(texts)
 
 
 _WORDS = ["", " ", "alpha", "beta", "gamma", "delta"]
@@ -769,6 +802,100 @@ class TestTwoStepRetrieve:
         two_step_retrieve([KeywordSet(""), KeywordSet(" ")], index, provider,
                           RetrievalConfig())
         assert provider.calls == 1  # no non-empty set, no call
+
+
+    @given(
+        hnp.arrays(np.int64, st.tuples(st.integers(1, 25), st.just(3)),
+                   elements=st.integers(-2, 2)),
+        st.lists(_keyword_sets, min_size=1, max_size=6),
+        st.sampled_from([0.0, 0.5, 1.0]), st.integers(1, 4), st.integers(1, 4),
+        st.sampled_from([1, 2, 3, 5, TILE]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_two_step(self, matrix, kss, threshold, max_results, pool_k,
+                                        tile):
+        # Exact integer scores, an index cut into tiles of 1 to 5 rows or one
+        # tile, and thresholds at which sets are both sparse and dense.
+        index = _int_index(matrix)
+        provider = _IntProvider(3)
+        cfg = RetrievalConfig(threshold=threshold, max_results=max_results,
+                              candidate_pool_k=pool_k)
+        tally = RetrievalTally()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "SEARCH_TILE_ROWS", tile)
+            found = two_step_retrieve(kss, index, provider, cfg, tally)
+        docs = list(zip(index.doc_ids, matrix))
+        want_tally = RetrievalTally(articles_queried=len(kss))
+        for ks, results in zip(kss, found):
+            if not ks.title_keyword.strip() and not ks.content_keywords:
+                want_tally.empty_keyword_sets += 1
+                assert results == []
+                continue
+            queries = provider.embed_batch([ks.title_keyword.strip(), ks.full_query()])
+            want = reference_two_step(docs, *queries, threshold, max_results, pool_k)
+            assert [(r.doc_id, r.s_title, r.s_full, r.s_final) for r in results] == want
+            want_tally.results_kept += len(want)
+            want_tally.dense_articles += any(
+                np.count_nonzero(matrix @ q >= threshold) > pool_k for q in queries)
+        assert tally == want_tally
+
+    def test_dense_article_keeps_only_its_pools(self):
+        # pool k = 1, threshold 0.5. The title query scores a, b and c at or
+        # above 0.5, more than k rows, so the article is dense. Its pools are
+        # a (the title's top 1) and c (the full query's top 1, which it scores
+        # 0.375, below the threshold), both of mean 0.5. b has mean 0.5 too but
+        # is in neither pool, so keeping every row at or above the threshold
+        # would return it; keeping the title's top k of those would drop c.
+        provider = _TableProvider({"T": [1.0, 0.0], "T c": [0.0, 1.0]})
+        index = VectorIndex.build([_batch(("a", 1.0, 0.0), ("b", 0.75, 0.25),
+                                          ("c", 0.625, 0.375))])
+        cfg = RetrievalConfig(threshold=0.5, candidate_pool_k=1)
+        tally = RetrievalTally()
+        (results,) = two_step_retrieve([KeywordSet("T", ["c"])], index, provider, cfg, tally)
+        found = [(r.doc_id, r.s_title, r.s_full, r.s_final) for r in results]
+        assert found == [("a", 1.0, 0.0, 0.5), ("c", 0.625, 0.375, 0.5)]
+        docs = list(zip(index.doc_ids, index.matrix))
+        assert found == reference_two_step(docs, [1.0, 0.0], [0.0, 1.0], 0.5, 3, 1)
+        assert tally.dense_articles == 1
+
+    @pytest.mark.parametrize("threshold", [0.7, 0.0], ids=["sparse", "dense"])
+    def test_group_memory_flat_in_index_size(self, monkeypatch, threshold):
+        # One group of g articles against indexes of 2 and 20 tiles. What the
+        # call holds at its peak is bounded by the tile and by k, not by the
+        # index: the float64 tile buffer (tile x dim x 8 bytes), the (2g x
+        # tile) float64 score block and its bool mask, a tile's kept rows at
+        # most (their article, row and two scores: 2.5 blocks), and up to 2k
+        # kept rows per article, each 32 bytes held in per-tile parts, 32 more
+        # once joined and 32 while they are sorted by article.
+        # At 0.7 no query has more than k = 40 rows at or above the threshold
+        # (at most 38 of the 1,280 rows), at 0.0 every article is dense.
+        tile, dim, g, pool_k = 64, 8, 32, 40
+        monkeypatch.setattr(retrieval, "SEARCH_TILE_ROWS", tile)
+        kss = [KeywordSet(f"title {i}", [f"word {i}"]) for i in range(g)]
+        cfg = RetrievalConfig(threshold=threshold, candidate_pool_k=pool_k, dim=dim)
+        block = 2 * g * tile * 8
+        bound = tile * dim * 8 + block + block // 8 + 5 * block // 2 + 2 * pool_k * g * 96
+        slack = 48 * 1024  # queries, texts, results and numpy's small temporaries
+        peaks, calls, dense = [], [], []
+        for n_tiles in (2, 20):
+            rng = np.random.default_rng(n_tiles)
+            rows = rng.standard_normal((n_tiles * tile, dim))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            index = VectorIndex([f"d{i:05d}" for i in range(len(rows))], rows)
+            provider = _CountingMock(dim=dim, seed=3)
+            tally = RetrievalTally()
+            two_step_retrieve(kss, index, provider, cfg)  # numpy's first-call setup, untraced
+            tracemalloc.start()
+            try:
+                two_step_retrieve(kss, index, provider, cfg, tally)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            calls.append(provider.calls)
+            dense.append(tally.dense_articles)
+        assert max(peaks) <= bound + slack < 2 * g * 20 * tile * 8  # a block across the index
+        assert calls == [2, 2]  # one per call, whatever the index size
+        assert dense == ([0, 0] if threshold else [g, g])
 
 
 class TestPseudoPair:
